@@ -36,6 +36,7 @@ from .curves import (
 from .errors import (
     CurveContracted,
     DegenerateConfiguration,
+    ExactLengthCap,
     IncompatibleArtifacts,
     SamplingExhausted,
 )
@@ -114,13 +115,17 @@ def cmd_walk(args) -> int:
     trials = []
     aborts = []
     for i, wseed in enumerate(config.walk_seeds()):
-        report = run_walk(
-            gens, config.steps, seed=wseed, mode=config.mode,
-            eps=config.epsilon, checkpoint_every=config.checkpoint_every,
-            exact_len_cap=config.exact_len_cap,
-            float_steps_cap=config.float_steps_cap,
-            track_classes=config.track_classes,
-            keep_classes=config.track_classes)
+        try:
+            report = run_walk(
+                gens, config.steps, seed=wseed, mode=config.mode,
+                eps=config.epsilon, checkpoint_every=config.checkpoint_every,
+                exact_len_cap=config.exact_len_cap,
+                float_steps_cap=config.float_steps_cap,
+                track_classes=config.track_classes,
+                keep_classes=config.track_classes)
+        except ExactLengthCap as exc:
+            print(f"trial {i} (seed {wseed}) stopped: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
         trials.append(report.to_jsonable(include_classes=True))
         write_rows_csv(report.rows, out / f"walk_trial{i:02d}_seed{wseed}.csv")
         if report.aborted is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
@@ -192,12 +194,31 @@ def certificate_to_jsonable(report: GenericityReport) -> dict:
     }
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int/str digit limit for one document.
+
+    Exact walk coordinates pass 4300 decimal digits (the default limit)
+    after a dozen letters; the previous limit is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # interpreters without the limit
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def dump_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with _any_int_digits():
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def load_json(path) -> dict:
-    with open(path) as fh:
+    with open(path) as fh, _any_int_digits():
         return json.load(fh)

@@ -11,16 +11,34 @@ per letter, in two independent ways at once:
   coefficient exactly 2^length, which by adjunction equals the
   intersection of the pulled-back line class with the line class.
 
-The polynomial side runs over a prime field: because every component is
-homogeneous, a nonzero reduction keeps its exact degree and any common
-factor over the rationals survives reduction with its degree intact, so
-"reduced triple is nonzero and coprime mod p" is a sound certificate
-that the exact stripped degree is the full 2^length.  Words where the
-fast check cannot certify (a genuine degree drop, or the rare prime
-mishap) are recomposed exactly over the integers and judged on the true
-triple.  Class transport degeneracies and degree drops on either side
-are recorded in the report; the tree is pruned below a failing word but
-sibling branches keep being checked.
+The polynomial side runs over a prime field and only on the six lines
+of `_CERT_LINES`: each node of the word tree carries the restrictions mod
+p of its raw composed triple to those lines, never the bivariate triple.
+"Some line where the three restrictions are nonzero and coprime" is a
+sound certificate that the exact stripped degree is the full 2^length:
+
+* restriction commutes with composition, (letter o G)|_L = letter o (G|_L),
+  so a letter acts on the restrictions directly: two linear combinations
+  and three univariate products per line;
+* a component that is nonzero on a line is nonzero over the rationals,
+  and being homogeneous it keeps its exact degree;
+* a common factor h of the exact triple is a primitive integer form, so
+  h mod p is nonzero of the same degree and h|_L divides all three
+  restrictions.  It can only hide in two ways, and each is skipped: the
+  line lies in the zero set of h mod p (then the restrictions vanish), or
+  h|_L is a power of s, a factor sitting at the line's point at infinity
+  (then all three top coefficients vanish).
+
+Words where the fast check cannot certify (a genuine degree drop, or the
+rare prime mishap) are recomposed exactly over the integers and judged on
+the true triple; a word that passes reseeds its subtree from the
+restrictions of that exact triple.  Class transport degeneracies and
+degree drops on either side are recorded in the report; the tree is
+pruned below a failing word but sibling branches keep being checked.
+
+`perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
+by replacing them in this module's namespace, so both stay module-level
+names and every call to them goes through the module globals.
 """
 
 from __future__ import annotations
@@ -37,10 +55,12 @@ from .picard import OperatorCache, PointRegistry, WeilClass
 Letter = Tuple[int, int]  # (generator index, sign)
 Word = Tuple[Letter, ...]
 
-# Modulus for the fast path.  Small enough that a full accumulation of
-# (d+2 choose 2) coefficient products stays inside int64, large enough
-# that spurious vanishing is rare; spurious events only cost an exact
-# recheck, never soundness.
+# Modulus for the fast path.  Residues lie in [0, p) with p < 2^20, so one
+# slot of the convolution of two length-(d+1) restrictions is at most
+# (d+1)(p-1)^2, inside int64 for every degree up to 2^22, and a linear
+# combination of three residues is at most 3(p-1)^2.  Large enough that
+# spurious vanishing is rare; spurious events only cost an exact recheck,
+# never soundness.
 _P = 1048573
 
 
@@ -91,49 +111,38 @@ def all_letters(generator_count: int) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
-# -- dense mod-p component triples --------------------------------------
-# A component of degree d is an int64 array A with A[i, j] holding the
-# coefficient of x^i y^j z^(d-i-j); the k-exponent is implicit.
+# -- certificate lines ---------------------------------------------------
+# Each line is given by the images of x, y, z as binary forms in (t, s):
+# "t", "s" or "0".  A component of degree d restricted to a line is the
+# length-(d+1) coefficient vector of t^k s^(d-k), k = 0..d.  A node of the
+# tree carries a (lines, 3, d+1) int64 array of these restrictions mod p.
+
+_CERT_LINES = {
+    "z0": "ts0",
+    "y0": "t0s",
+    "x0": "0ts",
+    "z=x": "tst",
+    "z=y": "tss",
+    "y=x": "tts",
+}
 
 
-def _identity_arrs():
-    ax = np.zeros((2, 2), dtype=np.int64)
-    ay = np.zeros((2, 2), dtype=np.int64)
-    az = np.zeros((2, 2), dtype=np.int64)
-    ax[1, 0] = 1
-    ay[0, 1] = 1
-    az[0, 0] = 1
-    return (ax, ay, az), 1
+def _lines_from_components(comps: Components):
+    """Mod-p restrictions of an exact triple to every certificate line."""
+    d = next(p.degree for p in comps if not p.is_zero)
+    out = np.zeros((len(_CERT_LINES), 3, d + 1), dtype=np.int64)
+    for li, images in enumerate(_CERT_LINES.values()):
+        for ci, p in enumerate(comps):
+            for exps, c in p.terms:
+                if any(e and v == "0" for e, v in zip(exps, images)):
+                    continue
+                k = sum(e for e, v in zip(exps, images) if v == "t")
+                out[li, ci, k] = (int(out[li, ci, k]) + int(c)) % _P
+    return out, d
 
 
-def _modp_combo(row, arrs, d):
-    out = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for c, A in zip(row, arrs):
-        if c:
-            out += (c % _P) * A
-    return out % _P
-
-
-def _modp_mul(A, B, dA, dB):
-    out = np.zeros((dA + dB + 1, dA + dB + 1), dtype=np.int64)
-    if np.count_nonzero(A) > np.count_nonzero(B):
-        A, B = B, A
-        dA, dB = dB, dA
-    h = dB + 1
-    I, J = np.nonzero(A)
-    vals = A[I, J]
-    for i, j, c in zip(I.tolist(), J.tolist(), vals.tolist()):
-        out[i:i + h, j:j + h] += c * B
-    return out % _P
-
-
-def _modp_letter(a_rows: Mat3, b_rows: Mat3, arrs, d):
-    t = [_modp_combo(b_rows[i], arrs, d) for i in range(3)]
-    s = (_modp_mul(t[1], t[2], d, d),
-         _modp_mul(t[0], t[2], d, d),
-         _modp_mul(t[0], t[1], d, d))
-    out = tuple(_modp_combo(a_rows[i], s, 2 * d) for i in range(3))
-    return out, 2 * d
+def _mat_modp(rows: Mat3):
+    return np.array([[c % _P for c in row] for row in rows], dtype=np.int64)
 
 
 def _trim(a: list) -> list:
@@ -164,41 +173,11 @@ def _modp_gcd(u: list, v: list) -> list:
     return u if u else [0]
 
 
-_CERT_LINES = ("z0", "y0", "x0", "z=x", "z=y", "y=x")
-
-
-def _restrict_modp(A, d, line):
-    if line == "z0":
-        idx = np.arange(d + 1)
-        return A[idx, d - idx]
-    if line == "y0":
-        return A[:, 0]
-    if line == "x0":
-        return A[0, :]
-    if line == "z=x":
-        return A.sum(axis=0)[::-1] % _P
-    if line == "z=y":
-        return A.sum(axis=1) % _P
-    if line == "y=x":
-        f = np.fliplr(A)
-        return np.array([np.trace(f, offset=d - s) for s in range(d + 1)],
-                        dtype=np.int64) % _P
-    raise ValueError(line)
-
-
-def _modp_coprime(arrs, d) -> bool:
+def _modp_coprime(lines, d) -> bool:
     """True certifies the exact triple is coprime; False is merely no verdict."""
-    for line in _CERT_LINES:
-        rs = []
-        informative = True
-        for A in arrs:
-            r = [int(x) for x in _restrict_modp(A, d, line)]
-            if not any(r):
-                informative = False
-                break
-            rs.append(r)
-        if not informative:
-            continue
+    for rs in lines.tolist():
+        if not all(any(r) for r in rs):
+            continue  # the line lies in a component's zero set mod p
         if all(r[d] == 0 for r in rs):
             continue  # the restrictions share the line's point at infinity
         g = rs[0]
@@ -206,20 +185,22 @@ def _modp_coprime(arrs, d) -> bool:
             g = _modp_gcd(g, other)
             if len(g) == 1:
                 return True
-        if len(g) == 1:
-            return True
     return False
 
 
-def _modp_step(gen: GeneratorData, sign: int, arrs, d):
-    """Fast certified step; None when the fast path cannot certify."""
+def _modp_step(gen: GeneratorData, sign: int, lines, d):
+    """Fast certified step on the line restrictions; None means no verdict."""
     a_rows, b_rows = gen.letter_matrices(sign)
-    new_arrs, nd = _modp_letter(a_rows, b_rows, arrs, d)
-    if any(not A.any() for A in new_arrs):
+    t = _mat_modp(b_rows) @ lines % _P
+    s = np.empty((len(_CERT_LINES), 3, 2 * d + 1), dtype=np.int64)
+    for li, (t0, t1, t2) in enumerate(t):
+        s[li, 0] = np.convolve(t1, t2)
+        s[li, 1] = np.convolve(t0, t2)
+        s[li, 2] = np.convolve(t0, t1)
+    new_lines = _mat_modp(a_rows) @ (s % _P) % _P
+    if not _modp_coprime(new_lines, 2 * d):
         return None
-    if not _modp_coprime(new_arrs, nd):
-        return None
-    return new_arrs, nd
+    return new_lines, 2 * d
 
 
 def _exact_word_components(gens, word: Word) -> Components:
@@ -227,17 +208,6 @@ def _exact_word_components(gens, word: Word) -> Components:
     for letter in reversed(word):
         comps = compose_letter(*gens[letter[0]].letter_matrices(letter[1]), comps)
     return comps
-
-
-def _arrs_from_components(comps: Components):
-    d = next(p.degree for p in comps if not p.is_zero)
-    arrs = []
-    for p in comps:
-        A = np.zeros((d + 1, d + 1), dtype=np.int64)
-        for (i, j, _k), c in p.terms:
-            A[i, j] = int(c) % _P
-        arrs.append(A)
-    return tuple(arrs), d
 
 
 # -- the certification tree ---------------------------------------------
@@ -256,7 +226,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     failures: List[WordCheck] = []
     checked = 0
 
-    def visit(word: Word, arrs, d: int, push: WeilClass) -> None:
+    def visit(word: Word, lines, d: int, push: WeilClass) -> None:
         nonlocal checked
         for letter in letters:
             if len(failures) >= failure_cap:
@@ -278,7 +248,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
                 transport_fail = str(exc)
             fast = None
             if transport_fail is None and class_degree == expected:
-                fast = _modp_step(gens[letter[0]], letter[1], arrs, d)
+                fast = _modp_step(gens[letter[0]], letter[1], lines, d)
             if fast is None:
                 # adjudicate this word exactly over the integers
                 try:
@@ -310,13 +280,13 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
                         "class-side degree dropped"))
                     continue
                 # rare prime mishap: the exact triple is fine, reseed and go on
-                fast = _arrs_from_components(comps)
-            new_arrs, nd = fast
+                fast = _lines_from_components(comps)
+            new_lines, nd = fast
             if len(new_word) < max_len:
-                visit(new_word, new_arrs, nd, new_push)
+                visit(new_word, new_lines, nd, new_push)
 
-    start_arrs, start_d = _identity_arrs()
-    visit((), start_arrs, start_d, WeilClass.line_class())
+    visit((), *_lines_from_components(IDENTITY_COMPONENTS),
+          WeilClass.line_class())
     return GenericityReport(
         max_len=max_len,
         generator_count=len(gens),

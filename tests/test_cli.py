@@ -121,6 +121,20 @@ def test_walk_abort_sets_degenerate_exit(tmp_path, sigma_pair_file, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_walk_exact_length_cap_exits_degenerate(tmp_path, generators_file,
+                                               capsys):
+    config = tmp_path / "config.json"
+    dump_json(config, {"exact_len_cap": 3})
+    code = main(["walk", "--config", str(config),
+                 "--generators", str(generators_file), "--mode", "exact",
+                 "--steps", "12", "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_DEGENERATE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith("trial 0 (seed 1000) stopped:")
+    assert "cap 3" in err[0]
+
+
 def test_walk_no_classes_runs_long_float(tmp_path, generators_file):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(generators_file),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from birwalk.config import (
     generators_from_jsonable,
     generators_to_jsonable,
     load_config,
+    load_json,
 )
 from birwalk.maps import sample_generators
 
@@ -105,3 +107,15 @@ def test_dump_json_bytes_are_stable(tmp_path):
     dump_json(p1, obj)
     dump_json(p2, obj)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_roundtrips_integers_past_the_digit_limit(tmp_path):
+    # exact walk coordinates reach 130,000 bits, far past 4300 digits
+    big = 2 ** 130000 + 7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = tmp_path / "big.json"
+    dump_json(path, {"coords": [big, -big, 3]})
+    assert load_json(path) == {"coords": [big, -big, 3]}
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
