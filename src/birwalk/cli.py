@@ -92,9 +92,11 @@ def cmd_sample(args) -> int:
         for f in report.failures:
             print(f"certificate failure on word {list(f.word)}: {f.reason}",
                   file=sys.stderr)
+        cut = (f", tree stopped after {report.words_checked} words at the "
+               f"failure cap" if report.truncated else "")
         print(f"refusing to emit an uncertified tuple "
               f"({len(report.failures)} failing words at max_len "
-              f"{config.max_len})", file=sys.stderr)
+              f"{config.max_len}{cut})", file=sys.stderr)
         return EXIT_DEGENERATE
     dump_json(args.out, doc)
     print(f"certified tuple written to {args.out}: "

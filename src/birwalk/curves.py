@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import modp
 from .errors import CurveContracted, DegenerateConfiguration, NonExactDivision
 from .genericity import Word, _exact_word_components
 from .maps import IDENTITY_COMPONENTS, compose_letter, substitute_map
@@ -234,75 +235,6 @@ def guedj_bound_check(report: PullbackCurveReport) -> Tuple[int, int, bool]:
 
 # -- incremental strict transforms over a growing word ------------------
 
-# Trial division is filtered through a restriction to one generic line
-# over a prime field: divisibility survives the restriction, so a nonzero
-# univariate remainder is a proof of non-divisibility and the expensive
-# exact division runs only on likely hits.  A degenerate image (leading
-# coefficient vanishing mod the prime) falls back to the exact attempt.
-_FILTER_P = 1048573
-_FILTER_U = (3, 7, 2)
-_FILTER_V = (5, 1, 11)
-_filter_powers: List[List] = []
-
-
-def _filter_coord_powers(max_deg: int):
-    import numpy as np
-    while len(_filter_powers) < 3:
-        _filter_powers.append([np.array([1], dtype=np.int64)])
-    for m in range(3):
-        base = np.array([_FILTER_U[m] % _FILTER_P, _FILTER_V[m] % _FILTER_P],
-                        dtype=np.int64)
-        pows = _filter_powers[m]
-        while len(pows) <= max_deg:
-            pows.append(np.convolve(pows[-1], base) % _FILTER_P)
-    return _filter_powers
-
-
-def _coeff_modp(c) -> Optional[int]:
-    num = getattr(c, "numerator", c)
-    den = getattr(c, "denominator", 1)
-    if den % _FILTER_P == 0:
-        return None
-    v = (num % _FILTER_P) * pow(den % _FILTER_P, -1, _FILTER_P)
-    return v % _FILTER_P
-
-
-def _restrict_modp(p: HomPoly) -> Optional[List[int]]:
-    """Coefficients of p(s*U + t*V) mod the filter prime, by s-exponent.
-
-    Returns None when the image degenerates (top coefficient vanishing
-    or a denominator hitting the prime), meaning the filter abstains.
-    """
-    import numpy as np
-    d = p.degree
-    pows = _filter_coord_powers(d)
-    acc = np.zeros(d + 1, dtype=np.int64)
-    for (i, j, k), c in p.terms:
-        cv = _coeff_modp(c)
-        if cv is None:
-            return None
-        vec = np.convolve(np.convolve(pows[0][i], pows[1][j]) % _FILTER_P,
-                          pows[2][k]) % _FILTER_P
-        acc = (acc + cv * vec) % _FILTER_P
-    out = [int(v) for v in acc]
-    if out[-1] == 0:
-        return None
-    return out
-
-
-def _divides_modp(f: List[int], g: List[int]) -> bool:
-    """Exact univariate divisibility over the filter prime field."""
-    rem = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, _FILTER_P)
-    for top in range(len(rem) - 1, dg - 1, -1):
-        q = rem[top] * inv_lead % _FILTER_P
-        if q:
-            off = top - dg
-            for idx in range(dg + 1):
-                rem[off + idx] = (rem[off + idx] - q * g[idx]) % _FILTER_P
-    return not any(rem[:dg])
-
 
 class StageStricts:
     """Strict transforms over a word that grows by one outer letter at a time.
@@ -338,29 +270,32 @@ class StageStricts:
             if strict.degree > 0:
                 cand = _canonical_poly(strict)
                 self.candidates.append(cand)
-                self._cand_images.append(_restrict_modp(cand))
+                self._cand_images.append(modp.restrict(cand, modp.FILTER_LINE))
         self.comps = compose_letter(outer, inner, self.comps)
 
     def strip(self, raw: HomPoly):
-        """Remove every candidate factor; returns (strict, removed list)."""
+        """Remove every candidate factor; returns (strict, removed list).
+
+        Trial division is filtered through the restrictions to modp's
+        generic line: a restriction that does not divide proves the form
+        does not, so exact division runs only on likely hits.
+        """
         cur = raw
-        cur_image = _restrict_modp(cur) if cur.degree > 0 else None
+        cur_image = modp.restrict(cur, modp.FILTER_LINE)
         removed: List[HomPoly] = []
         changed = True
         while changed and cur.degree > 0:
             changed = False
             for cand, cand_image in zip(self.candidates, self._cand_images):
                 while cur.degree >= cand.degree:
-                    if (cur_image is not None and cand_image is not None
-                            and not _divides_modp(cur_image, cand_image)):
+                    if not modp.divides(cur_image, cand_image):
                         break
                     try:
                         nxt = div_exact(cur, cand)
                     except NonExactDivision:
                         break
                     cur = nxt
-                    cur_image = (_restrict_modp(cur)
-                                 if cur.degree > 0 else None)
+                    cur_image = modp.restrict(cur, modp.FILTER_LINE)
                     removed.append(cand)
                     changed = True
         return cur, removed

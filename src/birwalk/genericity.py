@@ -12,22 +12,14 @@ per letter, in two independent ways at once:
   intersection of the pulled-back line class with the line class.
 
 The polynomial side runs over a prime field and only on the six lines
-of `_CERT_LINES`: each node of the word tree carries the restrictions mod
-p of its raw composed triple to those lines, never the bivariate triple.
-"Some line where the three restrictions are nonzero and coprime" is a
-sound certificate that the exact stripped degree is the full 2^length:
-
-* restriction commutes with composition, (letter o G)|_L = letter o (G|_L),
-  so a letter acts on the restrictions directly: two linear combinations
-  and three univariate products per line;
-* a component that is nonzero on a line is nonzero over the rationals,
-  and being homogeneous it keeps its exact degree;
-* a common factor h of the exact triple is a primitive integer form, so
-  h mod p is nonzero of the same degree and h|_L divides all three
-  restrictions.  It can only hide in two ways, and each is skipped: the
-  line lies in the zero set of h mod p (then the restrictions vanish), or
-  h|_L is a power of s, a factor sitting at the line's point at infinity
-  (then all three top coefficients vanish).
+of `modp.CERT_LINES`: each node of the word tree carries the restrictions
+mod p of its raw composed triple to those lines, never the bivariate
+triple.  Restriction commutes with composition, (letter o G)|_L =
+letter o (G|_L), so a letter acts on the restrictions directly: two
+linear combinations and three univariate products per line.  A line on
+which `modp.coprime` certifies the three restrictions proves the raw
+triple coprime, so its exact stripped degree is the full 2^length; the
+`modp` docstring gives the argument.
 
 Words where the fast check cannot certify (a genuine degree drop, or the
 rare prime mishap) are recomposed exactly over the integers and judged on
@@ -48,20 +40,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import modp
 from .errors import DegenerateComposition, DegenerateConfiguration
 from .maps import Components, GeneratorData, IDENTITY_COMPONENTS, Mat3, compose_letter
 from .picard import OperatorCache, PointRegistry, WeilClass
 
 Letter = Tuple[int, int]  # (generator index, sign)
 Word = Tuple[Letter, ...]
-
-# Modulus for the fast path.  Residues lie in [0, p) with p < 2^20, so one
-# slot of the convolution of two length-(d+1) restrictions is at most
-# (d+1)(p-1)^2, inside int64 for every degree up to 2^22, and a linear
-# combination of three residues is at most 3(p-1)^2.  Large enough that
-# spurious vanishing is rare; spurious events only cost an exact recheck,
-# never soundness.
-_P = 1048573
 
 
 @dataclass(frozen=True)
@@ -82,6 +67,7 @@ class GenericityReport:
     words_checked: int
     distinct_points_ok: bool
     failures: Tuple[WordCheck, ...]
+    truncated: bool  # the tree stopped at failure_cap with words unchecked
 
     @property
     def ok(self) -> bool:
@@ -112,94 +98,34 @@ def all_letters(generator_count: int) -> Tuple[Letter, ...]:
 
 
 # -- certificate lines ---------------------------------------------------
-# Each line is given by the images of x, y, z as binary forms in (t, s):
-# "t", "s" or "0".  A component of degree d restricted to a line is the
-# length-(d+1) coefficient vector of t^k s^(d-k), k = 0..d.  A node of the
-# tree carries a (lines, 3, d+1) int64 array of these restrictions mod p.
-
-_CERT_LINES = {
-    "z0": "ts0",
-    "y0": "t0s",
-    "x0": "0ts",
-    "z=x": "tst",
-    "z=y": "tss",
-    "y=x": "tts",
-}
+# A node of the tree carries a (lines, 3, d+1) int64 array of the mod-p
+# restrictions of its raw composed triple to the lines of modp.CERT_LINES.
 
 
 def _lines_from_components(comps: Components):
     """Mod-p restrictions of an exact triple to every certificate line."""
     d = next(p.degree for p in comps if not p.is_zero)
-    out = np.zeros((len(_CERT_LINES), 3, d + 1), dtype=np.int64)
-    for li, images in enumerate(_CERT_LINES.values()):
-        for ci, p in enumerate(comps):
-            for exps, c in p.terms:
-                if any(e and v == "0" for e, v in zip(exps, images)):
-                    continue
-                k = sum(e for e, v in zip(exps, images) if v == "t")
-                out[li, ci, k] = (int(out[li, ci, k]) + int(c)) % _P
-    return out, d
+    lines = [[modp.restrict(p, line) for p in comps]
+             for line in modp.CERT_LINES.values()]
+    return np.array(lines, dtype=np.int64), d
 
 
 def _mat_modp(rows: Mat3):
-    return np.array([[c % _P for c in row] for row in rows], dtype=np.int64)
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _modp_gcd(u: list, v: list) -> list:
-    """Gcd of univariate coefficient lists (low to high) over the prime field."""
-    u = _trim([x % _P for x in u])
-    v = _trim([x % _P for x in v])
-    while v:
-        if len(u) < len(v):
-            u, v = v, u
-            continue
-        inv = pow(v[-1], _P - 2, _P)
-        r = list(u)
-        while len(r) >= len(v):
-            f = (r[-1] * inv) % _P
-            off = len(r) - len(v)
-            if f:
-                for idx, bv in enumerate(v):
-                    r[idx + off] = (r[idx + off] - f * bv) % _P
-            r.pop()
-            _trim(r)
-        u, v = v, _trim(r)
-    return u if u else [0]
-
-
-def _modp_coprime(lines, d) -> bool:
-    """True certifies the exact triple is coprime; False is merely no verdict."""
-    for rs in lines.tolist():
-        if not all(any(r) for r in rs):
-            continue  # the line lies in a component's zero set mod p
-        if all(r[d] == 0 for r in rs):
-            continue  # the restrictions share the line's point at infinity
-        g = rs[0]
-        for other in rs[1:]:
-            g = _modp_gcd(g, other)
-            if len(g) == 1:
-                return True
-    return False
+    return np.array([[c % modp.P for c in row] for row in rows], dtype=np.int64)
 
 
 def _modp_step(gen: GeneratorData, sign: int, lines, d):
     """Fast certified step on the line restrictions; None means no verdict."""
     a_rows, b_rows = gen.letter_matrices(sign)
-    t = _mat_modp(b_rows) @ lines % _P
-    s = np.empty((len(_CERT_LINES), 3, 2 * d + 1), dtype=np.int64)
+    t = _mat_modp(b_rows) @ lines % modp.P
+    s = np.empty((len(modp.CERT_LINES), 3, 2 * d + 1), dtype=np.int64)
     for li, (t0, t1, t2) in enumerate(t):
         s[li, 0] = np.convolve(t1, t2)
         s[li, 1] = np.convolve(t0, t2)
         s[li, 2] = np.convolve(t0, t1)
-    new_lines = _mat_modp(a_rows) @ (s % _P) % _P
-    if not _modp_coprime(new_lines, 2 * d):
-        return None
+    new_lines = _mat_modp(a_rows) @ (s % modp.P) % modp.P
+    if not any(modp.coprime(rs) for rs in new_lines.tolist()):
+        return None  # no line certifies the raw triple coprime
     return new_lines, 2 * d
 
 
@@ -225,14 +151,16 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     letters = all_letters(len(gens))
     failures: List[WordCheck] = []
     checked = 0
+    truncated = False
 
     def visit(word: Word, lines, d: int, push: WeilClass) -> None:
-        nonlocal checked
+        nonlocal checked, truncated
         for letter in letters:
-            if len(failures) >= failure_cap:
-                return
             if word and letter == _inverse_letter(word[0]):
                 continue
+            if len(failures) >= failure_cap:
+                truncated = True
+                return
             new_word = (letter,) + word
             expected = 2 ** len(new_word)
             checked += 1
@@ -293,4 +221,5 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
         words_checked=checked,
         distinct_points_ok=distinct_ok,
         failures=tuple(failures),
+        truncated=truncated,
     )

@@ -28,8 +28,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateComposition,
-    DegenerateConfiguration,
-    IncompatibleArtifacts,
     IndeterminatePoint,
     MissingInverse,
     SamplingExhausted,
@@ -45,7 +43,7 @@ from .poly import (
     jacobian_det,
     triple_gcd,
 )
-from .projective import ExactCoords, normalize_exact, normalize_float
+from .projective import ExactCoords, normalize_exact
 
 Mat3 = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 Components = Tuple[HomPoly, HomPoly, HomPoly]
@@ -154,10 +152,6 @@ class BirMap:
         if all(v == 0 for v in vals):
             raise IndeterminatePoint(f"map is indeterminate at {tuple(coords)}")
         return normalize_exact(vals)
-
-    def evaluate_float(self, coords, eps: float = 1e-9):
-        vals = tuple(p.eval(coords) for p in self.components)
-        return normalize_float(vals, eps)
 
 
 def sigma_map() -> BirMap:
@@ -380,53 +374,3 @@ def has_only_proper_base_points(m: BirMap) -> bool:
     if m.inverse_components is None:
         raise MissingInverse("properness test needs the inverse components")
     return is_squarefree(jacobian_det(*m.inverse_components))
-
-
-# -- artifact round trip ------------------------------------------------
-
-GENERATOR_FORMAT = "birwalk-generators"
-GENERATOR_FORMAT_VERSION = 1
-
-
-def generators_to_dict(gens: Sequence[GeneratorData], height: int,
-                       seed: Optional[int]) -> dict:
-    return {
-        "format": GENERATOR_FORMAT,
-        "format_version": GENERATOR_FORMAT_VERSION,
-        "count": len(gens),
-        "height": height,
-        "seed": seed,
-        "generators": [
-            {"index": g.index,
-             "a": [list(r) for r in g.a_rows],
-             "b": [list(r) for r in g.b_rows]}
-            for g in gens
-        ],
-    }
-
-
-def generators_from_dict(data: dict) -> Tuple[GeneratorData, ...]:
-    """Rebuild a generator tuple from stored matrices, re-deriving and
-    re-verifying everything rather than trusting stored derived data."""
-    if not isinstance(data, dict) or data.get("format") != GENERATOR_FORMAT:
-        raise IncompatibleArtifacts("not a generator artifact")
-    if data.get("format_version") != GENERATOR_FORMAT_VERSION:
-        raise IncompatibleArtifacts(
-            f"unsupported generator format version {data.get('format_version')}")
-    gens = []
-    seen = set()
-    for row in data["generators"]:
-        gen = generator_from_matrices(
-            int(row["index"]),
-            tuple(tuple(int(v) for v in r) for r in row["a"]),
-            tuple(tuple(int(v) for v in r) for r in row["b"]),
-        )
-        pts = gen.base_pts + gen.inv_base_pts
-        if len(set(pts)) < 6 or any(p in seen for p in pts):
-            raise DegenerateConfiguration(
-                f"stored generator {gen.index} shares an indeterminacy point")
-        seen.update(pts)
-        gens.append(gen)
-    if len(gens) != int(data["count"]):
-        raise IncompatibleArtifacts("generator count mismatch")
-    return tuple(gens)

@@ -298,11 +298,6 @@ class LetterOperator:
         return WeilClass(new_line, out)
 
 
-def letter_operator(gen: GeneratorData, sign: int,
-                    registry: PointRegistry) -> LetterOperator:
-    return LetterOperator(gen, sign, registry)
-
-
 class OperatorCache:
     """Lazily built (generator, sign) -> LetterOperator map over one registry."""
 

@@ -12,21 +12,22 @@ graded lexicographic with x > y > z.  Since every stored polynomial is
 homogeneous, the grade is constant and the order reduces to lexicographic
 comparison of (i, j).
 
-GCD strategy: a cheap certificate first (restrict both inputs to a line
-and take a one-variable integer gcd; if the restrictions are coprime the
-inputs are), falling back to a recursive primitive pseudo-remainder
-sequence that treats one variable as the main variable with coefficients
-in the polynomial ring of the other two.  The fallback is exact and
-complete; the certificate only ever short-circuits the answer "the gcd is
-constant".
+GCD strategy: a cheap certificate first (restrict the inputs to a line,
+reduce them mod a prime and take a one-variable gcd there; `modp` says
+when coprime restrictions prove the inputs coprime), falling back to a
+recursive primitive pseudo-remainder sequence that treats one variable as
+the main variable with coefficients in the polynomial ring of the other
+two.  The fallback is exact and complete; the certificate only ever
+short-circuits the answer "the gcd is constant".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, lcm as _ilcm
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
+from . import modp
 from .errors import NonExactDivision
 
 Coeff = Union[int, Fraction]
@@ -366,113 +367,6 @@ def div_exact(a: HomPoly, b: HomPoly) -> HomPoly:
 # -- gcd: fast coprimality certificate ---------------------------------
 
 
-def _restrict(p: HomPoly, line: str):
-    """Restrict to a parametrized line; returns int coefficient list or None.
-
-    The result is the binary form of the restriction, as coefficients of
-    s^a t^(d-a) indexed by a, scaled to integers.  None means the
-    restriction is identically zero (the line divides p).
-    """
-    d = p.degree
-    arr = [Fraction(0)] * (d + 1)
-    for (i, j, k), c in p.terms:
-        if line == "z0":
-            if k == 0:
-                arr[i] += c
-        elif line == "y0":
-            if j == 0:
-                arr[i] += c
-        elif line == "x0":
-            if i == 0:
-                arr[j] += c
-        elif line == "z=x":
-            arr[i + k] += c
-        elif line == "z=y":
-            arr[i] += c
-        elif line == "y=x":
-            arr[i + j] += c
-        elif line == "z=x+2y":
-            for t in range(k + 1):
-                arr[i + t] += c * comb(k, t) * (2 ** (k - t))
-        else:
-            raise ValueError(line)
-    if all(v == 0 for v in arr):
-        return None
-    den = _ilcm(*[v.denominator for v in arr])
-    return [int(v * den) for v in arr]
-
-
-_CERT_LINES = ("z0", "y0", "x0", "z=x", "z=y", "y=x", "z=x+2y")
-
-
-def _intpoly_norm(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _intpoly_content(a):
-    g = 0
-    for v in a:
-        g = _igcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g
-
-
-def _intpoly_gcd(a, b):
-    """Primitive-PRS gcd of one-variable integer polynomials (lists, low to high)."""
-    a = _intpoly_norm(list(a))
-    b = _intpoly_norm(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    ca, cb = _intpoly_content(a), _intpoly_content(b)
-    a = [v // ca for v in a]
-    b = [v // cb for v in b]
-    while True:
-        if len(a) < len(b):
-            a, b = b, a
-        # pseudo-remainder of a by b
-        r = list(a)
-        lb = b[-1]
-        while len(r) >= len(b) and _intpoly_norm(r):
-            shift = len(r) - len(b)
-            lr = r[-1]
-            r = [v * lb for v in r]
-            for i, bv in enumerate(b):
-                r[i + shift] -= lr * bv
-            r = _intpoly_norm(r)
-        if not r:
-            g = _igcd(ca, cb)
-            res = [v * g // _intpoly_content(b) for v in b]
-            return res if res[-1] > 0 else [-v for v in res]
-        c = _intpoly_content(r)
-        a, b = b, [v // c for v in r]
-        if len(b) == 1:
-            return [_igcd(ca, cb)]
-
-
-def _coprime_on_line(polys, line: str):
-    """True if the restrictions to the line certify a constant gcd; None if no verdict."""
-    arrs = []
-    for p in polys:
-        arr = _restrict(p, line)
-        if arr is None:
-            return None  # line divides this input; no information
-        arrs.append(arr)
-    # common root at the t=0 end of the parametrization
-    if all(arr[-1] == 0 for arr in arrs):
-        return None
-    g = arrs[0]
-    for arr in arrs[1:]:
-        g = _intpoly_gcd(g, arr)
-        if len(g) == 1:
-            return True
-    return None if len(g) > 1 else True
-
-
 def certainly_coprime(*polys: HomPoly) -> bool:
     """Sound fast check that nonzero inputs have constant gcd.
 
@@ -484,9 +378,8 @@ def certainly_coprime(*polys: HomPoly) -> bool:
     for v in (0, 1, 2):
         if all(min(e[v] for e, _ in p.terms) > 0 for p in ps):
             return False  # shared monomial factor
-    for line in _CERT_LINES:
-        verdict = _coprime_on_line(ps, line)
-        if verdict:
+    for line in (*modp.CERT_LINES.values(), modp.FILTER_LINE):
+        if modp.coprime([modp.restrict(p, line) for p in ps]):
             return True
     return False
 

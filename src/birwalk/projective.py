@@ -11,10 +11,9 @@ zero is not stable under perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd, isfinite, sqrt
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import IndeterminatePoint
 
@@ -56,27 +55,6 @@ def normalize_float(coords, eps: float = 1e-9) -> FloatCoords:
     return (u[0] + 0.0, u[1] + 0.0, u[2] + 0.0)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A plane point carrying its arithmetic flavour."""
-
-    coords: Union[ExactCoords, FloatCoords]
-    exact: bool
-
-    @staticmethod
-    def from_exact(coords) -> "ProjPoint":
-        return ProjPoint(normalize_exact(coords), True)
-
-    @staticmethod
-    def from_float(coords, eps: float = 1e-9) -> "ProjPoint":
-        return ProjPoint(normalize_float(coords, eps), False)
-
-    def to_unit(self) -> FloatCoords:
-        if self.exact:
-            return normalize_float(self.coords)
-        return self.coords
-
-
 def cross(a, b):
     """Coefficient triple of the line through two points (or the meet of two lines)."""
     return (a[1] * b[2] - a[2] * b[1],
@@ -92,7 +70,3 @@ def chordal_distance(a, b) -> float:
     d_minus = sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
     d_plus = sqrt((a[0] + b[0]) ** 2 + (a[1] + b[1]) ** 2 + (a[2] + b[2]) ** 2)
     return min(d_minus, d_plus)
-
-
-def point_distance(p: ProjPoint, q: ProjPoint) -> float:
-    return chordal_distance(p.to_unit(), q.to_unit())

@@ -67,7 +67,20 @@ def test_sample_refuses_uncertified_tuple(tmp_path, capsys):
     code = main(["sample", "--config", str(cfg_path), "--out", str(out)])
     assert code == EXIT_DEGENERATE
     assert not out.exists()
-    assert "refusing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "refusing" in err
+    assert "failure cap" not in err
+
+
+def test_sample_refusal_says_the_tree_stopped_at_the_cap(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    dump_json(cfg_path, config_to_dict(RunConfig(seed=2, max_len=5)))
+    out = tmp_path / "gen.json"
+    code = main(["sample", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_DEGENERATE
+    assert not out.exists()
+    assert ("(20 failing words at max_len 5, tree stopped after 142 words "
+            "at the failure cap)") in capsys.readouterr().err
 
 
 def test_sample_reports_exhausted_sampler(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 
 import birwalk.genericity as genericity
+from birwalk import modp
 from birwalk.genericity import (
     GenericityReport,
     all_letters,
@@ -94,7 +95,7 @@ def _umul(u, v):
 def _restrictions(comps):
     """Mod-p restrictions of an exact triple, by substituting each line."""
     d = next(p.degree for p in comps if not p.is_zero)
-    p = genericity._P
+    p = modp.P
     out = []
     for forms in LINE_PARAMS.values():
         per_line = []
@@ -140,8 +141,8 @@ def test_carried_residues_are_restrictions_of_the_exact_triple(
     # the fast path carries the raw composite, which differs from the
     # canonical exact triple by its content and sign: one common scalar
     gens = certified_tuple
-    p = genericity._P
-    assert tuple(LINE_PARAMS) == tuple(genericity._CERT_LINES)
+    p = modp.P
+    assert tuple(LINE_PARAMS) == tuple(modp.CERT_LINES)
     root = _restrictions(IDENTITY_COMPONENTS)
     assert genericity._lines_from_components(IDENTITY_COMPONENTS)[0].tolist() \
         == root
@@ -190,7 +191,15 @@ def test_fast_path_certifies_the_frozen_pair_alone(certified_tuple,
     calls = _count_exact_calls(monkeypatch)
     report = check_genericity(certified_tuple, 5)
     assert report.ok
+    assert not report.truncated
     assert calls == []
+
+
+def test_failure_cap_marks_the_report_truncated():
+    report = check_genericity(sample_generators(2, 5, random.Random(2)), 5)
+    assert len(report.failures) == 20
+    assert report.words_checked == 142 < reduced_word_count(2, 5)
+    assert report.truncated
 
 
 def test_identical_involutions_need_exact_adjudication(monkeypatch):

@@ -6,8 +6,6 @@ import pytest
 
 from birwalk.errors import (
     DegenerateComposition,
-    DegenerateConfiguration,
-    IncompatibleArtifacts,
     IndeterminatePoint,
     MissingInverse,
     SamplingExhausted,
@@ -21,8 +19,6 @@ from birwalk.maps import (
     compose_letter,
     det3,
     generator_from_matrices,
-    generators_from_dict,
-    generators_to_dict,
     has_only_proper_base_points,
     matvec,
     sample_generators,
@@ -140,25 +136,6 @@ def test_random_generators_have_proper_base_points():
         (g,) = sample_generators(1, 5, random.Random(seed))
         assert has_only_proper_base_points(g.fwd)
         assert has_only_proper_base_points(g.fwd.inverse())
-
-
-def test_generator_artifact_round_trip():
-    gens = sample_generators(2, 5, random.Random(9))
-    data = generators_to_dict(gens, height=5, seed=9)
-    back = generators_from_dict(data)
-    assert [g.a_rows for g in back] == [g.a_rows for g in gens]
-    assert [g.base_pts for g in back] == [g.base_pts for g in gens]
-
-
-def test_generator_artifact_rejects_bad_input():
-    with pytest.raises(IncompatibleArtifacts):
-        generators_from_dict({"format": "something-else"})
-    gens = sample_generators(1, 5, random.Random(9))
-    data = generators_to_dict(gens, height=5, seed=9)
-    data["generators"].append(dict(data["generators"][0], index=1))
-    data["count"] = 2
-    with pytest.raises(DegenerateConfiguration):
-        generators_from_dict(data)
 
 
 def test_identity_map_constant():

@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 
 from birwalk.errors import IndeterminatePoint
 from birwalk.projective import (
-    ProjPoint,
     chordal_distance,
     normalize_exact,
     normalize_float,
-    point_distance,
 )
 
 
@@ -59,13 +57,6 @@ def test_chordal_distance_identifies_antipodes():
     v = tuple(-c for c in u)
     assert chordal_distance(u, v) == 0.0
     assert chordal_distance(u, u) == 0.0
-
-
-def test_point_distance_across_flavours():
-    p = ProjPoint.from_exact((1, 0, 0))
-    q = ProjPoint.from_float((0.0, 1.0, 0.0))
-    assert point_distance(p, q) == pytest.approx(sqrt(2.0))
-    assert point_distance(p, ProjPoint.from_exact((2, 0, 0))) == 0.0
 
 
 @given(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
