@@ -2,17 +2,21 @@
 
 Pulling a reduced plane curve back through a word means substituting the
 word's composite components into the defining form and then removing the
-factors the word contracts.  Every curve the composite contracts divides
-its jacobian determinant, so repeated exact gcd division against the
-jacobian peels exactly the contracted part and no factorization is ever
-needed.  What remains is the strict transform: the honest image curve.
+factors the word contracts.  Every irreducible curve a generic word
+contracts is the strict transform, under an inner suffix of the word, of
+one of the three lines the next letter contracts.  ``StageStricts``
+collects those curves while it composes the word one letter at a time,
+so stripping is exact trial division by known factors: no jacobian, no
+gcd and no factorization of the pulled-back form.  What remains is the
+strict transform: the honest image curve.
 
 The multiplicities of the strict transform at the word's indeterminacy
 points tie the polynomial geometry to the class calculus: the same
 numbers must come out of pure linear algebra, pairing the curve's class
 data with the pushforward of each exceptional class under the word.
-Both routes are computed independently here and reported side by side;
-agreement is the deepest cross-module check the package has.
+``pullback_curve`` computes the polynomial route and ``lelong_crosscheck``
+the class route from its report; agreement is the deepest cross-module
+check the package has.
 
 The equidistribution diagnostic compares, over a growing itinerary
 prefix, the normalized truncated class of the pulled-back curve with
@@ -24,13 +28,14 @@ speed the walk itself converges.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import modp
 from .errors import CurveContracted, DegenerateConfiguration, NonExactDivision
-from .genericity import Word, _exact_word_components
+from .genericity import Word
 from .maps import IDENTITY_COMPONENTS, compose_letter, substitute_map
 from .picard import (
     OperatorCache,
@@ -43,10 +48,8 @@ from .poly import (
     div_exact,
     format_poly,
     is_squarefree,
-    jacobian_det,
     multiplicity_at,
     parse_poly,
-    poly_gcd,
 )
 from .walk import WalkState, run_walk
 
@@ -97,6 +100,13 @@ class PlaneCurve:
 
 @dataclass(frozen=True)
 class PullbackCurveReport:
+    """Strict transform of one curve under one word.
+
+    removed lists each contracted curve stripped from the raw pullback,
+    canonical and irreducible over the rationals, with its exponent, so
+    strict_degree + sum(deg * e) == raw_degree.
+    """
+
     word: Word
     curve_degree: int
     raw_degree: int
@@ -109,61 +119,30 @@ class PullbackCurveReport:
         return [nu for _c, _m, nu in self.base_points]
 
 
-def _strict_transform(comps, curve: PlaneCurve):
-    """Substitute, then peel contracted factors; returns (strict, removed, raw deg)."""
-    raw = substitute_map(curve.poly, comps)
-    if raw.is_zero:
-        raise CurveContracted("curve pullback vanishes identically")
-    jac = jacobian_det(*comps)
-    cur = raw
-    peeled: List[HomPoly] = []
-    if jac.degree > 0:
-        while cur.degree > 0:
-            g = poly_gcd(cur, jac)
-            if g.degree == 0:
-                break
-            cur = div_exact(cur, g)
-            peeled.append(_canonical_poly(g))
-    if cur.degree == 0:
-        raise CurveContracted(
-            "the word contracts the whole curve; nothing survives stripping")
-    grouped: Dict[HomPoly, int] = {}
-    for g in peeled:
-        grouped[g] = grouped.get(g, 0) + 1
-    removed = tuple(grouped.items())
-    total = sum(g.degree * e for g, e in removed)
-    if raw.degree != cur.degree + total:
-        raise AssertionError("stripping lost track of the degree bookkeeping")
-    return _canonical_poly(cur), removed, raw.degree
-
-
-def _word_walk(gens, word: Word, registry: PointRegistry,
-               cache: OperatorCache) -> WalkState:
-    """Class state of the word as a composite: last letter applied first."""
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)),
-                      registry=registry, cache=cache)
-    for letter in reversed(word):
-        state.step(letter)
-    return state
-
-
 def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
                    degree_cap: int = 256) -> PullbackCurveReport:
     """Strict transform of the curve under the word, with its multiplicities."""
-    comps = _exact_word_components(gens, word)
-    word_degree = next(p.degree for p in comps if not p.is_zero)
+    stages = StageStricts(gens)
+    for letter in reversed(word):
+        stages.push_outer_letter(letter)
+    word_degree = stages.word_degree
     if word_degree * curve.degree > degree_cap:
         raise ValueError(
             f"pullback degree {word_degree * curve.degree} exceeds the cap {degree_cap}")
-    strict, removed, raw_degree = _strict_transform(comps, curve)
+    # class state of the word as a composite: last letter applied first
     registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
-    state = _word_walk(gens, word, registry, cache)
+    state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)),
+                      registry=registry, cache=OperatorCache(gens, registry))
+    for letter in reversed(word):
+        state.step(letter)
+    # the stage candidates are exactly the contracted curves only when the
+    # word is generic, so the degree check comes before stripping
     if word_degree != 1 << state.reduced_len:
         raise DegenerateConfiguration(
             f"word composes to degree {word_degree} but the class calculus "
             f"predicts {1 << state.reduced_len}; the generator tuple is not "
             f"generic along this word")
+    strict, stripped = stages.strict_of(curve)
     pts = []
     for pid, m in sorted(state.pull_class.point_part.items()):
         coords = registry.coords_of(pid)
@@ -171,11 +150,11 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
     return PullbackCurveReport(
         word=tuple(word),
         curve_degree=curve.degree,
-        raw_degree=raw_degree,
+        raw_degree=word_degree * curve.degree,
         strict_poly=strict,
         strict_degree=strict.degree,
         base_points=tuple(pts),
-        removed=removed,
+        removed=tuple(Counter(stripped).items()),
     )
 
 
@@ -192,31 +171,23 @@ class LelongRow:
 
 
 def lelong_crosscheck(gens, word: Word, curve: PlaneCurve, *,
-                      degree_cap: int = 256,
-                      report: Optional[PullbackCurveReport] = None) -> List[LelongRow]:
+                      report: PullbackCurveReport) -> List[LelongRow]:
     """Both multiplicity routes at every base point of the word.
 
-    The polynomial route reads the multiplicity off the strict transform.
-    The class route never touches the pulled-back polynomial: it expands
-    the pushforward of the base point's exceptional class under the word
-    in the canonical basis and pairs the result with the original curve's
+    The polynomial route is the report's: the word multiplicity and the
+    multiplicity of the strict transform at each base point.  The class
+    route never touches the pulled-back polynomial: it expands the
+    pushforward of the base point's exceptional class under the word in
+    the canonical basis and pairs the result with the original curve's
     class data.  The two columns must agree, value by value.
-
-    A report computed earlier for the same word and curve can be passed
-    in to reuse its strict transform.
     """
-    if report is None:
-        report = pullback_curve(gens, word, curve, degree_cap=degree_cap)
-    elif report.word != tuple(word):
-        raise ValueError("precomputed report is for a different word")
+    if report.word != tuple(word):
+        raise ValueError("report is for a different word")
     registry = PointRegistry("exact")
     cache = OperatorCache(gens, registry)
-    state = _word_walk(gens, word, registry, cache)
     rows = []
-    for pid, m in sorted(state.pull_class.point_part.items()):
-        coords = registry.coords_of(pid)
-        nu_poly = multiplicity_at(report.strict_poly, coords)
-        v = WeilClass.exceptional_class(pid)
+    for coords, m, nu_poly in report.base_points:
+        v = WeilClass.exceptional_class(registry.register(coords))
         for letter in reversed(word):
             v = cache.get(letter[0], -letter[1]).pullback(v)
         nu_class = curve.degree * v.line_coeff - sum(
@@ -243,9 +214,9 @@ class StageStricts:
     under some inner suffix of the word, of one of the three lines the next
     letter contracts (the lines cut out by its inner matrix rows).  Keeping
     those strict transforms as a candidate list turns stripping into exact
-    trial division: no composite jacobian, no gcd of huge forms.  The
-    jacobian-gcd route recomputes the same strict transform from scratch
-    and stays as an independent cross-check on short words.
+    trial division: no composite jacobian, no gcd of huge forms.  Both
+    ``pullback_curve`` and ``equidist_diagnostic`` strip this way; the
+    tests check the result against sympy factoring of the raw pullback.
     """
 
     def __init__(self, gens):
@@ -300,13 +271,13 @@ class StageStricts:
                     changed = True
         return cur, removed
 
-    def strict_of(self, curve: PlaneCurve) -> HomPoly:
-        raw = substitute_map(curve.poly, self.comps)
-        strict, _removed = self.strip(raw)
+    def strict_of(self, curve: PlaneCurve):
+        """Canonical strict transform of the curve; returns (strict, removed)."""
+        strict, removed = self.strip(substitute_map(curve.poly, self.comps))
         if strict.degree == 0:
             raise CurveContracted(
                 "the word contracts the whole curve; nothing survives stripping")
-        return _canonical_poly(strict)
+        return _canonical_poly(strict), removed
 
 
 # -- convergence of curve pullbacks toward the walk boundary ------------
@@ -364,7 +335,7 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
                 f"pullback degree {word_degree * curve.degree} exceeds the cap "
                 f"{degree_cap}")
         try:
-            strict = stages.strict_of(curve)
+            strict, _removed = stages.strict_of(curve)
         except CurveContracted:
             if on_contracted == "raise":
                 raise

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd as _igcd
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateComposition,
@@ -166,12 +166,8 @@ IDENTITY = BirMap(IDENTITY_COMPONENTS, IDENTITY_COMPONENTS)
 # -- composition --------------------------------------------------------
 
 
-def _monomial_powers(triple: Components) -> Dict[Tuple[int, int, int], HomPoly]:
-    """Shared memo of products triple[0]^i * triple[1]^j * triple[2]^k."""
-    return {(0, 0, 0): ONE}
-
-
 def _mono_product(memo, triple, e) -> HomPoly:
+    """triple[0]^i * triple[1]^j * triple[2]^k for e = (i, j, k), memoised."""
     val = memo.get(e)
     if val is not None:
         return val
@@ -190,7 +186,7 @@ def substitute_map(p: HomPoly, triple: Components,
                    memo: Optional[dict] = None) -> HomPoly:
     """The form p with the triple substituted for the three variables."""
     if memo is None:
-        memo = _monomial_powers(triple)
+        memo = {(0, 0, 0): ONE}
     inner_deg = next((q.degree for q in triple if not q.is_zero), 0)
     acc = HomPoly({}, p.degree * inner_deg)
     for e, c in p.terms:
@@ -200,14 +196,14 @@ def substitute_map(p: HomPoly, triple: Components,
 
 def compose(f: BirMap, g: BirMap) -> BirMap:
     """The composite map applying g first and f second."""
-    memo = _monomial_powers(g.components)
+    memo = {(0, 0, 0): ONE}
     raw = tuple(substitute_map(p, g.components, memo) for p in f.components)
     if all(p.is_zero for p in raw):
         raise DegenerateComposition("composite collapses to the zero triple")
     comps, _ = strip_common_factor(raw)
     inverse = None
     if f.inverse_components is not None and g.inverse_components is not None:
-        memo_inv = _monomial_powers(f.inverse_components)
+        memo_inv = {(0, 0, 0): ONE}
         raw_inv = tuple(substitute_map(p, f.inverse_components, memo_inv)
                         for p in g.inverse_components)
         inverse, _ = strip_common_factor(raw_inv)

@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import birwalk.curves as curves_mod
 from birwalk.curves import (
     EQUIDIST_CSV_COLUMNS,
     PlaneCurve,
-    StageStricts,
-    _canonical_poly,
     equidist_diagnostic,
     guedj_bound_check,
     lelong_crosscheck,
@@ -18,9 +17,9 @@ from birwalk.curves import (
     write_equidist_csv,
 )
 from birwalk.errors import CurveContracted, DegenerateConfiguration
-from birwalk.maps import generator_from_matrices, sample_generators, substitute_map
+from birwalk.maps import generator_from_matrices, sample_generators
 from birwalk.poly import HomPoly, parse_poly
-from birwalk.walk import random_itinerary
+from birwalk.walk import WalkState, random_itinerary
 
 IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -93,7 +92,9 @@ def test_involution_strips_one_contracted_factor(sigma_gens):
 
 def test_involution_crosscheck_agrees(sigma_gens):
     for text in ("x + y + z", "x + z", "x^2 + y*z"):
-        rows = lelong_crosscheck(sigma_gens, ((0, 1),), PlaneCurve.parse(text))
+        curve = PlaneCurve.parse(text)
+        report = pullback_curve(sigma_gens, ((0, 1),), curve)
+        rows = lelong_crosscheck(sigma_gens, ((0, 1),), curve, report=report)
         assert len(rows) == 3
         assert all(r.match for r in rows)
 
@@ -134,11 +135,13 @@ def _reduced_words(letter_count, length):
 def test_dual_route_agreement(gens, line, conic):
     for word in _reduced_words(2, 1):
         for curve in (line, conic):
-            rows = lelong_crosscheck(gens, word, curve)
+            rows = lelong_crosscheck(gens, word, curve,
+                                     report=pullback_curve(gens, word, curve))
             assert len(rows) == 3
             assert all(r.match for r in rows)
     for word in _reduced_words(2, 2):
-        rows = lelong_crosscheck(gens, word, line)
+        rows = lelong_crosscheck(gens, word, line,
+                                 report=pullback_curve(gens, word, line))
         assert rows and all(r.match for r in rows)
 
 
@@ -158,21 +161,108 @@ def test_guedj_bound_on_sampled_words(gens, line, conic):
             assert ok and lhs <= rhs
 
 
-def test_stage_route_matches_jacobian_route(gens, line, conic):
-    # the trial-division stripping must reproduce the jacobian-gcd strict
-    # transform exactly, factor bookkeeping included
-    words = _reduced_words(2, 3) + [((0, 1), (1, 1), (0, 1), (1, -1))]
-    for i, word in enumerate(words):
-        curve = conic if i % 6 == 0 else line
+def _sympy_form(sp, p):
+    x, y, z = sp.symbols("x y z")
+    return sp.Poly(sum(sp.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                       * x ** i * y ** j * z ** k for (i, j, k), c in p.terms),
+                   x, y, z)
+
+
+def _sympy_strict(sp, gens, word, curve):
+    """(strict transform, jacobian) of the word by sympy composition and factoring.
+
+    One letter sends a triple T to outer . sigma(inner . T) with
+    sigma(u, v, w) = (v w, u w, u v); the last letter of the word acts
+    first.  The strict transform keeps the factors of the raw pullback
+    that do not divide the composite's jacobian.
+    """
+    x, y, z = sp.symbols("x y z")
+    zero = sp.Poly(0, x, y, z)
+    comps = [sp.Poly(v, x, y, z) for v in (x, y, z)]
+    for gen, sign in reversed(word):
+        outer, inner = gens[gen].letter_matrices(sign)
+        t = [sum((c * q for c, q in zip(row, comps)), zero) for row in inner]
+        s = (t[1] * t[2], t[0] * t[2], t[0] * t[1])
+        raw = [sum((c * q for c, q in zip(row, s)), zero) for row in outer]
+        g = sp.gcd(sp.gcd(raw[0], raw[1]), raw[2])
+        comps = [sp.div(q, g)[0] for q in raw]
+    m = [[q.diff(v) for v in (x, y, z)] for q in comps]
+    jac = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    raw = zero
+    for (i, j, k), c in _sympy_form(sp, curve.poly).terms():
+        raw += c * comps[0] ** i * comps[1] ** j * comps[2] ** k
+    strict = sp.Poly(1, x, y, z)
+    for factor, e in sp.factor_list(raw)[1]:
+        if factor.total_degree() > 0 and not sp.div(jac, factor)[1].is_zero:
+            strict = strict * factor ** e
+    return strict, jac
+
+
+def _conic_through(sp, pts):
+    expos = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+    rows = [[sp.Rational(str(Fraction(p[0]) ** i * Fraction(p[1]) ** j
+                             * Fraction(p[2]) ** k)) for i, j, k in expos]
+            for p in pts]
+    basis = sp.Matrix(rows).nullspace()
+    v = sum(((n + 1) * b for n, b in enumerate(basis)), sp.zeros(6, 1))
+    return PlaneCurve(HomPoly({e: Fraction(int(c.p), int(c.q))
+                               for e, c in zip(expos, v)}))
+
+
+def test_strict_transform_matches_sympy_factoring(gens, line, conic):
+    # an independent oracle: sympy composes the word from the letter
+    # matrices, factors the raw pullback and drops the jacobian's factors
+    sp = pytest.importorskip("sympy")
+    prs_line = PlaneCurve.parse("2*x - 3*y + z")
+    cases = [(curve, word) for curve in (line, conic)
+             for word in _reduced_words(2, 1) + _reduced_words(2, 2)]
+    cases += [(prs_line, ((1, -1), (1, -1), (0, 1))),
+              (prs_line, ((1, -1), (0, -1), (1, -1))),
+              (PlaneCurve.parse("x^2 + y*z - 2*z^2"), ((0, 1), (0, 1), (0, 1)))]
+    # a conic through the three points the outer letter contracts its lines
+    # to loses three distinct contracted factors in one strip
+    for gen, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        through = _conic_through(sp, gens[gen].letter_base_pts(-sign))
+        cases += [(through, ((gen, sign),)), (through, ((gen, sign),) * 2)]
+    for curve, word in cases:
         report = pullback_curve(gens, word, curve)
-        stages = StageStricts(gens)
-        for letter in reversed(word):
-            stages.push_outer_letter(letter)
-        strict, removed = stages.strip(
-            substitute_map(curve.poly, stages.comps))
-        assert _canonical_poly(strict) == report.strict_poly
-        assert sum(g.degree for g in removed) == \
-            report.raw_degree - report.strict_degree
+        want, jac = _sympy_strict(sp, gens, word, curve)
+        assert _sympy_form(sp, report.strict_poly).monic() == want.monic(), \
+            (str(curve), word)
+        for g, _e in report.removed:
+            assert sp.div(jac, _sympy_form(sp, g))[1].is_zero, (str(curve), word)
+        assert report.strict_degree + sum(g.degree * e for g, e in report.removed) \
+            == report.raw_degree
+
+
+def test_lelong_crosscheck_reads_the_report(monkeypatch, gens, line, conic):
+    word = ((0, 1), (1, -1))
+    reports = [(curve, pullback_curve(gens, word, curve)) for curve in (line, conic)]
+    polys, steps = [], []
+    real_mult, real_step = curves_mod.multiplicity_at, WalkState.step
+    monkeypatch.setattr(curves_mod, "multiplicity_at",
+                        lambda p, c: polys.append(p) or real_mult(p, c))
+    monkeypatch.setattr(WalkState, "step",
+                        lambda self, lt: steps.append(lt) or real_step(self, lt))
+    for curve, report in reports:
+        assert report.strict_poly != curve.poly
+        polys.clear()
+        rows = lelong_crosscheck(gens, word, curve, report=report)
+        # no walk, and no multiplicity of the strict transform: the class
+        # route's pairing with the original curve is all that is left
+        assert steps == []
+        assert polys and all(p == curve.poly for p in polys)
+        assert [(r.coords, r.word_multiplicity, r.nu_poly) for r in rows] == \
+            list(report.base_points)
+        assert all(r.match for r in rows)
+
+
+def test_lelong_crosscheck_rejects_a_report_for_another_word(gens, line):
+    report = pullback_curve(gens, ((0, 1),), line)
+    with pytest.raises(ValueError):
+        lelong_crosscheck(gens, ((1, 1),), line, report=report)
 
 
 # -- boundary convergence of the pullback series ------------------------
