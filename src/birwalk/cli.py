@@ -20,8 +20,8 @@ from .config import (
     RunConfig,
     build_generators,
     certificate_to_jsonable,
-    config_to_dict,
     dump_json,
+    embedded_config,
     generators_from_jsonable,
     generators_to_jsonable,
     load_config,
@@ -86,7 +86,7 @@ def cmd_sample(args) -> int:
         return EXIT_DEGENERATE
     report = check_genericity(gens, config.max_len)
     doc = generators_to_jsonable(gens)
-    doc["config"] = config_to_dict(config)
+    doc["config"] = embedded_config(config)
     doc["certificate"] = certificate_to_jsonable(report)
     if not report.ok:
         for f in report.failures:
@@ -112,7 +112,7 @@ def cmd_walk(args) -> int:
     gens = generators_from_jsonable(load_json(args.generators))
     out = _out_dir(config)
     artifact = stamp("birwalk-artifact")
-    artifact["config"] = config_to_dict(config)
+    artifact["config"] = embedded_config(config)
     artifact["generators"] = generators_to_jsonable(gens)
     trials = []
     aborts = []
@@ -306,7 +306,7 @@ def cmd_equidist(args) -> int:
     out = _out_dir(config)
     write_equidist_csv(rows, out / "equidist.csv")
     doc = stamp("birwalk-equidist")
-    doc["config"] = config_to_dict(config)
+    doc["config"] = embedded_config(config)
     doc["curve"] = str(curve)
     doc["itinerary"] = [[i, s] for i, s in itinerary]
     doc["rows"] = [

@@ -93,6 +93,17 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
+def embedded_config(config: RunConfig) -> dict:
+    """The config as output documents carry it: without ``out_dir``.
+
+    Where a document is written is not part of the run, so the same run
+    written to two directories gives the same bytes.
+    """
+    out = config_to_dict(config)
+    del out["out_dir"]
+    return out
+
+
 def config_from_dict(data: dict) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known

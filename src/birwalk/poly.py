@@ -611,10 +611,28 @@ def is_squarefree(p: HomPoly) -> bool:
 def multiplicity_at(p: HomPoly, coords: Tuple[int, int, int]) -> int:
     """Vanishing order of p at an exact projective point.
 
-    Works in the affine chart of the first nonzero coordinate; the order is
-    the least total order of a mixed partial (in the two chart variables)
-    that does not vanish at the point, which equals the minimal degree of
-    the translated local expansion.
+    Method: in the chart of the point's first nonzero coordinate c, with
+    a and b its other two coordinates, substitute
+
+        x_chart = c*Z,  x_u = U + a*Z,  x_w = W + b*Z.
+
+    This invertible linear change of coordinates (determinant c) sends
+    the point to (0 : 0 : 1), so the order is the least total U,W-degree
+    of a nonzero coefficient of the transformed form.  Setting Z = 1,
+    each slice of fixed x_w-degree k is a polynomial in x_u whose
+    coefficients carry the factor c**(exponent of x_chart); repeated
+    synthetic division by (x_u - a) gives its Taylor coefficients at a,
+    one more per pass, in O(d) operations per pass.  After pass m the
+    m-th coefficients of all slices form a polynomial in x_w, and the
+    same shift by b gives the coefficients of U^m W^n.  Passes run in
+    increasing m while m is below the best order found so far, and the
+    shift in W stops at the first nonzero coefficient or at that order,
+    so the work is O(order * d^2) instead of a full O(d^3) shift.
+
+    Exactness: every step is a ring operation on the coefficients and
+    the coordinates, with no division, so int and Fraction inputs give
+    the exact coefficients of the transformed form, and the order is
+    decided by exact comparisons with zero.
     """
     if p.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")
@@ -622,34 +640,33 @@ def multiplicity_at(p: HomPoly, coords: Tuple[int, int, int]) -> int:
         raise ValueError("not a projective point")
     chart = next(v for v in (0, 1, 2) if coords[v] != 0)
     u, w = [v for v in (0, 1, 2) if v != chart]
+    a, b = coords[u], coords[w]
     d = p.degree
-    pows = [_pow_table(c, d) for c in coords]
-
-    def _eval(dct) -> bool:
-        total = 0
-        for (i, j, k), c in dct.items():
-            total += c * pows[0][i] * pows[1][j] * pows[2][k]
-        return total != 0
-
-    def _deriv(dct, v):
-        out = {}
-        for e, c in dct.items():
-            if e[v] > 0:
-                ne = list(e)
-                ne[v] -= 1
-                out[tuple(ne)] = c * e[v]
-        return out
-
-    frontier = {(0, 0): p.as_dict()}
-    for order in range(d + 1):
-        for dct in frontier.values():
-            if dct and _eval(dct):
-                return order
-        nxt = {}
-        for (a, b), dct in frontier.items():
-            if (a + 1, b) not in nxt:
-                nxt[(a + 1, b)] = _deriv(dct, u)
-            if (a, b + 1) not in nxt:
-                nxt[(a, b + 1)] = _deriv(dct, w)
-        frontier = nxt
-    raise AssertionError("nonzero form with no nonvanishing partial")
+    cpow = _pow_table(coords[chart], d)
+    # slices[k][j]: coefficient of x_u^j x_w^k times c**(d - j - k)
+    slices = [[0] * (d - k + 1) for k in range(d + 1)]
+    for e, coef in p.terms:
+        slices[e[w]][e[u]] = coef * cpow[e[chart]]
+    best = d + 1
+    m = 0
+    while m < best:
+        # pass m of the shift in x_u: slices[k][m] becomes the m-th
+        # Taylor coefficient at a (slice k has degree d - k >= m)
+        if a:
+            for cs in slices[:d - m + 1]:
+                for i in range(len(cs) - 2, m - 1, -1):
+                    cs[i] += a * cs[i + 1]
+        col = [cs[m] for cs in slices[:d - m + 1]]
+        if any(col):
+            top = len(col) - 1
+            for n in range(min(best - m, top + 1)):
+                if b:
+                    for i in range(top - 1, n - 1, -1):
+                        col[i] += b * col[i + 1]
+                if col[n]:
+                    best = m + n
+                    break
+        m += 1
+    if best > d:
+        raise AssertionError("nonzero form with no nonzero local coefficient")
+    return best

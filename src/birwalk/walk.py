@@ -50,6 +50,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from .config import ARTIFACT_VERSION
 from .errors import DegenerateConfiguration, ExactLengthCap
 from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData
@@ -283,7 +284,7 @@ class WalkReport:
     def to_jsonable(self, include_classes: bool = False) -> dict:
         out = {
             "format": "birwalk-walk",
-            "format_version": 1,
+            "version": ARTIFACT_VERSION,
             "mode": self.mode,
             "seed": self.seed,
             "steps_requested": self.steps_requested,

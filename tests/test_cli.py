@@ -8,6 +8,7 @@ import pytest
 
 from birwalk.cli import EXIT_DEGENERATE, EXIT_INVARIANT, EXIT_OK, main
 from birwalk.config import (
+    ARTIFACT_VERSION,
     config_to_dict,
     dump_json,
     generators_to_jsonable,
@@ -219,6 +220,23 @@ def test_equidist_writes_series(tmp_path, generators_file):
     assert len(csv_lines) == 5
 
 
+def test_equidist_bytes_do_not_depend_on_out_dir(tmp_path, generators_file):
+    # one run names its directory in a config file, the other passes a
+    # longer one on the command line; where a document goes is not part
+    # of the run, so both write the same bytes
+    short = tmp_path / "a"
+    config = tmp_path / "config.json"
+    dump_json(config, config_to_dict(RunConfig(out_dir=str(short))))
+    long = tmp_path / "a much longer directory name" / "eq"
+    argv = ["equidist", "--generators", str(generators_file),
+            "--seed", "2", "--max-len", "3"]
+    assert main(argv + ["--config", str(config)]) == EXIT_OK
+    assert main(argv + ["--out-dir", str(long)]) == EXIT_OK
+    for name in ("equidist.json", "equidist.csv"):
+        assert (short / name).read_bytes() == (long / name).read_bytes()
+    assert "out_dir" not in load_json(short / "equidist.json")["config"]
+
+
 def test_equidist_contracted_curve_warns(tmp_path, generators_file,
                                          certified_tuple, capsys):
     # the first stepped letter contracts the lines cut out by its inner
@@ -246,6 +264,41 @@ def test_equidist_rejects_bad_curve(tmp_path, generators_file, capsys):
                  "--curve", "x^2", "--out-dir", str(tmp_path / "eq")])
     assert code == EXIT_INVARIANT
     assert "bad curve" in capsys.readouterr().err
+
+
+# -- documents ----------------------------------------------------------
+
+
+def _assert_no_format_version(doc):
+    if isinstance(doc, dict):
+        assert "format_version" not in doc
+        for value in doc.values():
+            _assert_no_format_version(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            _assert_no_format_version(value)
+
+
+def test_every_document_carries_one_version_key(tmp_path, generators_file):
+    gen = tmp_path / "gen.json"
+    walk, cross, eq = tmp_path / "w", tmp_path / "x", tmp_path / "e"
+    assert main(["sample", "--max-len", "2", "--out", str(gen)]) == EXIT_OK
+    source = ["--generators", str(generators_file)]
+    assert main(["walk", *source, "--steps", "4", "--trials", "2",
+                 "--out-dir", str(walk)]) == EXIT_OK
+    assert main(["crosscheck", *source, "--max-len", "1",
+                 "--out-dir", str(cross)]) == EXIT_OK
+    assert main(["equidist", *source, "--max-len", "2",
+                 "--out-dir", str(eq)]) == EXIT_OK
+    artifact = load_json(walk / "artifact.json")
+    assert len(artifact["trials"]) == 2
+    docs = [load_json(gen), artifact, *artifact["trials"],
+            load_json(cross / "crosscheck.json"),
+            load_json(eq / "equidist.json")]
+    for doc in docs:
+        assert doc["version"] == ARTIFACT_VERSION, doc["format"]
+        _assert_no_format_version(doc)
+        assert "out_dir" not in doc.get("config", {})
 
 
 # -- compare ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact polynomial core: frozen examples plus algebraic property tests."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -278,3 +279,83 @@ def test_multiplicity_rejects_zero_inputs():
         multiplicity_at(HomPoly({}), (1, 0, 0))
     with pytest.raises(ValueError):
         multiplicity_at(X, (0, 0, 0))
+
+
+# -- multiplicity at big points, beyond degree 3 -------------------------
+
+# one point per chart: the first nonzero coordinate decides the chart
+CHART_SHAPES = ("cab", "0bc", "00c")
+
+
+def _big_point(rng, shape):
+    """Coordinates of at least 200 bits, zero where the shape says 0."""
+    def big():
+        return rng.choice((1, -1)) * rng.randrange(2 ** 200, 2 ** 220)
+    return tuple(0 if ch == "0" else big() for ch in shape)
+
+
+def _line_through(rng, pt):
+    """A linear form vanishing at pt: its coefficients are pt x v."""
+    while True:
+        if rng.random() < 0.3:
+            # the coordinate lines through pt, which meet the chart's
+            # shift directions head on
+            v = [0, 0, 0]
+            v[rng.randrange(3)] = 1
+        else:
+            v = [rng.randrange(-9, 10) for _ in range(3)]
+        coef = (pt[1] * v[2] - pt[2] * v[1],
+                pt[2] * v[0] - pt[0] * v[2],
+                pt[0] * v[1] - pt[1] * v[0])
+        if any(coef):
+            line = HomPoly({(1, 0, 0): coef[0], (0, 1, 0): coef[1],
+                            (0, 0, 1): coef[2]})
+            if rng.random() < 0.3:
+                line = line.scale(Fraction(1, rng.randrange(2, 50)))
+            return line
+
+
+def _unit_at(rng, pt, max_degree):
+    """A random form of degree at most max_degree, nonzero at pt."""
+    while True:
+        d = rng.randrange(max_degree + 1)
+        terms = {(i, j, d - i - j): rng.randrange(-9, 10)
+                 for i in range(d + 1) for j in range(d + 1 - i)}
+        g = HomPoly(terms, d)
+        if rng.random() < 0.3:
+            g = g.scale(Fraction(rng.randrange(1, 30), rng.randrange(2, 30)))
+        if not g.is_zero and g.eval(pt) != 0:
+            return g
+
+
+def _planted(rng, pt, k, unit_degree):
+    p = _unit_at(rng, pt, unit_degree)
+    for _ in range(k):
+        p = p * _line_through(rng, pt)
+    return p
+
+
+@pytest.mark.parametrize("shape", CHART_SHAPES)
+def test_multiplicity_of_planted_lines_at_big_points(shape):
+    rng = random.Random(f"planted-{shape}")
+    for k in (0, 1, 2, 3, 5, 8, 13, 20):
+        for _ in range(3):
+            pt = _big_point(rng, shape)
+            p = _planted(rng, pt, k, 4)
+            assert multiplicity_at(p, pt) == k, (shape, k, p.degree)
+            # a projective point: rescaling the coordinates changes nothing
+            assert multiplicity_at(p, tuple(-3 * c for c in pt)) == k
+
+
+@pytest.mark.parametrize("shape", CHART_SHAPES)
+def test_multiplicity_matches_translation_oracle_to_degree_eight(shape):
+    rng = random.Random(f"oracle-{shape}")
+    for _ in range(40):
+        pt = _big_point(rng, shape)
+        k = rng.randrange(0, 7)
+        p = _planted(rng, pt, k, min(4, 8 - k))
+        assert p.degree <= 8
+        assert multiplicity_at(p, pt) == _multiplicity_by_translation(p, pt) == k
+        # a perturbed form mostly stops vanishing at pt; both routes agree
+        q = p + monomial(p.degree, 0, 0, rng.randrange(1, 10))
+        assert multiplicity_at(q, pt) == _multiplicity_by_translation(q, pt)
