@@ -349,16 +349,16 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
         part = {pid: multiplicity_at(strict, registry.coords_of(pid))
                 for pid in c_k.point_part}
         u = WeilClass(strict.degree, {p: v for p, v in part.items() if v})
-        scale_u = float(curve.degree * 2 ** red_len)
+        scale_u = curve.degree << red_len
         rows.append(EquidistRow(
             prefix_len=k,
             reduced_len=red_len,
             raw_degree=raw_degree,
             strict_degree=strict.degree,
             distance=coefficient_l2_diff(u, scale_u,
-                                         ref_class, float(2 ** ref_len)),
+                                         ref_class, 1 << ref_len),
             distance_step=coefficient_l2_diff(u, scale_u,
-                                              c_k, float(2 ** red_len)),
+                                              c_k, 1 << red_len),
             bound_lhs=sum(v * v for v in part.values()),
             bound_rhs=strict.degree ** 2,
         ))

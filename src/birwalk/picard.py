@@ -163,9 +163,13 @@ def hyperbolic_distance(c1: WeilClass, c2: WeilClass) -> float:
     return acosh(max(arg, 1.0))
 
 
-def coefficient_l2_diff(c1: WeilClass, scale1: float,
-                        c2: WeilClass, scale2: float) -> float:
-    """Euclidean norm of the coefficient difference of two rescaled classes."""
+def coefficient_l2_diff(c1: WeilClass, scale1: int,
+                        c2: WeilClass, scale2: int) -> float:
+    """Euclidean norm of the coefficient difference of two rescaled classes.
+
+    Integer scales keep each quotient an int/int division, which Python
+    rounds correctly and which cannot overflow at any walk length.
+    """
     total = (c1.line_coeff / scale1 - c2.line_coeff / scale2) ** 2
     for pid in set(c1.point_part) | set(c2.point_part):
         d = c1.point_part.get(pid, 0) / scale1 - c2.point_part.get(pid, 0) / scale2

@@ -2,7 +2,11 @@
 
 Exact points are integer triples normalized to content 1 with the first
 nonzero coordinate positive, so equal points have equal tuples and plain
-dict lookup is a complete identity test.  Float points are unit vectors
+dict lookup is a complete identity test.  Only ``normalize_exact`` makes
+such a canonical point: it returns a private tuple subclass, and handing
+one back to it is free, so a point is canonicalised once, where a
+transport or a registration creates it.  Plain tuples, lists and parsed
+documents are always normalised in full.  Float points are unit vectors
 with the first coordinate of magnitude above the resolution threshold
 made positive; antipodal representatives are reconciled by the distance
 helper, not by the normal form, because a sign flip of a coordinate near
@@ -12,7 +16,7 @@ zero is not stable under perturbation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, isfinite, sqrt
+from math import gcd as _igcd, isfinite, lcm, sqrt
 from typing import Tuple
 
 from .errors import IndeterminatePoint
@@ -21,23 +25,29 @@ ExactCoords = Tuple[int, int, int]
 FloatCoords = Tuple[float, float, float]
 
 
+class _Canonical(tuple):
+    """An exact triple in normal form; made only by ``normalize_exact``."""
+
+    __slots__ = ()
+
+
 def normalize_exact(coords) -> ExactCoords:
-    """Canonical integer representative: content 1, first nonzero entry positive."""
-    fracs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in fracs):
+    """Canonical integer representative: content 1, first nonzero entry positive.
+
+    Its own output comes back unchanged; every other input is normalised.
+    """
+    if type(coords) is _Canonical:
+        return coords
+    if not all(type(c) is int for c in coords):
+        fracs = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in fracs))
+        coords = [int(c * den) for c in fracs]
+    g = _igcd(*coords)
+    if g == 0:
         raise IndeterminatePoint("all three coordinates vanish")
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for v in ints:
-        g = _igcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in coords if v != 0) < 0:
+        g = -g
+    return _Canonical(v // g for v in coords)
 
 
 def normalize_float(coords, eps: float = 1e-9) -> FloatCoords:

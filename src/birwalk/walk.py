@@ -91,7 +91,7 @@ def reduced_middle_length(itinerary: Word, lo: int, hi: int) -> int:
 
 def normalized_pairing(c1: WeilClass, len1: int, c2: WeilClass, len2: int) -> float:
     """Pairing of two tracked classes after dividing each by its degree."""
-    return c1.intersect(c2) / float(2 ** (len1 + len2))
+    return c1.intersect(c2) / (1 << (len1 + len2))
 
 
 # -- the stacked state --------------------------------------------------
@@ -275,7 +275,7 @@ class WalkReport:
         """Largest normalized point multiplicities of the final class."""
         if self.final_class is None:
             return []
-        scale = float(2 ** self.final_reduced_len)
+        scale = 1 << self.final_reduced_len
         items = sorted(self.final_class.point_part.items(),
                        key=lambda kv: (-abs(kv[1]), kv[0]))
         return [(coeff / scale, self.registry.coords_of(pid))
@@ -410,8 +410,8 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         if at_checkpoint and state.track_classes:
             cls = state.pull_class
             if prev_cp is not None:
-                inc = coefficient_l2_diff(cls, float(2 ** ln),
-                                          prev_cp[0], float(2 ** prev_cp[1]))
+                inc = coefficient_l2_diff(cls, 1 << ln,
+                                          prev_cp[0], 1 << prev_cp[1])
             _assert_class_health(cls, state.n, "pullback", mode)
             if state.push_class is not None:
                 _assert_class_health(state.push_class, state.n,

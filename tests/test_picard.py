@@ -1,11 +1,14 @@
 """Registry, class vectors, and letter actions on them."""
 
+import json
 import random
-from math import acosh
+from fractions import Fraction
+from math import acosh, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from birwalk import picard, projective
 from birwalk.errors import DegenerateConfiguration, NotTimelike
 from birwalk.maps import generator_from_matrices, sample_generators
 from birwalk.picard import (
@@ -18,6 +21,7 @@ from birwalk.picard import (
     coefficient_l2_diff,
     hyperbolic_distance,
 )
+from birwalk.walk import run_walk
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -36,8 +40,35 @@ def test_exact_registry_identifies_rescalings():
     c = reg.register((1, 2, 4))
     assert a == b
     assert a != c
+    # a plain tuple already in normal form is still normalised and looked up
+    assert reg.register((1, 2, 3)) == a
     assert reg.coords_of(a) == (1, 2, 3)
     assert len(reg) == 2
+
+
+def test_each_transported_point_is_canonicalised_once(certified_tuple,
+                                                      monkeypatch):
+    # seed 126 reaches reduced length 16; transport canonicalises its
+    # output, and the table lookup and registration after it are free
+    counts = {"gcd": 0, "transport": 0}
+    igcd = projective._igcd
+    transport = picard.LetterOperator.transport
+
+    def counted_gcd(*args):
+        counts["gcd"] += 1
+        return igcd(*args)
+
+    def counted_transport(self, coords):
+        counts["transport"] += 1
+        return transport(self, coords)
+
+    monkeypatch.setattr(projective, "_igcd", counted_gcd)
+    monkeypatch.setattr(picard.LetterOperator, "transport", counted_transport)
+    report = run_walk(certified_tuple, 16, seed=126, mode="exact",
+                      keep_classes=True)
+    assert report.final_reduced_len == 16
+    assert counts["transport"] > 0
+    assert counts["gcd"] == counts["transport"]
 
 
 def test_float_registry_merges_within_radius():
@@ -98,6 +129,36 @@ def test_worked_class_identities():
     assert hyperbolic_distance(L, c) == pytest.approx(acosh(2.0))
     assert hyperbolic_distance(L, L) == 0.0
     assert coefficient_l2_diff(c, 1.0, L, 1.0) == pytest.approx(2.0)
+
+
+def test_coefficient_l2_diff_at_reduced_length_1100():
+    # float(2 ** 1100) overflows; integer scales give the correctly rounded
+    # quotient of every coefficient
+    s1, s2 = 1 << 1100, 1 << 1099
+    c1 = WeilClass(s1, {0: 3 * (1 << 1098) + 12345})
+    c2 = WeilClass(s2, {0: (1 << 1097) - 777})
+    expect = sqrt((float(Fraction(c1.line_coeff, s1))
+                   - float(Fraction(c2.line_coeff, s2))) ** 2
+                  + (float(Fraction(c1.point_part[0], s1))
+                     - float(Fraction(c2.point_part[0], s2))) ** 2)
+    assert coefficient_l2_diff(c1, s1, c2, s2) == expect
+    assert coefficient_l2_diff(c1, s1, c1, s1) == 0.0
+
+
+def test_coefficient_l2_diff_integer_scales_match_float_scales():
+    # below the float range's edge the exact scales change no bit
+    rng = random.Random(5)
+
+    def coeff(ln):
+        return rng.choice((1, -1)) * rng.getrandbits(ln + 2)
+
+    for _ in range(500):
+        l1, l2 = rng.randrange(501), rng.randrange(501)
+        ids = range(rng.randrange(1, 5))
+        c1 = WeilClass(1 << l1, {p: coeff(l1) for p in ids})
+        c2 = WeilClass(1 << l2, {p: coeff(l2) for p in ids})
+        assert coefficient_l2_diff(c1, 1 << l1, c2, 1 << l2) == \
+            coefficient_l2_diff(c1, float(2 ** l1), c2, float(2 ** l2))
 
 
 def test_not_timelike_rejected():
@@ -256,6 +317,18 @@ def test_class_json_round_trip():
     assert c2.line_coeff == 7
     assert sorted(c2.point_part.values()) == sorted(c.point_part.values())
     assert class_to_jsonable(c2, reg2) == data
+
+
+def test_class_from_jsonable_merges_non_canonical_coordinates():
+    data = json.loads('{"line_coeff": 5, "point_entries": '
+                      '[[[2, 4, 6], 1], [[-1, -2, -3], 2], [[0, 3, 0], 4]]}')
+    reg = PointRegistry("exact")
+    c = class_from_jsonable(data, reg)
+    assert len(reg) == 2
+    assert c.point_part == {reg.register((1, 2, 3)): 3,
+                            reg.register((0, 1, 0)): 4}
+    assert class_to_jsonable(c, reg) == {
+        "line_coeff": 5, "point_entries": [[[0, 1, 0], 4], [[1, 2, 3], 3]]}
 
 
 @given(st.integers(-5, 5), st.lists(st.integers(-4, 4), min_size=3, max_size=3))

@@ -1,7 +1,8 @@
 """Normal forms and distances for plane points."""
 
+import json
 from fractions import Fraction
-from math import sqrt
+from math import gcd, sqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,53 @@ def test_exact_normal_form_rejects_origin():
 def test_exact_normal_form_scale_invariant(pt, k):
     assert normalize_exact(pt) == normalize_exact(tuple(k * c for c in pt))
     assert normalize_exact(pt) == normalize_exact(tuple(-k * c for c in pt))
+
+
+def test_exact_normal_form_returns_its_own_output_unchanged():
+    p = normalize_exact((2, 4, 6))
+    assert normalize_exact(p) is p
+    # a canonical point is a tuple to every reader: equality, hash, repr, JSON
+    assert isinstance(p, tuple)
+    assert p == (1, 2, 3) and hash(p) == hash((1, 2, 3))
+    assert repr(p) == "(1, 2, 3)"
+    assert json.dumps(p) == "[1, 2, 3]"
+
+
+def test_exact_normal_form_still_normalises_every_other_input():
+    assert normalize_exact((2, 4, 6)) == (1, 2, 3)
+    assert normalize_exact([-2, 4, 6]) == (1, -2, -3)
+    assert normalize_exact((Fraction(2), Fraction(4), Fraction(-6))) == (1, 2, -3)
+    assert normalize_exact(json.loads("[0, -6, 9]")) == (0, 2, -3)
+    plain = (1, 2, 3)
+    out = normalize_exact(plain)
+    assert out == plain and out is not plain
+    assert normalize_exact(out) is out
+
+
+def _reference_normal_form(pt):
+    g = 0
+    for c in pt:
+        g = gcd(g, abs(c))
+    out = [c // g for c in pt]
+    if next(c for c in out if c != 0) < 0:
+        out = [-c for c in out]
+    return tuple(out)
+
+
+_BIG = st.one_of(st.just(0), st.integers(-(2 ** 300), 2 ** 300),
+                 st.integers(-50, 50))
+
+
+@given(st.tuples(_BIG, _BIG, _BIG).filter(lambda t: any(t)),
+       st.integers(min_value=1, max_value=2 ** 16))
+def test_exact_int_path_matches_fraction_path_and_reference(pt, k):
+    scaled = tuple(k * c for c in pt)
+    out = normalize_exact(scaled)
+    assert out == normalize_exact(tuple(Fraction(c) for c in scaled))
+    assert out == _reference_normal_form(scaled)
+    assert out == normalize_exact(tuple(-c for c in pt))
+    assert all(type(c) is int for c in out)
+    assert normalize_exact(out) is out
 
 
 def test_float_normal_form_unit_and_sign():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from birwalk.maps import sample_generators
 from birwalk.picard import OperatorCache, PointRegistry, WeilClass, class_to_jsonable
 from birwalk.walk import (
     LOG2,
+    WalkReport,
     WalkState,
     boundary_compare,
     fit_geometric_rate,
@@ -234,6 +236,51 @@ def test_normalized_pairing_scale():
     b = WeilClass(2, {0: 1})
     # pairing (4*2 - 2*1) / 2^(2+1)
     assert normalized_pairing(a, 2, b, 1) == 6 / 8
+
+
+def _report_with_final_class(cls, reduced_len, registry):
+    return WalkReport(
+        mode="exact", seed=None, steps_requested=reduced_len,
+        steps_done=reduced_len, checkpoint_every=0, generator_count=2,
+        track_classes=True, itinerary=(), rows=(),
+        final_reduced_len=reduced_len, aborted=None, aborted_at=None,
+        registry_points=len(registry), registry_merges=0,
+        registry_min_separation=None, final_class=cls, registry=registry)
+
+
+def test_normalized_diagnostics_at_reduced_length_1100():
+    # float(2 ** n) overflows past n = 1023; the quotients are still the
+    # correctly rounded values of the exact fractions
+    registry = PointRegistry("exact")
+    p, q = registry.register((1, 2, 3)), registry.register((0, 1, 5))
+    big = 1 << 1100
+    a = WeilClass(big, {p: 3 * (1 << 1098) + 12345, q: (1 << 1097) - 777})
+    b = WeilClass(big, {p: (1 << 1099) + 1})
+    assert normalized_pairing(a, 1100, b, 1100) == \
+        float(Fraction(a.intersect(b), 1 << 2200))
+    a540 = WeilClass(1 << 540, {p: (3 << 538) + 5})
+    assert normalized_pairing(a540, 540, a540, 540) == \
+        float(Fraction(a540.intersect(a540), 1 << 1080))
+    top = _report_with_final_class(a, 1100, registry).top_coefficients()
+    assert top == [(float(Fraction(3 * (1 << 1098) + 12345, big)), (1, 2, 3)),
+                   (float(Fraction((1 << 1097) - 777, big)), (0, 1, 5))]
+
+
+def test_normalized_diagnostics_match_float_scales_below_length_500():
+    rng = random.Random(3)
+    registry = PointRegistry("exact")
+    pids = [registry.register((1, k, k * k + 1)) for k in range(4)]
+    for _ in range(1000):
+        l1, l2 = rng.randrange(251), rng.randrange(251)
+        a = WeilClass(1 << l1, {pid: rng.getrandbits(l1 + 1) for pid in pids})
+        b = WeilClass(1 << l2, {pid: rng.getrandbits(l2 + 1) for pid in pids})
+        assert normalized_pairing(a, l1, b, l2) == \
+            a.intersect(b) / float(2 ** (l1 + l2))
+        ln = rng.randrange(501)
+        c = WeilClass(1 << ln, {pid: rng.getrandbits(ln + 1) for pid in pids})
+        top = _report_with_final_class(c, ln, registry).top_coefficients()
+        assert [v for v, _ in top] == sorted(
+            (v / float(2 ** ln) for v in c.point_part.values()), reverse=True)
 
 
 def test_boundary_compare_self_equals_control(gens):
