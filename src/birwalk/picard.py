@@ -16,6 +16,17 @@ the inverse letter everywhere else.  Transport refuses, by raising
 evaluating map contracts, because the honest image of such a point is not
 a point of the plane at all.
 
+The exact registry keys each point by its residue fingerprint mod a
+prime below 2^30 (``projective.fingerprint``), which needs no content
+gcd and does not change when the triple is scaled.  A fingerprint hit
+counts only after the exact cross-product test ``same_point``; distinct
+points that share a fingerprint fall back to a small dict keyed by the
+canonical form, and a triple whose residues all vanish is canonicalised
+before it is keyed.  The registry keeps the first integer representative
+it sees, which transport chains read and extend without ever dividing
+out a content, and hands out the canonical form on read, so everything
+printed or written is canonical.
+
 The float registry hashes unit vectors on a grid of cell size ten times
 the merge radius and compares a query against both sign lifts, so
 antipodal representatives land together.  Two distinct registered points
@@ -28,9 +39,16 @@ from dataclasses import dataclass, field
 from math import acosh, floor, sqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateConfiguration, NotTimelike
+from .errors import DegenerateConfiguration, IndeterminatePoint, NotTimelike
 from .maps import GeneratorData, Mat3, matvec
-from .projective import chordal_distance, cross, normalize_exact, normalize_float
+from .projective import (
+    chordal_distance,
+    cross,
+    fingerprint,
+    normalize_exact,
+    normalize_float,
+    same_point,
+)
 
 
 # -- point registry -----------------------------------------------------
@@ -45,7 +63,8 @@ class PointRegistry:
         self.mode = mode
         self.eps = eps
         self._points: List[tuple] = []
-        self._exact_index: Dict[tuple, int] = {}
+        self._by_fingerprint: Dict[int, int] = {}
+        self._clashes: Dict[tuple, int] = {}
         self._grid: Dict[Tuple[int, int, int], List[int]] = {}
         self.merge_count = 0
         self.min_separation = float("inf")
@@ -54,18 +73,44 @@ class PointRegistry:
         return len(self._points)
 
     def coords_of(self, pid: int) -> tuple:
+        """The point's normal form: canonical in exact mode, a unit vector in float."""
+        if self.mode == "exact":
+            return normalize_exact(self._points[pid])
+        return self._points[pid]
+
+    def representative(self, pid: int) -> tuple:
+        """The stored coordinates, which transport reads; internal to the class walk.
+
+        In exact mode this is the first integer triple registered for the
+        point, a multiple of its normal form by any nonzero scalar.
+        """
         return self._points[pid]
 
     def register(self, coords) -> int:
-        if self.mode == "exact":
-            key = normalize_exact(coords)
-            pid = self._exact_index.get(key)
-            if pid is None:
-                pid = len(self._points)
-                self._points.append(key)
-                self._exact_index[key] = pid
+        if self.mode != "exact":
+            return self._register_float(coords)
+        if type(coords) is not tuple or not all(type(c) is int for c in coords):
+            coords = normalize_exact(coords)
+        key = fingerprint(coords)
+        if key is None:  # a multiple of the prime: its normal form has a key
+            coords = normalize_exact(coords)
+            key = fingerprint(coords)
+        pid = self._by_fingerprint.get(key)
+        if pid is None:
+            self._by_fingerprint[key] = pid = self._append(coords)
             return pid
-        return self._register_float(coords)
+        if same_point(coords, self._points[pid]):
+            return pid
+        # a distinct point with the same residues: identify it exactly
+        canon = normalize_exact(coords)
+        pid = self._clashes.get(canon)
+        if pid is None:
+            self._clashes[canon] = pid = self._append(coords)
+        return pid
+
+    def _append(self, coords) -> int:
+        self._points.append(coords)
+        return len(self._points) - 1
 
     def _cell_of(self, u) -> Tuple[int, int, int]:
         h = 10.0 * self.eps
@@ -100,8 +145,7 @@ class PointRegistry:
                 raise DegenerateConfiguration(
                     f"points separated by {best_d:.3e}, inside the ambiguity band "
                     f"[{self.eps:.1e}, {10 * self.eps:.1e})")
-        pid = len(self._points)
-        self._points.append(u)
+        pid = self._append(u)
         self._grid.setdefault(self._cell_of(u), []).append(pid)
         return pid
 
@@ -197,6 +241,7 @@ class LetterOperator:
     registry: PointRegistry
     base_ids: Tuple[int, int, int] = field(init=False)
     table_ids: Tuple[int, int, int] = field(init=False)
+    table_points: Tuple[tuple, tuple, tuple] = field(init=False)
     eval_matrices: Tuple[Mat3, Mat3] = field(init=False)
     contracted_forms: Tuple[tuple, tuple, tuple] = field(init=False)
 
@@ -213,13 +258,12 @@ class LetterOperator:
         if len(set(self.base_ids)) != 3 or len(set(self.table_ids)) != 3:
             raise DegenerateConfiguration(
                 "a letter's indeterminacy triple collapsed in the registry")
+        self.table_points = tuple(reg.coords_of(tid) for tid in self.table_ids)
         self.eval_matrices = self.gen.letter_matrices(-self.sign)
         forms = []
         for i in range(3):
             j, k = _COMPLEMENT[i]
-            qj = reg.coords_of(self.table_ids[j])
-            qk = reg.coords_of(self.table_ids[k])
-            form = cross(qj, qk)
+            form = cross(self.table_points[j], self.table_points[k])
             if reg.mode == "float":
                 n = sqrt(sum(v * v for v in form))
                 if n < reg.eps:
@@ -235,7 +279,7 @@ class LetterOperator:
             j, k = _COMPLEMENT[i]
             form = self.contracted_forms[i]
             for t, expect_zero in ((j, True), (k, True), (i, False)):
-                val = sum(f * c for f, c in zip(form, reg.coords_of(self.table_ids[t])))
+                val = sum(f * c for f, c in zip(form, self.table_points[t]))
                 on_line = (val == 0) if reg.mode == "exact" else (abs(val) < reg.eps)
                 if on_line != expect_zero:
                     raise DegenerateConfiguration(
@@ -247,14 +291,13 @@ class LetterOperator:
         """Index 0..2 if coords names a table point, else None."""
         reg = self.registry
         if reg.mode == "exact":
-            key = normalize_exact(coords)
-            for t, tid in enumerate(self.table_ids):
-                if reg.coords_of(tid) == key:
+            for t, q in enumerate(self.table_points):
+                if same_point(q, coords):
                     return t
             return None
         u = normalize_float(coords, reg.eps)
-        for t, tid in enumerate(self.table_ids):
-            if chordal_distance(u, reg.coords_of(tid)) < reg.eps:
+        for t, q in enumerate(self.table_points):
+            if chordal_distance(u, q) < reg.eps:
                 return t
         return None
 
@@ -263,7 +306,8 @@ class LetterOperator:
 
         Raises DegenerateConfiguration when the point sits on a curve the
         inverse letter contracts (the class of such a point does not move
-        to the class of a plane point).
+        to the class of a plane point).  An exact image is the raw integer
+        triple outer * sigma(inner * coords), never divided by its content.
         """
         reg = self.registry
         for form in self.contracted_forms:
@@ -277,7 +321,9 @@ class LetterOperator:
         s = (v[1] * v[2], v[0] * v[2], v[0] * v[1])
         out = matvec(outer, s)
         if reg.mode == "exact":
-            return normalize_exact(out)
+            if out[0] == 0 and out[1] == 0 and out[2] == 0:
+                raise IndeterminatePoint("all three coordinates vanish")
+            return out
         return normalize_float(out, reg.eps)
 
     # full class action
@@ -293,7 +339,7 @@ class LetterOperator:
             if coeff != 0:
                 out[self.base_ids[i]] = coeff
         for pid, coeff in entries.items():
-            img = self.transport(self.registry.coords_of(pid))
+            img = self.transport(self.registry.representative(pid))
             new_pid = self.registry.register(img)
             if new_pid in out:
                 raise DegenerateConfiguration(

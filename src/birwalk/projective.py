@@ -1,14 +1,17 @@
 """Projective plane points in two flavours: exact integer and unit-norm float.
 
-Exact points are integer triples normalized to content 1 with the first
-nonzero coordinate positive, so equal points have equal tuples and plain
-dict lookup is a complete identity test.  Only ``normalize_exact`` makes
-such a canonical point: it returns a private tuple subclass, and handing
-one back to it is free, so a point is canonicalised once, where a
-transport or a registration creates it.  Plain tuples, lists and parsed
-documents are always normalised in full.  Float points are unit vectors
-with the first coordinate of magnitude above the resolution threshold
-made positive; antipodal representatives are reconciled by the distance
+Exact points are integer triples up to a nonzero scalar.  Their normal
+form, made only by ``normalize_exact``, has content 1 and its first
+nonzero coordinate positive; it is a private tuple subclass that comes
+back unchanged when handed in again.  The walk itself never pays for
+that content gcd: a transport hands on the raw integer triple, and the
+registry tells points apart by ``fingerprint``, a scale-free residue
+key, confirmed exactly by ``same_point``, the vanishing of the cross
+product.  Canonical forms are made when a point is read out for
+printing or for a document, and whenever a plain list, a ``Fraction``
+or a parsed document comes in.  Float points are unit vectors with the
+first coordinate of magnitude above the resolution threshold made
+positive; antipodal representatives are reconciled by the distance
 helper, not by the normal form, because a sign flip of a coordinate near
 zero is not stable under perturbation.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, isfinite, lcm, sqrt
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import IndeterminatePoint
 
@@ -48,6 +51,39 @@ def normalize_exact(coords) -> ExactCoords:
     if next(v for v in coords if v != 0) < 0:
         g = -g
     return _Canonical(v // g for v in coords)
+
+
+# CPython stores ints in 30-bit digits, so reducing by a prime below 2^30
+# takes the single-digit remainder loop whatever the coordinate's size
+FINGERPRINT_P = 1073741789  # the largest prime below 2^30
+
+
+def fingerprint(coords) -> Optional[int]:
+    """Scale-free key of an integer triple: its residues mod FINGERPRINT_P,
+    divided by the first nonzero residue, packed into one int.
+
+    A triple and its multiples by a scalar prime to FINGERPRINT_P share
+    the key; distinct points may share it too, so a hit is only a
+    candidate for ``same_point``.  None when every residue is 0.
+    """
+    x, y, z = coords
+    x %= FINGERPRINT_P
+    y %= FINGERPRINT_P
+    z %= FINGERPRINT_P
+    if x:
+        inv = pow(x, -1, FINGERPRINT_P)
+        return ((FINGERPRINT_P + y * inv % FINGERPRINT_P) * FINGERPRINT_P
+                + z * inv % FINGERPRINT_P)
+    if y:
+        return FINGERPRINT_P + z * pow(y, -1, FINGERPRINT_P) % FINGERPRINT_P
+    return 1 if z else None
+
+
+def same_point(a, b) -> bool:
+    """Whether two nonzero exact triples name one point: a x b = 0."""
+    return (a[0] * b[1] == a[1] * b[0]
+            and a[0] * b[2] == a[2] * b[0]
+            and a[1] * b[2] == a[2] * b[1])
 
 
 def normalize_float(coords, eps: float = 1e-9) -> FloatCoords:

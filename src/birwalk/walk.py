@@ -11,9 +11,10 @@ composite and tracks two class sequences over one point registry:
 
 Formal cancellation is handled on a stack: a letter that is the formal
 inverse of the newest stacked letter pops it instead of pushing, and
-the pullback class is rolled back by inverting the linear update (the
-rollback chains are deterministic replays of the push chains, so the
-restoration is bit-exact) and memory stays linear in the reduced length.
+the pullback class is rolled back by inverting the linear update.  Each
+stack entry keeps the three chained classes its push subtracted, so the
+rollback adds back exactly those classes, with no transport at all, and
+memory stays linear in the reduced length.
 
 One append step with letter f on composite w (reduced stack bottom to
 top f_1 .. f_n) updates c by
@@ -101,6 +102,8 @@ def normalized_pairing(c1: WeilClass, len1: int, c2: WeilClass, len2: int) -> fl
 class _StackEntry:
     letter: Letter
     pull_op: Optional[LetterOperator]
+    # the chained base classes the push subtracted; the pop adds them back
+    chained: Optional[List[WeilClass]]
 
 
 class WalkState:
@@ -188,7 +191,7 @@ class WalkState:
 
     def _chained_base_classes(self, op: LetterOperator) -> List[WeilClass]:
         pull_ops = [e.pull_op for e in self.stack]
-        return [self._chain_point(pull_ops, self.registry.coords_of(pid))
+        return [self._chain_point(pull_ops, self.registry.representative(pid))
                 for pid in op.base_ids]
 
     def step(self, letter: Letter) -> None:
@@ -204,15 +207,15 @@ class WalkState:
         if cancelling:
             entry = self.stack.pop()
             if self.track_classes:
-                chained = self._chained_base_classes(entry.pull_op)
-                self.pull_class = self._disassemble(self.pull_class, chained)
+                self.pull_class = self._disassemble(self.pull_class,
+                                                    entry.chained)
         else:
-            pull_op = self.cache.get(letter[0], letter[1]) \
-                if self.track_classes else None
+            pull_op = chained = None
             if self.track_classes:
+                pull_op = self.cache.get(letter[0], letter[1])
                 chained = self._chained_base_classes(pull_op)
                 self.pull_class = self._assemble(self.pull_class, chained)
-            self.stack.append(_StackEntry(letter, pull_op))
+            self.stack.append(_StackEntry(letter, pull_op, chained))
         if self.track_pushforward:
             # the new letter acts outermost on the pushforward track, and a
             # cancelling letter's operator undoes its partner exactly

@@ -8,8 +8,8 @@ from math import acosh, sqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birwalk import picard, projective
-from birwalk.errors import DegenerateConfiguration, NotTimelike
+from birwalk import projective
+from birwalk.errors import DegenerateConfiguration, IndeterminatePoint, NotTimelike
 from birwalk.maps import generator_from_matrices, sample_generators
 from birwalk.picard import (
     LetterOperator,
@@ -46,29 +46,117 @@ def test_exact_registry_identifies_rescalings():
     assert len(reg) == 2
 
 
-def test_each_transported_point_is_canonicalised_once(certified_tuple,
-                                                      monkeypatch):
-    # seed 126 reaches reduced length 16; transport canonicalises its
-    # output, and the table lookup and registration after it are free
-    counts = {"gcd": 0, "transport": 0}
+def test_walk_path_takes_no_content_gcd(certified_tuple, monkeypatch):
+    # seed 126 reaches reduced length 16.  Transport, table lookup and
+    # registration tell points apart by fingerprint and cross product, so
+    # the only content gcds left are the normal forms coords_of reads out
+    scopes, gcd_scopes, calls = [], [], {}
     igcd = projective._igcd
-    transport = picard.LetterOperator.transport
 
     def counted_gcd(*args):
-        counts["gcd"] += 1
+        gcd_scopes.append(scopes[-1] if scopes else None)
         return igcd(*args)
 
-    def counted_transport(self, coords):
-        counts["transport"] += 1
-        return transport(self, coords)
+    def scoped(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            scopes.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scopes.pop()
+        return wrapper
 
     monkeypatch.setattr(projective, "_igcd", counted_gcd)
-    monkeypatch.setattr(picard.LetterOperator, "transport", counted_transport)
+    for cls, name in ((LetterOperator, "transport"),
+                      (LetterOperator, "table_index_of"),
+                      (PointRegistry, "register"),
+                      (PointRegistry, "coords_of")):
+        monkeypatch.setattr(cls, name, scoped(name, getattr(cls, name)))
     report = run_walk(certified_tuple, 16, seed=126, mode="exact",
                       keep_classes=True)
     assert report.final_reduced_len == 16
-    assert counts["transport"] > 0
-    assert counts["gcd"] == counts["transport"]
+    assert min(calls[n] for n in ("transport", "table_index_of", "register")) > 0
+    assert set(gcd_scopes) <= {"coords_of"}
+    # reading the final class out canonicalises its points, in coords_of
+    walked = len(gcd_scopes)
+    doc = class_to_jsonable(report.final_class, report.registry)
+    report.top_coefficients()
+    assert len(gcd_scopes) > walked
+    assert set(gcd_scopes) == {"coords_of"}
+    assert all(list(projective.normalize_exact(c)) == c
+               for c, _coeff in doc["point_entries"])
+
+
+P = projective.FINGERPRINT_P
+
+
+def test_fingerprint_clash_keeps_points_apart():
+    # (1, 0, 0) and (1, P, 0) have equal residues but are distinct points
+    reg = PointRegistry("exact")
+    a = reg.register((1, 0, 0))
+    b = reg.register((1, P, 0))
+    assert projective.fingerprint((1, 0, 0)) == projective.fingerprint((1, P, 0))
+    assert a != b
+    assert reg.register((2, 2 * P, 0)) == b
+    assert reg.register((-3, 0, 0)) == a
+    assert reg.coords_of(a) == (1, 0, 0)
+    assert reg.coords_of(b) == (1, P, 0)
+    assert len(reg) == 2
+
+
+def test_multiples_of_the_prime_are_canonicalised_first():
+    # every residue of (P, 2P, 3P) is 0, so only its normal form has a key
+    reg = PointRegistry("exact")
+    pid = reg.register((1, 2, 3))
+    assert reg.register((P, 2 * P, 3 * P)) == pid
+    assert reg.register((-1, -2, -3)) == pid
+    assert reg.register((-P * P, -2 * P * P, -3 * P * P)) == pid
+    assert reg.coords_of(pid) == (1, 2, 3)
+    fresh = PointRegistry("exact")
+    first = fresh.register((P, 2 * P, 3 * P))
+    assert fresh.register((1, 2, 3)) == first
+    assert fresh.coords_of(first) == (1, 2, 3)
+
+
+def test_zero_triple_is_refused():
+    reg = PointRegistry("exact")
+    with pytest.raises(IndeterminatePoint):
+        reg.register((0, 0, 0))
+    with pytest.raises(IndeterminatePoint):
+        reg.register([0, 0, 0])
+    assert len(reg) == 0
+
+
+# a coordinate shifted by a multiple of P keeps its residue, so triples
+# of shifted coordinates often share fingerprints without being one point
+_SHIFTED = st.builds(lambda a, b: a + P * b, st.integers(-1, 1),
+                     st.one_of(st.just(0), st.integers(-2, 2),
+                               st.integers(-(2 ** 270), 2 ** 270)))
+_BIG = st.integers(-(2 ** 300), 2 ** 300)
+_TRIPLE = st.one_of(st.tuples(_SHIFTED, _SHIFTED, _SHIFTED),
+                    st.tuples(_BIG, _BIG, _BIG)).filter(lambda t: any(t))
+_SCALAR = st.one_of(
+    _BIG,
+    st.builds(lambda m, e: m * P ** e,
+              st.sampled_from([1, -1, 2, -7]), st.integers(1, 3)),
+).filter(lambda k: k != 0)
+
+
+@given(st.lists(st.tuples(_TRIPLE, _SCALAR), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_exact_registry_ids_match_normal_forms(scaled):
+    reg = PointRegistry("exact")
+    ids, forms = [], []
+    for pt, k in scaled:
+        for q in (pt, tuple(k * c for c in pt)):
+            ids.append(reg.register(q))
+            forms.append(projective.normalize_exact(q))
+    for i in range(len(ids)):
+        assert reg.coords_of(ids[i]) == forms[i]
+        for j in range(i):
+            assert (ids[i] == ids[j]) == (forms[i] == forms[j])
+    assert len(reg) == len(set(forms))
 
 
 def test_float_registry_merges_within_radius():
@@ -230,6 +318,29 @@ def test_transport_and_table_lookup():
     assert op.table_index_of((5, 1, 1)) is None
     with pytest.raises(DegenerateConfiguration):
         op.transport((1, 0, 1))
+
+
+_BIG_SCALARS = (3 ** 200, -(2 ** 127 - 1), P, -7 * P, P * P)
+
+
+@pytest.mark.parametrize("letter", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_transport_does_not_depend_on_scale(certified_tuple, letter):
+    reg = PointRegistry("exact")
+    op = OperatorCache(certified_tuple, reg).get(*letter)
+    for p in ((3, 7, 11), (2, -5, 13), (17, 1, -6), (1, 0, 0)):
+        image = reg.register(op.transport(p))
+        for k in _BIG_SCALARS:
+            assert reg.register(op.transport(tuple(k * c for c in p))) == image
+    for t, q in enumerate(op.table_points):
+        for k in _BIG_SCALARS:
+            assert op.table_index_of(tuple(k * c for c in q)) == t
+    # a point of a contracted line other than the table points spanning it
+    for j, k in ((1, 2), (0, 2), (0, 1)):
+        q = tuple(a + b for a, b in zip(op.table_points[j], op.table_points[k]))
+        assert op.table_index_of(q) is None
+        for scale in _BIG_SCALARS:
+            with pytest.raises(DegenerateConfiguration):
+                op.transport(tuple(scale * c for c in q))
 
 
 # -- sampled generator operators ----------------------------------------

@@ -9,9 +9,12 @@ from hypothesis import given, strategies as st
 
 from birwalk.errors import IndeterminatePoint
 from birwalk.projective import (
+    FINGERPRINT_P,
     chordal_distance,
+    fingerprint,
     normalize_exact,
     normalize_float,
+    same_point,
 )
 
 
@@ -80,6 +83,20 @@ def test_exact_int_path_matches_fraction_path_and_reference(pt, k):
     assert out == normalize_exact(tuple(-c for c in pt))
     assert all(type(c) is int for c in out)
     assert normalize_exact(out) is out
+
+
+@given(st.tuples(_BIG, _BIG, _BIG).filter(lambda t: any(t)),
+       st.integers(-(2 ** 300), 2 ** 300).filter(lambda k: k % FINGERPRINT_P),
+       st.integers(0, 2))
+def test_fingerprint_is_scale_free_and_same_point_is_exact(pt, k, i):
+    scaled = tuple(k * c for c in pt)
+    assert same_point(pt, scaled) and same_point(scaled, pt)
+    if fingerprint(pt) is not None:
+        assert fingerprint(scaled) == fingerprint(pt)
+    # shifting one coordinate by the prime keeps every residue
+    shifted = tuple(c + FINGERPRINT_P * (j == i) for j, c in enumerate(pt))
+    assert same_point(pt, shifted) == \
+        (normalize_exact(pt) == normalize_exact(shifted))
 
 
 def test_float_normal_form_unit_and_sign():

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from birwalk.errors import ExactLengthCap
 from birwalk.genericity import _exact_word_components
 from birwalk.maps import sample_generators
-from birwalk.picard import OperatorCache, PointRegistry, WeilClass, class_to_jsonable
+from birwalk.picard import (
+    LetterOperator,
+    OperatorCache,
+    PointRegistry,
+    WeilClass,
+    class_to_jsonable,
+)
 from birwalk.walk import (
     LOG2,
     WalkReport,
@@ -98,6 +104,35 @@ def test_cancellation_restores_exact_class(gens):
     assert state.reduced_len == 0
     assert state.pull_class == WeilClass.line_class()
     assert state.push_class == WeilClass.line_class()
+
+
+def test_cancelling_step_reuses_its_push(gens, monkeypatch):
+    # a pop adds back the chained classes its push kept: on the pullback
+    # track only pushing steps transport points, and each pop restores
+    # the class from before its push
+    transports = []
+    transport = LetterOperator.transport
+
+    def counted(self, coords):
+        transports.append(coords)
+        return transport(self, coords)
+
+    monkeypatch.setattr(LetterOperator, "transport", counted)
+    state = WalkState(gens, mode="exact")
+    before_push = []
+    pushed = popped = 0
+    for letter in random_itinerary(2, 30, random.Random(5)):
+        depth, seen, prior = state.reduced_len, len(transports), state.pull_class
+        state.step(letter)
+        if state.reduced_len < depth:
+            popped += 1
+            assert len(transports) == seen
+            assert state.pull_class == before_push.pop()
+        else:
+            pushed += len(transports) - seen
+            before_push.append(prior)
+    assert popped >= 5
+    assert pushed > 0
 
 
 def test_replayed_reduced_word_gives_same_class(gens):
