@@ -10,7 +10,6 @@ wall-clock fields, so identical configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ from .config import (
     build_generators,
     certificate_to_jsonable,
     dump_json,
+    dumps_json,
     embedded_config,
     generators_from_jsonable,
     generators_to_jsonable,
@@ -375,7 +375,7 @@ def cmd_compare(args) -> int:
     doc["steps"] = [reports[0].steps_done, reports[1].steps_done]
     doc["reduced_len"] = [reports[0].final_reduced_len,
                           reports[1].final_reduced_len]
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(dumps_json(doc))
     if args.out:
         dump_json(args.out, doc)
     return EXIT_OK

@@ -9,6 +9,7 @@ import pytest
 from birwalk.cli import EXIT_DEGENERATE, EXIT_INVARIANT, EXIT_OK, main
 from birwalk.config import (
     ARTIFACT_VERSION,
+    _any_int_digits,
     config_to_dict,
     dump_json,
     generators_to_jsonable,
@@ -158,6 +159,43 @@ def test_walk_no_classes_runs_long_float(tmp_path, generators_file):
     trial = load_json(out / "artifact.json")["trials"][0]
     assert trial["track_classes"] is False
     assert trial["steps_done"] == 300
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+def _stdlib_text(doc) -> str:
+    with _any_int_digits():
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("extra", [["--no-classes", "--steps", "300"],
+                                   ["--steps", "10"]])
+def test_walk_artifact_is_the_stdlib_text(tmp_path, generators_file, extra):
+    out = tmp_path / "run"
+    assert main(["walk", "--generators", str(generators_file),
+                 "--trials", "2", "--out-dir", str(out)] + extra) == EXIT_OK
+    path = out / "artifact.json"
+    doc = load_json(path)
+    assert path.read_bytes() == _stdlib_text(doc).encode()
+    rows = [row for t in doc["trials"] for row in t["rows"]]
+    assert len(rows) == 2 * (int(extra[-1]) + 1)
+    assert None in _leaves(rows)
+    if "--no-classes" not in extra:
+        # checkpoint classes with big coordinates, coordinates as strings
+        classes = [c for t in doc["trials"] for c in t["checkpoint_classes"]]
+        assert any(c["class"]["point_entries"] for c in classes)
+        assert max(abs(v) for v in _leaves(classes)
+                   if type(v) is int) > 2 ** 64
+        tops = [t["top_coefficients"] for t in doc["trials"]]
+        assert any(type(v) is str and len(v) > 3 for v in _leaves(tops))
 
 
 # -- crosscheck ---------------------------------------------------------
@@ -332,6 +370,18 @@ def test_compare_two_runs_and_out_file(tmp_path, generators_file, capsys):
     doc = load_json(result)
     assert doc["pairing"] > 0.0
     assert doc["steps"] == [6, 6]
+
+
+def test_compare_prints_its_out_document(tmp_path, generators_file, capsys):
+    art_a = _walk_artifact(tmp_path, generators_file, "A", 1)
+    art_b = _walk_artifact(tmp_path, generators_file, "B", 2)
+    result = tmp_path / "compare.json"
+    capsys.readouterr()
+    assert main(["compare", str(art_a), str(art_b),
+                 "--out", str(result)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == _stdlib_text(json.loads(printed))
+    assert result.read_text() == printed
 
 
 def test_compare_rejects_different_tuples(tmp_path, generators_file, capsys):

@@ -1,23 +1,30 @@
 """Run configuration and document round trips."""
 
 import json
+import math
 import random
 import sys
+from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from birwalk.config import (
     RunConfig,
+    _any_int_digits,
     build_generators,
     config_from_dict,
     config_to_dict,
     dump_json,
+    dumps_json,
     generators_from_jsonable,
     generators_to_jsonable,
     load_config,
     load_json,
 )
 from birwalk.maps import sample_generators
+from birwalk.projective import normalize_exact
 
 IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -119,3 +126,104 @@ def test_json_roundtrips_integers_past_the_digit_limit(tmp_path):
     assert load_json(path) == {"coords": [big, -big, 3]}
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+
+
+# -- the indented writer against the stdlib -----------------------------
+
+
+def _stdlib(obj) -> str:
+    with _any_int_digits():
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+
+class _LoudInt(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _LoudFloat(float):
+    def __repr__(self):
+        return "not json"
+
+
+_BIG_INTS = st.integers(-2 ** 20000, 2 ** 20000)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "\u00e9\u20ac\U0001f600",
+     "\ud800"])
+_TRIPLES = st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 3).filter(
+    any).map(normalize_exact)
+_SCALARS = (st.none() | st.booleans() | _BIG_INTS | _FLOATS | _TEXT
+            | st.builds(_LoudInt, _BIG_INTS) | st.builds(_LoudFloat, _FLOATS))
+# one dict's keys must sort against each other, as for json.dumps
+_NUMBER_KEYS = st.booleans() | st.integers(-2 ** 80, 2 ** 80) | _FLOATS
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_TEXT, children, max_size=4)
+            | st.dictionaries(_NUMBER_KEYS, children, max_size=4)
+            | st.dictionaries(st.none(), children, max_size=1)
+            | _TRIPLES)
+
+
+_DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_DOCUMENTS)
+@example({"a": {}, "b": [[], ()], "c": [{"d": []}]})
+@example([(3, -1, 2), {"x": normalize_exact((2, 4, -6))}])
+def test_dumps_json_is_the_stdlib_text(obj):
+    assert dumps_json(obj) == _stdlib(obj)
+
+
+def test_dumps_json_writes_shared_containers_each_time():
+    shared = [1, [2]]
+    obj = [shared, shared, {"a": shared, "b": (shared,)}]
+    assert dumps_json(obj) == _stdlib(obj)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (lambda a: a.append(a) or a)([1]),
+    lambda: (lambda a: a.append([2, a]) or a)([1]),
+    lambda: (lambda d: d.update(me=d) or d)({"x": [1]}),
+    lambda: (lambda d: d.update(me={"deeper": d}) or d)({"x": 1}),
+])
+def test_dumps_json_refuses_circular_references(make):
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps(make(), sort_keys=True, indent=2)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps_json(make())
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": 1, 2: 3},
+    {"a": [1], 2: [3]},
+    {(1, 2): 3},
+    {(1, 2): [3]},
+    Fraction(1, 3),
+    [1, Fraction(1, 3)],
+    {"a": [[Fraction(1, 3)]]},
+    {1, 2},
+    [{1, 2}],
+    numpy.int64(3),
+    [numpy.int64(3), 4],
+    {"a": numpy.int64(5)},
+])
+def test_dumps_json_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as want:
+        _stdlib(obj)
+    with pytest.raises(TypeError) as got:
+        dumps_json(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_dump_json_restores_the_digit_limit_after_an_error(tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with pytest.raises(TypeError):
+        dump_json(tmp_path / "bad.json", {"a": [2 ** 20000, Fraction(1, 3)]})
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert not (tmp_path / "bad.json").exists()
