@@ -245,8 +245,11 @@ def _crosscheck_words(gens, max_len: int, failure_cap: int = 50):
                   ancestors + [(len(new_word), cls)])
             state.step((letter[0], -letter[1]))
 
-    visit((), IDENTITY_COMPONENTS, probe, WeilClass.line_class(),
-          [(0, WeilClass.line_class())])
+    try:
+        visit((), IDENTITY_COMPONENTS, probe, WeilClass.line_class(),
+              [(0, WeilClass.line_class())])
+    finally:
+        del visit  # the closure refers to itself: free the walk state now
     return counts, failures
 
 

@@ -322,7 +322,10 @@ def _indented(obj) -> str:
         chunks.append("\n" + _INDENT * depth + brackets[1])
         open_ids.remove(id(obj))
 
-    write(obj, 0)
+    try:
+        write(obj, 0)
+    finally:
+        del write  # the closure refers to itself: free the chunk list now
     return "".join(chunks)
 
 

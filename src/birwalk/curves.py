@@ -27,16 +27,15 @@ speed the walk itself converges.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import modp
 from .errors import CurveContracted, DegenerateConfiguration, NonExactDivision
 from .genericity import Word
-from .maps import IDENTITY_COMPONENTS, compose_letter, substitute_map
+from .maps import (IDENTITY_COMPONENTS, canonical_components, compose_letter,
+                   substitute_map)
 from .picard import (
     OperatorCache,
     PointRegistry,
@@ -56,18 +55,7 @@ from .walk import WalkState, run_walk
 
 def _canonical_poly(p: HomPoly) -> HomPoly:
     """Integer-primitive representative with positive leading coefficient."""
-    if p.is_zero:
-        return p
-    den = 1
-    for _e, c in p.terms:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    scaled = [int(c * den) for _e, c in p.terms]
-    content = 0
-    for v in scaled:
-        content = math.gcd(content, v)
-    if scaled[0] < 0:
-        content = -content
-    return p.scale(Fraction(den, content))
+    return p if p.is_zero else canonical_components((p,))[0]
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,11 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
             if len(new_word) < max_len:
                 visit(new_word, new_lines, nd, new_push)
 
-    visit((), *_lines_from_components(IDENTITY_COMPONENTS),
-          WeilClass.line_class())
+    try:
+        visit((), *_lines_from_components(IDENTITY_COMPONENTS),
+              WeilClass.line_class())
+    finally:
+        del visit  # the closure refers to itself: free the tree state now
     return GenericityReport(
         max_len=max_len,
         generator_count=len(gens),

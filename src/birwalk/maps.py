@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _ilcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -41,6 +41,7 @@ from .poly import (
     div_exact,
     is_squarefree,
     jacobian_det,
+    linear_combination,
     triple_gcd,
 )
 from .projective import ExactCoords, normalize_exact
@@ -89,21 +90,21 @@ def canonical_components(comps: Sequence[HomPoly]) -> Components:
         raise ValueError("all components vanish")
     if len({p.degree for p in nz}) != 1:
         raise ValueError("components of unequal degree")
+    coeffs = [c for p in nz for _, c in p.terms]
     den = 1
-    for p in nz:
-        for _, c in p.terms:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // _igcd(den, c.denominator)
-    num = 0
-    for p in nz:
-        for _, c in p.terms:
-            num = _igcd(num, abs(int(c * den)))
-    scale = Fraction(den, num)
-    out = [p.scale(scale) for p in comps]
-    first = next(p for p in out if not p.is_zero)
-    if first.terms[0][1] < 0:
-        out = [p.scale(-1) for p in out]
-    return tuple(out)
+    for c in coeffs:
+        if type(c) is not int:
+            den = _ilcm(den, c.denominator)
+    # math.gcd stops combining once the running gcd is 1
+    num = _igcd(*(coeffs if den == 1 else [int(c * den) for c in coeffs]))
+    if nz[0].terms[0][1] < 0:
+        num = -num
+    if den == 1:
+        if num == 1:
+            return comps
+        return tuple(HomPoly._trusted(tuple((e, c // num) for e, c in p.terms),
+                                      p.degree) for p in comps)
+    return tuple(p.scale(Fraction(den, num)) for p in comps)
 
 
 def strip_common_factor(comps: Sequence[HomPoly]) -> Tuple[Components, HomPoly]:
@@ -188,10 +189,8 @@ def substitute_map(p: HomPoly, triple: Components,
     if memo is None:
         memo = {(0, 0, 0): ONE}
     inner_deg = next((q.degree for q in triple if not q.is_zero), 0)
-    acc = HomPoly({}, p.degree * inner_deg)
-    for e, c in p.terms:
-        acc = acc + _mono_product(memo, triple, e).scale(c)
-    return acc
+    return linear_combination([(c, _mono_product(memo, triple, e)) for e, c in p.terms],
+                              p.degree * inner_deg)
 
 
 def compose(f: BirMap, g: BirMap) -> BirMap:
@@ -210,18 +209,6 @@ def compose(f: BirMap, g: BirMap) -> BirMap:
     return BirMap(comps, inverse)
 
 
-def _linear_combo(row, polys: Sequence[HomPoly], degree: int) -> HomPoly:
-    acc = HomPoly({}, degree)
-    for c, p in zip(row, polys):
-        if c == 1:
-            acc = acc + p
-        elif c == -1:
-            acc = acc - p
-        elif c != 0:
-            acc = acc + p.scale(c)
-    return acc
-
-
 def compose_letter(a_rows: Mat3, b_rows: Mat3, comps: Components) -> Components:
     """One generator composed onto an arbitrary triple, exploiting its shape.
 
@@ -230,9 +217,9 @@ def compose_letter(a_rows: Mat3, b_rows: Mat3, comps: Components) -> Components:
     result so the answer is again a coprime triple.
     """
     d = next(p.degree for p in comps if not p.is_zero)
-    t = [_linear_combo(b_rows[i], comps, d) for i in range(3)]
+    t = [linear_combination(zip(b_rows[i], comps), d) for i in range(3)]
     s = (t[1] * t[2], t[0] * t[2], t[0] * t[1])
-    raw = tuple(_linear_combo(a_rows[i], s, 2 * d) for i in range(3))
+    raw = tuple(linear_combination(zip(a_rows[i], s), 2 * d) for i in range(3))
     if all(p.is_zero for p in raw):
         raise DegenerateComposition("letter composition collapsed")
     stripped, _ = strip_common_factor(raw)

@@ -12,6 +12,15 @@ graded lexicographic with x > y > z.  Since every stored polynomial is
 homogeneous, the grade is constant and the order reduces to lexicographic
 comparison of (i, j).
 
+Two constructors: `HomPoly(terms, degree)` validates outside input (text,
+dict literals, quotients, derivatives), merging and sorting its terms;
+`HomPoly._trusted(terms, degree)` takes arithmetic results as they are and
+relies on the invariant: each coefficient nonzero, an int or a Fraction
+with denominator other than 1; terms sorted by (-i, -j), all of the
+declared degree.  Sums and products accumulate in packed keys
+(i << _SHIFT) | j and reach `_trusted` through `_from_packed`: since
+j < 2**_SHIFT, descending keys are descending (i, j), the grlex order.
+
 GCD strategy: a cheap certificate first (restrict the inputs to a line,
 reduce them mod a prime and take a one-variable gcd there; `modp` says
 when coprime restrictions prove the inputs coprime), falling back to a
@@ -82,6 +91,15 @@ class HomPoly:
                            tuple(sorted(clean.items(), key=lambda t: (-t[0][0], -t[0][1]))))
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, terms: Tuple[Tuple[Expo, Coeff], ...], degree: int) -> "HomPoly":
+        """A form from terms that already hold the invariant (module doc)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("HomPoly is immutable")
 
@@ -123,19 +141,14 @@ class HomPoly:
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly([(e, -c) for e, c in self.terms], self.degree)
+        return HomPoly._trusted(tuple((e, -c) for e, c in self.terms), self.degree)
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return HomPoly(acc, self.degree)
+        return linear_combination(((1, self), (1, other)), self.degree)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -146,17 +159,14 @@ class HomPoly:
         if not isinstance(other, HomPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return HomPoly({}, self.degree + other.degree)
+            return HomPoly._trusted((), self.degree + other.degree)
         out = _mul_packed(_pack(self.terms), _pack(other.terms))
         return _from_packed(out, self.degree + other.degree)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "HomPoly":
-        c = _norm_coeff(c)
-        if c == 0:
-            return HomPoly({}, self.degree)
-        return HomPoly([(e, cc * c) for e, cc in self.terms], self.degree)
+        return linear_combination(((c, self),), self.degree)
 
     def __pow__(self, n: int) -> "HomPoly":
         if n < 0:
@@ -224,14 +234,33 @@ def _mul_packed(A: Dict[int, Coeff], B: Dict[int, Coeff]) -> Dict[int, Coeff]:
 
 
 def _from_packed(packed: Dict[int, Coeff], degree: int) -> HomPoly:
-    terms = {}
-    for key, c in packed.items():
+    terms = []
+    for key in sorted(packed, reverse=True):
+        c = packed[key]
         if c == 0:
             continue
+        if type(c) is Fraction and c.denominator == 1:  # arithmetic gives no subclass
+            c = c.numerator
         i = key >> _SHIFT
         j = key & _MASK
-        terms[(i, j, degree - i - j)] = c
-    return HomPoly(terms, degree)
+        terms.append(((i, j, degree - i - j), c))
+    return HomPoly._trusted(tuple(terms), degree)
+
+
+def linear_combination(pairs: Iterable[Tuple[Coeff, HomPoly]], degree: int) -> HomPoly:
+    """The form sum(c * p) over (c, p) pairs, p zero or of the given degree."""
+    acc: Dict[int, Coeff] = {}
+    get = acc.get
+    for c, p in pairs:
+        c = _norm_coeff(c)
+        if c == 0 or p.is_zero:
+            continue
+        if p.degree != degree:
+            raise ValueError("cannot add forms of different degree")
+        for (i, j, _), cc in p.terms:
+            key = (i << _SHIFT) | j
+            acc[key] = get(key, 0) + c * cc
+    return _from_packed(acc, degree)
 
 
 # -- construction helpers ----------------------------------------------

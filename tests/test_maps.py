@@ -1,8 +1,11 @@
 """Birational map layer: the quadratic involution, generators, composition."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from birwalk.errors import (
     DegenerateComposition,
@@ -15,6 +18,7 @@ from birwalk.maps import (
     IDENTITY,
     IDENTITY_COMPONENTS,
     adj3,
+    canonical_components,
     compose,
     compose_letter,
     det3,
@@ -23,9 +27,20 @@ from birwalk.maps import (
     matvec,
     sample_generators,
     sigma_map,
+    substitute_map,
 )
-from birwalk.poly import jacobian_det, multiplicity_at, parse_poly
+from birwalk.poly import (
+    ONE,
+    HomPoly,
+    div_exact,
+    jacobian_det,
+    multiplicity_at,
+    parse_poly,
+    triple_gcd,
+)
 from birwalk.projective import normalize_exact
+
+from form_oracles import assert_same_form, exact_forms, naive_product, naive_sum
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -141,3 +156,80 @@ def test_random_generators_have_proper_base_points():
 def test_identity_map_constant():
     assert IDENTITY.degree == 1
     assert IDENTITY.evaluate_exact((4, -2, 6)) == (2, -1, 3)
+
+
+# -- trusted construction matches the validating constructor -------------
+
+
+def naive_canonical(comps):
+    """The joint primitive rescale, spelled out term by term."""
+    coeffs = [c for p in comps for _, c in p.terms]
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    scale = Fraction(den, gcd(*(int(c * den) for c in coeffs)))
+    if next(p for p in comps if not p.is_zero).terms[0][1] < 0:
+        scale = -scale
+    return tuple(HomPoly({e: c * scale for e, c in p.terms}, p.degree)
+                 for p in comps)
+
+
+def naive_substitute(p, triple, degree):
+    pairs = []
+    for (i, j, k), c in p.terms:
+        mono = ONE
+        for q, n in zip(triple, (i, j, k)):
+            for _ in range(n):
+                mono = naive_product(mono, q)
+        pairs.append((c, mono))
+    return naive_sum(pairs, degree)
+
+
+def triples(degrees):
+    return degrees.flatmap(lambda d: st.tuples(
+        exact_forms(d, 4), exact_forms(d, 4), exact_forms(d, 4)))
+
+
+matrices = st.tuples(*[st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)] * 3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(triples(st.integers(min_value=0, max_value=3)),
+       st.integers(min_value=-6, max_value=6).filter(bool))
+def test_canonical_components_matches_naive_rescale(comps, content):
+    comps = tuple(p.scale(content) for p in comps)
+    assume(not all(p.is_zero for p in comps))
+    got = canonical_components(comps)
+    for have, want in zip(got, naive_canonical(comps)):
+        assert_same_form(have, want)
+
+
+def test_canonical_components_returns_primitive_input_unchanged():
+    comps = (parse_poly("x^2 - 3*y*z"), parse_poly("2*x*y"), HomPoly({}, 2))
+    assert canonical_components(comps) is comps
+    assert canonical_components(tuple(-p for p in comps)) == comps
+    assert canonical_components(tuple(p.scale(4) for p in comps)) == comps
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda d: exact_forms(d, 4)),
+       triples(st.integers(min_value=1, max_value=2)))
+def test_substitute_map_matches_naive_expansion(p, triple):
+    inner = next((q.degree for q in triple if not q.is_zero), 0)
+    assert_same_form(substitute_map(p, triple),
+                     naive_substitute(p, triple, p.degree * inner))
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices, matrices, triples(st.integers(min_value=1, max_value=2)))
+def test_compose_letter_matches_naive_composition(a_rows, b_rows, comps):
+    assume(not all(p.is_zero for p in comps))
+    d = comps[0].degree
+    t = [naive_sum(zip(row, comps), d) for row in b_rows]
+    s = (naive_product(t[1], t[2]), naive_product(t[0], t[2]),
+         naive_product(t[0], t[1]))
+    raw = tuple(naive_sum(zip(row, s), 2 * d) for row in a_rows)
+    assume(not all(p.is_zero for p in raw))
+    g = triple_gcd(*raw)
+    stripped = raw if g.degree == 0 else tuple(div_exact(p, g) for p in raw)
+    got = compose_letter(a_rows, b_rows, comps)
+    for have, want in zip(got, naive_canonical(stripped)):
+        assert_same_form(have, want)

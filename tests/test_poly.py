@@ -19,12 +19,21 @@ from birwalk.poly import (
     format_poly,
     is_squarefree,
     jacobian_det,
+    linear_combination,
     monomial,
     multiplicity_at,
     parse_poly,
     poly_gcd,
     triple_gcd,
     _gcd_dict,
+)
+
+from form_oracles import (
+    assert_same_form,
+    exact_coeffs,
+    exact_forms,
+    naive_product,
+    naive_sum,
 )
 
 
@@ -137,6 +146,54 @@ def test_euler_identity(p):
     d = p.degree
     lhs = X * p.derivative(0) + Y * p.derivative(1) + Z * p.derivative(2)
     assert lhs == p.scale(d)
+
+
+# -- trusted construction matches the validating constructor -------------
+#
+# Arithmetic results skip HomPoly's validation; each must still come out
+# exactly as HomPoly(dict) builds the naive dict sum or product.
+
+@st.composite
+def combinations(draw):
+    d = draw(st.integers(min_value=0, max_value=3))
+    pairs = draw(st.lists(st.tuples(exact_coeffs, exact_forms(d)), max_size=4))
+    if draw(st.booleans()):
+        pairs += [(-c, p) for c, p in pairs]  # cancels to the zero form
+    return pairs, d
+
+
+@settings(deadline=None, max_examples=200)
+@given(combinations())
+def test_linear_combination_matches_validating_constructor(case):
+    pairs, d = case
+    assert_same_form(linear_combination(pairs, d), naive_sum(pairs, d))
+
+
+def test_total_cancellation_keeps_the_declared_degree():
+    p = parse_poly("1/2*x^2 - y*z")
+    zero = linear_combination([(2, p), (-1, p.scale(2))], 2)
+    assert zero.is_zero and zero.degree == 2
+    assert (p - p).degree == 2 and (p * (p - p)).degree == 4
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=3).flatmap(
+    lambda d: st.tuples(exact_forms(d), exact_forms(d), exact_forms(d))))
+def test_arithmetic_matches_validating_constructor(forms):
+    a, b, c = forms
+    d = a.degree
+    assert_same_form(a + b, naive_sum([(1, a), (1, b)], d))
+    assert_same_form(a - b, naive_sum([(1, a), (-1, b)], d))
+    assert_same_form(-a, naive_sum([(-1, a)], d))
+    assert_same_form(a * b, naive_product(a, b))
+    assert_same_form((a + c) * (b - c), naive_product(a + c, b - c))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=3).flatmap(exact_forms), exact_coeffs)
+def test_scale_matches_validating_constructor(p, c):
+    assert_same_form(p.scale(c), naive_sum([(c, p)], p.degree))
+    assert_same_form(p * c, naive_sum([(c, p)], p.degree))
 
 
 # -- division -----------------------------------------------------------
