@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Distance series of pulled-back curve classes along itinerary prefixes.
 
-For each seed the script draws an itinerary, pulls the curve back
-through every prefix exactly, truncates and normalizes the resulting
-class, and prints its coefficient distance to the deepest computed
-boundary approximant together with the squared-multiplicity bound of
-the strict transform.  On a cancellation-free itinerary the distance
-column follows sqrt(4^-l - 4^-L) on the nose, so the printed series is
-also a quick visual check of full genericity.
+For each seed the script draws an itinerary, takes the exact class of
+the curve's strict transform under every prefix from the walk's own
+classes, truncates and normalizes it, and prints its coefficient
+distance to the deepest computed boundary approximant together with the
+squared-multiplicity bound of the strict transform.  On a
+cancellation-free itinerary the distance column follows
+sqrt(4^-l - 4^-L) on the nose, so the printed series is also a quick
+visual check of full genericity.  A seed whose series passes the degree
+cap prints the prefix, the degree and the cap, and the script goes on.
 """
 
 import argparse
@@ -16,7 +18,8 @@ import random
 import sys
 
 from birwalk.curves import PlaneCurve, equidist_diagnostic, write_equidist_csv
-from birwalk.errors import CurveContracted, DegenerateConfiguration
+from birwalk.errors import (CurveContracted, DegenerateConfiguration,
+                            DegreeCapExceeded)
 from birwalk.maps import sample_generators
 from birwalk.walk import random_itinerary
 
@@ -47,7 +50,8 @@ def main(argv=None):
         try:
             rows = equidist_diagnostic(gens, itinerary, curve,
                                        max_len=args.max_len)
-        except (CurveContracted, DegenerateConfiguration) as exc:
+        except (CurveContracted, DegenerateConfiguration,
+                DegreeCapExceeded) as exc:
             print(f"seed {seed}: {exc}")
             continue
         print(f"seed {seed}  curve {curve}  "

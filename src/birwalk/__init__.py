@@ -35,6 +35,7 @@ from .errors import (
     CurveContracted,
     DegenerateComposition,
     DegenerateConfiguration,
+    DegreeCapExceeded,
     ExactLengthCap,
     IncompatibleArtifacts,
     IndeterminatePoint,

@@ -36,6 +36,7 @@ from .curves import (
 from .errors import (
     CurveContracted,
     DegenerateConfiguration,
+    DegreeCapExceeded,
     ExactLengthCap,
     IncompatibleArtifacts,
     SamplingExhausted,
@@ -297,6 +298,9 @@ def cmd_equidist(args) -> int:
                                    on_contracted="truncate")
     except DegenerateConfiguration as exc:
         print(f"degenerate configuration: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except DegreeCapExceeded as exc:
+        print(f"equidist stopped: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     if len(rows) < config.max_len + 1:
         warnings.append({

@@ -22,7 +22,13 @@ The equidistribution diagnostic compares, over a growing itinerary
 prefix, the normalized truncated class of the pulled-back curve with
 the walk's own boundary approximant at a fixed reference horizon: the
 curve series must sink toward the boundary class at the same geometric
-speed the walk itself converges.
+speed the walk itself converges.  It works on classes alone.  For the
+freely reduced prefix w and a curve C of degree d, the strict transform
+has class S = d * w^*L - sum_p m_p(C) * w^*E_p, where p runs over the
+points of the push class w_*L (the points w^-1 blows up) at which C has
+multiplicity m_p(C) > 0.  S's line coefficient is the strict degree, and
+its coefficient at each base point q of w is the strict transform's
+multiplicity there, which by adjunction is w_*E_q paired with C.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import modp
-from .errors import CurveContracted, DegenerateConfiguration, NonExactDivision
+from .errors import (CurveContracted, DegenerateConfiguration, DegreeCapExceeded,
+                     NonExactDivision)
 from .genericity import Word
 from .maps import (IDENTITY_COMPONENTS, canonical_components, compose_letter,
                    substitute_map)
@@ -115,7 +122,7 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
         stages.push_outer_letter(letter)
     word_degree = stages.word_degree
     if word_degree * curve.degree > degree_cap:
-        raise ValueError(
+        raise DegreeCapExceeded(
             f"pullback degree {word_degree * curve.degree} exceeds the cap {degree_cap}")
     # class state of the word as a composite: last letter applied first
     registry = PointRegistry("exact")
@@ -202,9 +209,9 @@ class StageStricts:
     under some inner suffix of the word, of one of the three lines the next
     letter contracts (the lines cut out by its inner matrix rows).  Keeping
     those strict transforms as a candidate list turns stripping into exact
-    trial division: no composite jacobian, no gcd of huge forms.  Both
-    ``pullback_curve`` and ``equidist_diagnostic`` strip this way; the
-    tests check the result against sympy factoring of the raw pullback.
+    trial division: no composite jacobian, no gcd of huge forms.
+    ``pullback_curve`` strips this way; the tests check the result against
+    sympy factoring of the raw pullback.
     """
 
     def __init__(self, gens):
@@ -296,6 +303,14 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     approximant instead and is an exactness witness: for a fully generic
     curve the truncated class is that approximant on the nose.
 
+    Every row is read off classes, and no polynomial is composed or
+    stripped.  With w the freely reduced prefix, the strict transform's
+    class is d * w^*L - sum_p m_p(C) * w^*E_p over the points p of the
+    push class w_*L where the curve has multiplicity m_p(C) > 0, so a
+    generic curve costs one pushforward step per row.  degree_cap still
+    bounds the raw pullback degree d * 2^(reduced length); a prefix past
+    it raises DegreeCapExceeded naming the prefix, the degree and the cap.
+
     on_contracted chooses what a fully contracted prefix does: "raise"
     propagates CurveContracted, "truncate" returns the rows computed so
     far so a caller can record the partial series with a warning.
@@ -310,45 +325,66 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     kept = {n: (ln, c) for n, ln, c, _e in walk.checkpoint_classes}
     ref_len, ref_class = kept[max_len]
     registry = walk.registry
-    stages = StageStricts(gens)
+    cache = OperatorCache(gens, registry)
+    # the freely reduced prefix, newest (outermost) letter last, and the
+    # pushforward w_*L of the line class under each of its prefixes
+    letters: List[Tuple[int, int]] = []
+    pushes = [WeilClass.line_class()]
+    curve_mult = {}
     rows: List[EquidistRow] = []
     for k in range(max_len + 1):
         if k > 0:
-            # prefix k of the itinerary is the word with the newest letter
-            # outermost, which is exactly how the stage machinery grows
-            stages.push_outer_letter(walk.itinerary[k - 1])
-        word_degree = stages.word_degree
-        if word_degree * curve.degree > degree_cap:
-            raise ValueError(
-                f"pullback degree {word_degree * curve.degree} exceeds the cap "
-                f"{degree_cap}")
-        try:
-            strict, _removed = stages.strict_of(curve)
-        except CurveContracted:
-            if on_contracted == "raise":
-                raise
-            break
-        raw_degree = word_degree * curve.degree
+            gen, sign = walk.itinerary[k - 1]
+            if letters and letters[-1] == (gen, -sign):
+                letters.pop()
+                pushes.pop()
+            else:
+                letters.append((gen, sign))
+                pushes.append(cache.get(gen, -sign).pullback(pushes[-1]))
         red_len, c_k = kept[k]
-        if word_degree != 1 << red_len:
+        raw_degree = curve.degree << red_len
+        if raw_degree > degree_cap:
+            raise DegreeCapExceeded(
+                f"pullback degree {raw_degree} exceeds the cap {degree_cap} "
+                f"at prefix length {k}")
+        # the strict transform's class, d * c_k minus the total transform
+        # of each exceptional curve of w^-1 the curve passes through
+        line = curve.degree * c_k.line_coeff
+        part = {q: curve.degree * m for q, m in c_k.point_part.items()}
+        for p in pushes[-1].point_part:
+            m_p = curve_mult.get(p)
+            if m_p is None:
+                m_p = curve_mult[p] = curve.multiplicity_at(registry.coords_of(p))
+            if m_p == 0:
+                continue
+            e = WeilClass.exceptional_class(p)
+            for gen, sign in reversed(letters):
+                e = cache.get(gen, sign).pullback(e)
+            line -= m_p * e.line_coeff
+            for q, v in e.point_part.items():
+                part[q] = part.get(q, 0) - m_p * v
+        if line == 0:
+            if on_contracted == "raise":
+                raise CurveContracted(
+                    f"prefix of length {k} contracts the whole curve")
+            break
+        stray = [q for q, v in part.items() if v and q not in c_k.point_part]
+        if stray:
             raise DegenerateConfiguration(
-                f"prefix of length {k} composes to degree {word_degree} but "
-                f"the class calculus predicts {1 << red_len}")
-        part = {pid: multiplicity_at(strict, registry.coords_of(pid))
-                for pid in c_k.point_part}
-        u = WeilClass(strict.degree, {p: v for p, v in part.items() if v})
-        scale_u = curve.degree << red_len
+                f"strict transform at prefix length {k} has multiplicity at "
+                f"{len(stray)} point(s) outside the prefix's base points")
+        u = WeilClass(line, part)
         rows.append(EquidistRow(
             prefix_len=k,
             reduced_len=red_len,
             raw_degree=raw_degree,
-            strict_degree=strict.degree,
-            distance=coefficient_l2_diff(u, scale_u,
+            strict_degree=line,
+            distance=coefficient_l2_diff(u, raw_degree,
                                          ref_class, 1 << ref_len),
-            distance_step=coefficient_l2_diff(u, scale_u,
+            distance_step=coefficient_l2_diff(u, raw_degree,
                                               c_k, 1 << red_len),
-            bound_lhs=sum(v * v for v in part.values()),
-            bound_rhs=strict.degree ** 2,
+            bound_lhs=sum(v * v for v in u.point_part.values()),
+            bound_rhs=line ** 2,
         ))
     return rows
 

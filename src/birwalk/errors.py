@@ -42,6 +42,10 @@ class NotTimelike(BirwalkError):
     """Hyperbolic distance requested for a class of non-positive self-intersection."""
 
 
+class DegreeCapExceeded(BirwalkError, ValueError):
+    """A curve pullback would pass the configured polynomial degree cap."""
+
+
 class ExactLengthCap(BirwalkError):
     """An exact-mode walk tried to grow past the configured reduced-length cap."""
 

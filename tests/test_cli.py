@@ -297,6 +297,21 @@ def test_equidist_contracted_curve_warns(tmp_path, generators_file,
     assert "contracted" in capsys.readouterr().err
 
 
+def test_equidist_degree_cap_exits_degenerate(tmp_path, generators_file,
+                                              capsys):
+    config = tmp_path / "config.json"
+    dump_json(config, {"degree_cap": 4})
+    out = tmp_path / "eq"
+    code = main(["equidist", "--config", str(config),
+                 "--generators", str(generators_file),
+                 "--seed", "2", "--max-len", "3", "--out-dir", str(out)])
+    assert code == EXIT_DEGENERATE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["equidist stopped: pullback degree 8 exceeds the cap 4 "
+                   "at prefix length 3"]
+    assert not out.exists()
+
+
 def test_equidist_rejects_bad_curve(tmp_path, generators_file, capsys):
     code = main(["equidist", "--generators", str(generators_file),
                  "--curve", "x^2", "--out-dir", str(tmp_path / "eq")])

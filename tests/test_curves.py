@@ -9,6 +9,7 @@ import pytest
 import birwalk.curves as curves_mod
 from birwalk.curves import (
     EQUIDIST_CSV_COLUMNS,
+    EquidistRow,
     PlaneCurve,
     equidist_diagnostic,
     guedj_bound_check,
@@ -18,8 +19,10 @@ from birwalk.curves import (
 )
 from birwalk.errors import CurveContracted, DegenerateConfiguration
 from birwalk.maps import generator_from_matrices, sample_generators
+from birwalk.picard import WeilClass, coefficient_l2_diff
 from birwalk.poly import HomPoly, parse_poly
-from birwalk.walk import WalkState, random_itinerary
+from birwalk.projective import cross
+from birwalk.walk import WalkState, random_itinerary, run_walk
 
 IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -310,3 +313,135 @@ def test_equidist_csv(tmp_path, gens, line):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(EQUIDIST_CSV_COLUMNS)
     assert len(lines) == len(rows) + 1
+
+
+# -- the class route against strict transforms --------------------------
+
+
+def _line_through(p, q):
+    a, b, c = cross(p, q)
+    return PlaneCurve(HomPoly({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
+
+
+def _oracle_rows(gens, itinerary, curve, max_len):
+    """equidist rows rebuilt from pullback_curve on each freely reduced prefix.
+
+    The multiplicities of the strict transform are matched to the walk's
+    checkpoint classes by coordinates, and a prefix that contracts the
+    whole curve ends the series, as on_contracted="truncate" does.
+    """
+    walk = run_walk(gens, max_len, itinerary=tuple(itinerary[:max_len]),
+                    checkpoint_every=1, keep_classes=True)
+    kept = {n: (ln, c) for n, ln, c, _e in walk.checkpoint_classes}
+    ref_len, ref_class = kept[max_len]
+    reduced, rows = [], []
+    for k in range(max_len + 1):
+        if k:
+            gen, sign = itinerary[k - 1]
+            if reduced and reduced[-1] == (gen, -sign):
+                reduced.pop()
+            else:
+                reduced.append((gen, sign))
+        red_len, c_k = kept[k]
+        try:
+            # pullback_curve takes the outermost letter first
+            report = pullback_curve(gens, tuple(reversed(reduced)), curve)
+        except CurveContracted:
+            break
+        nu = {coords: n for coords, _m, n in report.base_points}
+        assert set(nu) == {walk.registry.coords_of(p) for p in c_k.point_part}
+        part = {p: nu[walk.registry.coords_of(p)] for p in c_k.point_part}
+        u = WeilClass(report.strict_degree, part)
+        scale = curve.degree << red_len
+        rows.append(EquidistRow(
+            prefix_len=k, reduced_len=red_len, raw_degree=report.raw_degree,
+            strict_degree=report.strict_degree,
+            distance=coefficient_l2_diff(u, scale, ref_class, 1 << ref_len),
+            distance_step=coefficient_l2_diff(u, scale, c_k, 1 << red_len),
+            bound_lhs=sum(v * v for v in part.values()),
+            bound_rhs=report.strict_degree ** 2))
+    return rows
+
+
+def test_equidist_matches_strict_transforms_row_for_row(gens):
+    g0, g1 = gens
+    lines = [PlaneCurve.parse("x + y + z"), PlaneCurve.parse("2*x - 3*y + z"),
+             _line_through(g0.base_pts[0], (3, -7, 11)),
+             _line_through(g0.base_pts[0], g1.inv_base_pts[1]),
+             _line_through(g0.base_pts[0], g0.base_pts[1]),
+             _line_through(g0.inv_base_pts[0], g0.inv_base_pts[1]),
+             _line_through(g1.base_pts[0], g1.base_pts[1]),
+             _line_through(g1.inv_base_pts[0], g1.inv_base_pts[1])]
+    cases = [(curve, 5) for curve in lines]
+    cases.append((PlaneCurve.parse("x^2 + y*z - 2*z^2"), 4))
+    # seeds 2, 4, 5, 7, 11 and 13 are cancellation free at depth 5; the
+    # other ten cancel at least one letter
+    for seed in range(1, 17):
+        for curve, max_len in cases:
+            itinerary = random_itinerary(2, max_len, random.Random(seed))
+            rows = equidist_diagnostic(gens, itinerary, curve, max_len=max_len,
+                                       on_contracted="truncate")
+            assert rows == _oracle_rows(gens, itinerary, curve, max_len), \
+                (seed, str(curve))
+
+
+def test_equidist_cancelled_letter_does_not_strip_the_curve(gens):
+    # the line through two inverse base points of gens[1]; the itinerary
+    # starts (1, -1), (1, 1), so prefix 2 is the empty word and the strict
+    # transform there is the line itself, not a contracted curve
+    curve = _line_through(gens[1].inv_base_pts[0], gens[1].inv_base_pts[1])
+    itinerary = random_itinerary(2, 5, random.Random(9))
+    assert itinerary[:2] == ((1, -1), (1, 1))
+    rows = equidist_diagnostic(gens, itinerary, curve, max_len=5,
+                               on_contracted="truncate")
+    assert (rows[2].reduced_len, rows[2].strict_degree) == (0, 1)
+    assert len(rows) == 3  # prefix 3 is the letter (1, 1), which contracts it
+    assert rows == _oracle_rows(gens, itinerary, curve, 5)
+
+
+def test_equidist_cancelling_letter_reuses_the_stored_push(monkeypatch, gens,
+                                                          line):
+    # pushing a letter and its inverse composes to the identity on classes,
+    # so only the operator calls show whether a cancellation popped the
+    # stacks or grew them
+    calls = []
+
+    class CountingCache(curves_mod.OperatorCache):
+        def get(self, gen_index, sign):
+            calls.append((gen_index, sign))
+            return super().get(gen_index, sign)
+
+    monkeypatch.setattr(curves_mod, "OperatorCache", CountingCache)
+    itinerary = random_itinerary(2, 5, random.Random(9))
+    assert itinerary == ((1, -1), (1, 1), (1, 1), (0, -1), (0, -1))
+    rows = equidist_diagnostic(gens, itinerary, line, max_len=5)
+    assert [r.reduced_len for r in rows] == [0, 1, 0, 1, 2, 3]
+    # one pushforward per stacked letter, none for the cancelling one, and
+    # no exceptional class to pull back for a generic line
+    assert calls == [(1, 1), (1, -1), (0, 1), (0, 1)]
+
+
+def test_equidist_at_depth_twelve(gens):
+    special = _line_through(gens[0].base_pts[0], gens[1].inv_base_pts[1])
+    # a letter whose inverse has a base point on the special line halves
+    # the strict degree of the newest step
+    halving = {(i, s) for i in range(2) for s in (1, -1)
+               if any(special.multiplicity_at(p)
+                      for p in gens[i].letter_base_pts(-s))}
+    assert halving == {(0, -1), (1, 1)}
+    for seed in (119, 126):  # cancellation free for 12 steps
+        itinerary = random_itinerary(2, 12, random.Random(seed))
+        rows = equidist_diagnostic(gens, itinerary, PlaneCurve.parse("x + y + z"),
+                                   max_len=12, degree_cap=1 << 12)
+        assert [r.reduced_len for r in rows] == list(range(13))
+        for r in rows:
+            expect = math.sqrt(4.0 ** -r.prefix_len - 4.0 ** -12)
+            assert abs(r.distance - expect) < 1e-12
+            assert r.distance_step == 0.0
+        rows = equidist_diagnostic(gens, itinerary, special,
+                                   max_len=12, degree_cap=1 << 12)
+        assert len(rows) == 13 and rows[0].strict_degree == 1
+        for r in rows[1:]:
+            halved = itinerary[r.prefix_len - 1] in halving
+            assert r.strict_degree == 1 << (r.reduced_len - halved)
+        assert all(r.bound_lhs <= r.bound_rhs for r in rows)
