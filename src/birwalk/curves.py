@@ -118,12 +118,18 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
                    degree_cap: int = 256) -> PullbackCurveReport:
     """Strict transform of the curve under the word, with its multiplicities."""
     stages = StageStricts(gens)
-    for letter in reversed(word):
-        stages.push_outer_letter(letter)
+    for left in range(len(word), -1, -1):
+        if left < len(word):
+            stages.push_outer_letter(word[left])
+        # the stage is the inverse of the letters still to come (degree
+        # at most 2^left) composed with the word, so the word's degree is
+        # at least the stage's over 2^left
+        raw = stages.word_degree * curve.degree
+        if raw > degree_cap << left:
+            bound = f"at least {-(-raw >> left)}" if left else str(raw)
+            raise DegreeCapExceeded(
+                f"pullback degree {bound} exceeds the cap {degree_cap}")
     word_degree = stages.word_degree
-    if word_degree * curve.degree > degree_cap:
-        raise DegreeCapExceeded(
-            f"pullback degree {word_degree * curve.degree} exceeds the cap {degree_cap}")
     # class state of the word as a composite: last letter applied first
     registry = PointRegistry("exact")
     state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)),

@@ -28,6 +28,23 @@ restrictions of that exact triple.  Class transport degeneracies and
 degree drops on either side are recorded in the report; the tree is
 pruned below a failing word but sibling branches keep being checked.
 
+Leaves (words of length max_len) are most of the tree and gate nothing
+below them, so their polynomial verdicts are deferred.  A leaf whose
+class side passes joins a queue with its DFS index; every `LEAF_BATCH`
+leaves, and at the end of the tree, the queue is judged at once: one
+batched letter step gives each leaf's restrictions to the first
+certificate line, and `modp.coprime_lanes` runs the gcds in lockstep.
+That is exactly the first `modp.coprime` call of the scalar step, so a
+lane that certifies needs nothing more, and a lane that does not goes
+through the scalar step on all six lines and then the exact decision,
+as any other word.  Inner words keep the scalar verdict, since it gates
+their subtree.  Failures carry their DFS index and are kept in that
+order; the report is then cut at the `failure_cap`-th one, which gives
+the `words_checked`, `failures` and `truncated` the scalar tree, judging
+each word as it visits it, would give.  The tree itself stops once it
+knows of `failure_cap` failures, and queued leaves past the cut are not
+adjudicated.
+
 `perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
 by replacing them in this module's namespace, so both stay module-level
 names and every call to them goes through the module globals.
@@ -35,7 +52,9 @@ names and every call to them goes through the module globals.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -136,6 +155,62 @@ def _exact_word_components(gens, word: Word) -> Components:
     return comps
 
 
+def _adjudicate(gens, word: Word, class_degree: Optional[int],
+                transport_fail: Optional[str]):
+    """Exact verdict on a word the fast path left open: the failure, or
+    the exact triple of a word that passes."""
+    expected = 2 ** len(word)
+    try:
+        comps = _exact_word_components(gens, word)
+        poly_degree = next(p.degree for p in comps if not p.is_zero)
+    except (DegenerateComposition, DegenerateConfiguration) as exc:
+        return WordCheck(word, expected, None, class_degree,
+                         f"exact composition failed: {exc}")
+    if transport_fail is not None:
+        return WordCheck(word, expected, poly_degree, None,
+                         f"class transport degenerated: {transport_fail}")
+    if poly_degree != expected and class_degree != expected:
+        reason = "degree dropped on both sides"
+    elif poly_degree != expected:
+        reason = "polynomial degree dropped"
+    elif class_degree != expected:
+        reason = "class-side degree dropped"
+    else:
+        return comps  # rare prime mishap: the exact triple is fine
+    return WordCheck(word, expected, poly_degree, class_degree, reason)
+
+
+# -- deferred leaves ------------------------------------------------------
+# A leaf whose class side passes waits in a queue as
+# (seq, word, parent lines, parent degree); a flush judges the whole
+# queue on the first certificate line in numpy lanes.
+
+# Leaves per flush.  Lane temporaries grow with it; BENCH_certify_lanes.json
+# records the sizing against time and peak resident set.
+LEAF_BATCH = 81
+
+
+def _leaf_verdicts(gens, queue) -> List[bool]:
+    """`modp.coprime` on the first certificate line of every queued leaf,
+    whose restrictions come from its parent's in one batched letter step."""
+    mats = {letter: [_mat_modp(rows) for rows in
+                     gens[letter[0]].letter_matrices(letter[1])]
+            for letter in {item[1][0] for item in queue}}
+    t = np.array([mats[item[1][0]][1] for item in queue]) \
+        @ np.array([item[2][0] for item in queue])
+    t %= modp.P
+    # the products t1*t2, t0*t2, t0*t1, by shift and add
+    width = t.shape[2]
+    s = np.zeros((len(t), 3, 2 * width - 1), dtype=np.int64)
+    for out, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        for k in range(width):
+            s[:, out, k:k + width] += t[:, i, k:k + 1] * t[:, j]
+    s %= modp.P
+    s = np.array([mats[item[1][0]][0] for item in queue]) @ s
+    s %= modp.P
+    return modp.coprime_lanes(s)
+
+
 # -- the certification tree ---------------------------------------------
 
 
@@ -149,12 +224,27 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     registry = PointRegistry("exact")
     cache = OperatorCache(tuple(gens), registry)
     letters = all_letters(len(gens))
-    failures: List[WordCheck] = []
+    failures: List[Tuple[int, WordCheck]] = []  # (seq, check), by seq
+    queue = []
     checked = 0
     truncated = False
 
+    def flush() -> None:
+        verdicts = _leaf_verdicts(gens, queue)
+        for (seq, word, lines, d), ok in zip(queue, verdicts):
+            if ok:
+                continue
+            if bisect_left(failures, seq, key=itemgetter(0)) >= failure_cap:
+                break  # this leaf and the rest lie past the cap
+            if _modp_step(gens[word[0][0]], word[0][1], lines, d) is None:
+                verdict = _adjudicate(gens, word, 2 ** len(word), None)
+                if isinstance(verdict, WordCheck):
+                    insort(failures, (seq, verdict), key=itemgetter(0))
+        queue.clear()
+
     def visit(word: Word, lines, d: int, push: WeilClass) -> None:
         nonlocal checked, truncated
+        leaf = len(word) + 1 == max_len
         for letter in letters:
             if word and letter == _inverse_letter(word[0]):
                 continue
@@ -174,55 +264,43 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
                 class_degree = new_push.line_coeff
             except DegenerateConfiguration as exc:
                 transport_fail = str(exc)
-            fast = None
-            if transport_fail is None and class_degree == expected:
-                fast = _modp_step(gens[letter[0]], letter[1], lines, d)
+            class_ok = transport_fail is None and class_degree == expected
+            if leaf and class_ok:
+                queue.append((checked, new_word, lines, d))
+                if len(queue) >= LEAF_BATCH:
+                    flush()
+                continue
+            fast = _modp_step(gens[letter[0]], letter[1], lines, d) \
+                if class_ok else None
             if fast is None:
-                # adjudicate this word exactly over the integers
-                try:
-                    comps = _exact_word_components(gens, new_word)
-                    poly_degree = next(p.degree for p in comps if not p.is_zero)
-                except (DegenerateComposition, DegenerateConfiguration) as exc:
-                    failures.append(WordCheck(
-                        new_word, expected, None, class_degree,
-                        f"exact composition failed: {exc}"))
+                # a leaf gets here only with a failing class side, which
+                # the exact decision always reports
+                verdict = _adjudicate(gens, new_word, class_degree,
+                                      transport_fail)
+                if isinstance(verdict, WordCheck):
+                    insort(failures, (checked, verdict), key=itemgetter(0))
                     continue
-                if transport_fail is not None:
-                    failures.append(WordCheck(
-                        new_word, expected, poly_degree, None,
-                        f"class transport degenerated: {transport_fail}"))
-                    continue
-                if poly_degree != expected and class_degree != expected:
-                    failures.append(WordCheck(
-                        new_word, expected, poly_degree, class_degree,
-                        "degree dropped on both sides"))
-                    continue
-                if poly_degree != expected:
-                    failures.append(WordCheck(
-                        new_word, expected, poly_degree, class_degree,
-                        "polynomial degree dropped"))
-                    continue
-                if class_degree != expected:
-                    failures.append(WordCheck(
-                        new_word, expected, poly_degree, class_degree,
-                        "class-side degree dropped"))
-                    continue
-                # rare prime mishap: the exact triple is fine, reseed and go on
-                fast = _lines_from_components(comps)
-            new_lines, nd = fast
-            if len(new_word) < max_len:
-                visit(new_word, new_lines, nd, new_push)
+                fast = _lines_from_components(verdict)
+            visit(new_word, *fast, new_push)
 
     try:
         visit((), *_lines_from_components(IDENTITY_COMPONENTS),
               WeilClass.line_class())
+        if queue:
+            flush()
     finally:
         del visit  # the closure refers to itself: free the tree state now
+    # replay in DFS order: the tree as the scalar walk would have cut it
+    if len(failures) >= failure_cap:
+        cut = failures[failure_cap - 1][0]
+        truncated = truncated or checked > cut
+        checked = cut
+        del failures[failure_cap:]
     return GenericityReport(
         max_len=max_len,
         generator_count=len(gens),
         words_checked=checked,
         distinct_points_ok=distinct_ok,
-        failures=tuple(failures),
+        failures=tuple(check for _seq, check in failures),
         truncated=truncated,
     )

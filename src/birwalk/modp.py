@@ -33,6 +33,16 @@ d to a binary form of degree d or to zero.
 The lines of `CERT_LINES` send each variable to t, s or 0, so a term
 lands on one index.  `FILTER_LINE` sends each variable to a mix of s and
 t; its restrictions come from cached tables of the images' powers.
+
+Lanes.  `coprime_lanes` runs `coprime` on many triples at once, one per
+row of an array, with a lockstep Euclid (`gcd_lanes` exposes its gcd
+degrees).  The update is free of inverses: u <- lead(v)*u -
+lead(u)*t^k*v with k = deg u - deg v, which cancels u's top coefficient.
+It is the usual remainder step u - (lead(u)/lead(v))*t^k*v multiplied
+by lead(v), a unit of the field, so each gcd along the way, and its
+degree, is kept; the gcd comes out up to a unit.  Both factors of each
+product are residues below P < 2^20, so each product is below 2^40 and
+the difference stays inside int64 until it is reduced mod P.
 """
 
 from __future__ import annotations
@@ -170,3 +180,117 @@ def coprime(restrictions: Sequence[Optional[List[int]]]) -> bool:
             break
         g = gcd(g, r)
     return len(g) == 1
+
+
+# -- lanes -----------------------------------------------------------------
+# A lane array holds one binary form per row, top first: row i lists the
+# coefficients of t^deg[i], t^(deg[i]-1), ..., 1, then zeros.  Degrees and
+# row choices live in Python lists, and the arrays see only a few
+# elementwise kernels: each reduction or mask kernel would page in more of
+# numpy's code, which shows in the certify workload's peak resident set.
+
+
+def _reduce(w) -> np.ndarray:
+    """In place: w mod P.  Floor division by a constant runs several times
+    faster than the remainder in numpy."""
+    w -= w // P * P
+    return w
+
+
+def _normalize(u, deg: List[int]) -> None:
+    """In place: shift each row left past its leading zeros, lowering deg
+    to match (-1 for a zero row)."""
+    while True:
+        stalled = [i for i, (c, d) in enumerate(zip(u[:, 0].tolist(), deg))
+                   if not c and d >= 0]
+        if not stalled:
+            return
+        u[stalled, :-1] = u[stalled, 1:]
+        u[stalled, -1] = 0
+        for i in stalled:
+            deg[i] -= 1
+
+
+def _top_first(a, width: int):
+    """Lanes of a (lanes, k) integer array, low to high, as top-first
+    residues zero-padded to the given width, with their degrees."""
+    a = np.asarray(a, dtype=np.int64)
+    u = np.zeros((len(a), width), dtype=np.int64)
+    u[:, :a.shape[1]] = a[:, ::-1] % P
+    deg = [a.shape[1] - 1] * len(a)
+    _normalize(u, deg)
+    return u, deg
+
+
+def _order(u, v, du: List[int], dv: List[int]):
+    """Swap the lanes where u has the lower degree, so du >= dv on each."""
+    swap = [i for i, (a, b) in enumerate(zip(du, dv)) if a < b]
+    if len(swap) == len(du):
+        return v, u, dv, du
+    if swap:
+        u[swap], v[swap] = v[swap], u[swap]
+        for i in swap:
+            du[i], dv[i] = dv[i], du[i]
+    return u, v, du, dv
+
+
+def _euclid(u, du: List[int], v, dv: List[int]):
+    """Lockstep Euclid on top-first lanes of one width: (g, deg), each gcd
+    up to a unit of the field, deg -1 for a zero gcd.  With the leading
+    coefficients in column 0, t^(du - dv) * v lines up with u as it is."""
+    g, deg = np.zeros_like(u), [-1] * len(du)
+    u, v, du, dv = _order(u, v, list(du), list(dv))
+    live = list(range(len(du)))
+    while True:
+        if -1 in dv:  # v is zero: u is the gcd
+            done = [j for j, d in enumerate(dv) if d < 0]
+            g[[live[j] for j in done], :u.shape[1]] = u[done]
+            for j in done:
+                deg[live[j]] = du[j]
+            keep = [j for j, d in enumerate(dv) if d >= 0]
+            live = [live[j] for j in keep]
+            u, v = u[keep], v[keep]
+            du, dv = [du[j] for j in keep], [dv[j] for j in keep]
+        if not live:
+            return g, deg
+        width = max(du) + 1
+        u, v = u[:, :width], v[:, :width]
+        # u <- lead(v)*u - lead(u)*t^k*v: the top column cancels, drop it
+        step = np.zeros_like(u)
+        step[:, :-1] = v[:, :1] * u[:, 1:] - u[:, :1] * v[:, 1:]
+        u = _reduce(step)
+        du = [d - 1 for d in du]
+        _normalize(u, du)
+        u, v, du, dv = _order(u, v, du, dv)
+
+
+def gcd_lanes(u, v) -> List[int]:
+    """Degree of the gcd of each row pair of two (lanes, k) integer arrays,
+    low to high, as len(gcd(u[i], v[i])) - 1: a zero gcd reads 0, as
+    gcd's [0] does."""
+    width = max(np.shape(u)[1], np.shape(v)[1])
+    _g, deg = _euclid(*_top_first(u, width), *_top_first(v, width))
+    return [max(d, 0) for d in deg]
+
+
+def coprime_lanes(restrictions) -> List[bool]:
+    """`coprime` on every lane of a (lanes, forms, width) residue array:
+    True proves the forms of that lane coprime; False is no verdict."""
+    r = np.asarray(restrictions, dtype=np.int64)
+    # residues are nonnegative, so a form is zero exactly when its sum is
+    sums = (r @ np.ones(r.shape[2], dtype=np.int64)).tolist()
+    verdict = [all(lane) and any(top)
+               for lane, top in zip(sums, r[:, :, -1].tolist())]
+    lanes = [i for i, ok in enumerate(verdict) if ok]
+    g, deg = _top_first(r[lanes, 0], r.shape[2])
+    for k in range(1, r.shape[1]):
+        # a constant gcd already certifies its lane
+        todo = [j for j, d in enumerate(deg) if d > 0]
+        lanes, g, deg = [lanes[j] for j in todo], g[todo], [deg[j] for j in todo]
+        if not lanes:
+            break
+        g, deg = _euclid(g, deg, *_top_first(r[lanes, k], r.shape[2]))
+    for i, d in zip(lanes, deg):
+        if d > 0:
+            verdict[i] = False
+    return verdict

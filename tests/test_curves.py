@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,15 @@ from birwalk.curves import (
     EQUIDIST_CSV_COLUMNS,
     EquidistRow,
     PlaneCurve,
+    StageStricts,
     equidist_diagnostic,
     guedj_bound_check,
     lelong_crosscheck,
     pullback_curve,
     write_equidist_csv,
 )
-from birwalk.errors import CurveContracted, DegenerateConfiguration
+from birwalk.errors import (CurveContracted, DegenerateConfiguration,
+                            DegreeCapExceeded)
 from birwalk.maps import generator_from_matrices, sample_generators
 from birwalk.picard import WeilClass, coefficient_l2_diff
 from birwalk.poly import HomPoly, parse_poly
@@ -121,6 +124,36 @@ def test_degree_cap_enforced(gens, conic):
     word = ((0, 1), (1, 1))
     with pytest.raises(ValueError):
         pullback_curve(gens, word, conic, degree_cap=7)
+
+
+def test_degree_cap_refuses_before_composing_the_word(gens, line):
+    # composed in full, this word took seconds to refuse; the stage
+    # outgrows the cap times 2^(letters left) after five letters
+    word = random_itinerary(2, 7, random.Random(2))
+    start = time.perf_counter()
+    with pytest.raises(DegreeCapExceeded, match="pullback degree at least"):
+        pullback_curve(gens, word, line, degree_cap=4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_degree_cap_refuses_exactly_the_words_over_it(gens, sigma_gens, line):
+    # the early refusal is sound: a word is refused iff its composed
+    # degree times the curve's exceeds the cap, as with one check at the end
+    for letters, word in [(gens, w) for n in (1, 2, 3)
+                          for w in _reduced_words(2, n)] + \
+            [(sigma_gens, ((0, 1), (0, 1)))]:
+        stages = StageStricts(letters)
+        for letter in reversed(word):
+            stages.push_outer_letter(letter)
+        raw = stages.word_degree * line.degree
+        with pytest.raises(DegreeCapExceeded):
+            pullback_curve(letters, word, line, degree_cap=raw - 1)
+        try:
+            report = pullback_curve(letters, word, line, degree_cap=raw)
+        except DegenerateConfiguration:
+            assert letters is sigma_gens  # refused as before, not for the cap
+        else:
+            assert report.raw_degree == raw
 
 
 # -- dual-route agreement over sampled words ----------------------------

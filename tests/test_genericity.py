@@ -1,8 +1,11 @@
 """Free-growth certification over the reduced-word tree."""
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import birwalk.genericity as genericity
 from birwalk import modp
@@ -12,6 +15,7 @@ from birwalk.genericity import (
     check_genericity,
     reduced_word_count,
 )
+from birwalk.errors import DegenerateComposition
 from birwalk.maps import (
     IDENTITY_COMPONENTS,
     generator_from_matrices,
@@ -209,3 +213,69 @@ def test_identical_involutions_need_exact_adjudication(monkeypatch):
     report = check_genericity(pair, 2)
     assert len(report.failures) == 12
     assert len(calls) == report.words_checked == 16
+
+
+# -- frozen reports: deferred leaf verdicts replay in DFS order -----------
+# Recorded from the scalar tree, which judged every word as it visited it.
+# Each case fails somewhere: involutions and small-height tuples whose
+# class transport degenerates, leaves whose fast check needs an exact
+# decision that passes, and caps that cut the tree between such leaves.
+# Real failures all come from the class side, which is judged at once, so
+# the last cases make every exact leaf composition fail: deferred leaves
+# then fail too, between the immediate failures, and the cap cuts there.
+FROZEN_DOC = json.loads(
+    (Path(__file__).parent / "data" / "frozen_genericity_reports.json")
+    .read_text())
+
+
+def _case_id(case):
+    spec = case["tuple"]
+    name = "involutions" if spec[0] == "involutions" else \
+        f"r{spec[1]}-height{spec[2]}-seed{spec[3]}"
+    injected = "-injected" if case["inject_leaf_failures"] else ""
+    return f"{name}-len{case['max_len']}-cap{case['failure_cap']}{injected}"
+
+
+def _frozen_tuple(spec):
+    if spec[0] == "involutions":
+        return (generator_from_matrices(0, I3, I3),
+                generator_from_matrices(1, I3, I3))
+    _, r, height, seed = spec
+    return sample_generators(r, height, random.Random(seed))
+
+
+def _word_text(word):
+    return "".join(f"{i}{'+' if s > 0 else '-'}" for i, s in word)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("case", FROZEN_DOC["cases"], ids=_case_id)
+def test_reports_match_the_frozen_scalar_tree(case, batch, monkeypatch):
+    if batch is not None:
+        # flushes then fall inside subtrees, between a leaf and its siblings
+        monkeypatch.setattr(genericity, "LEAF_BATCH", batch)
+    if case["inject_leaf_failures"]:
+        exact = genericity._exact_word_components
+
+        def failing_leaves(gens, word):
+            if len(word) == case["max_len"]:
+                raise DegenerateComposition("injected")
+            return exact(gens, word)
+
+        monkeypatch.setattr(genericity, "_exact_word_components",
+                            failing_leaves)
+    report = check_genericity(_frozen_tuple(case["tuple"]), case["max_len"],
+                              case["failure_cap"])
+    assert report.max_len == case["max_len"]
+    assert report.generator_count == case["generator_count"]
+    assert report.words_checked == case["words_checked"]
+    assert report.distinct_points_ok == case["distinct_points_ok"]
+    assert report.truncated == case["truncated"]
+    assert len(report.failures) == len(case["failures"])
+    for got, (word, expected, poly, cls, reason) in zip(report.failures,
+                                                         case["failures"]):
+        assert _word_text(got.word) == word
+        assert got.expected_degree == expected
+        assert got.poly_degree == poly
+        assert got.class_degree == cls
+        assert got.reason == FROZEN_DOC["reasons"][reason]

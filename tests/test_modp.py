@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from birwalk import modp
@@ -111,3 +112,55 @@ def test_denominator_divisible_by_p_abstains():
     assert not certainly_coprime(f1, f2)
     assert poly_gcd(f1, f2) == g.monic()
     assert triple_gcd(f1, f2, g * Z) == g.monic()
+
+
+# -- lanes: lockstep Euclid against the scalar one -------------------------
+
+
+def _mod_mul(u, v):
+    return [c % P for c in _umul(u, v)] if u and v else []
+
+
+@st.composite
+def lane_pairs(draw):
+    """(u, v) coefficient lists, low to high: unequal degrees, zero
+    polynomials, planted common factors, and top entries that are
+    multiples of P, so the leading coefficient vanishes mod P."""
+    coeffs = st.one_of(st.integers(min_value=0, max_value=P - 1),
+                       st.sampled_from([0, 1, P - 1]))
+    polys = st.lists(coeffs, max_size=6)
+    u, v = draw(polys), draw(polys)
+    if draw(st.booleans()):
+        h = draw(st.lists(coeffs, min_size=1, max_size=3))
+        u, v = _mod_mul(u, h), _mod_mul(v, h)
+    u = u + [P * draw(st.integers(min_value=0, max_value=2))
+             for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    return u, v
+
+
+def _lane_array(polys):
+    width = max([len(p) for p in polys] + [1])
+    return np.array([p + [0] * (width - len(p)) for p in polys],
+                    dtype=np.int64)
+
+
+@given(st.lists(lane_pairs(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+@example([([], []), ([3], []), ([], [0, 5]), ([1, 2, 1], [1, 1])])
+@example([([6, 5, 1], [2, 1, P]), ([1, 0, 0, 1], [1, 1, 2 * P])])
+def test_gcd_lanes_degree_matches_scalar_gcd(pairs):
+    us, vs = zip(*pairs)
+    deg = modp.gcd_lanes(_lane_array(us), _lane_array(vs))
+    assert deg == [len(modp.gcd(u, v)) - 1 for u, v in pairs]
+
+
+@given(st.lists(st.tuples(lane_pairs(), lane_pairs()), min_size=1,
+                max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_coprime_lanes_matches_scalar_coprime(lanes):
+    triples = [[u, v, w] for (u, v), (w, _) in lanes]
+    width = max(len(p) for t in triples for p in t) or 1
+    arr = np.array([[p + [0] * (width - len(p)) for p in t] for t in triples],
+                   dtype=np.int64) % P
+    got = modp.coprime_lanes(arr)
+    assert got == [modp.coprime(t) for t in arr.tolist()]
