@@ -291,7 +291,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     finally:
         del visit  # the closure refers to itself: free the tree state now
     # replay in DFS order: the tree as the scalar walk would have cut it
-    if len(failures) >= failure_cap:
+    if 0 < failure_cap <= len(failures):
         cut = failures[failure_cap - 1][0]
         truncated = truncated or checked > cut
         checked = cut
