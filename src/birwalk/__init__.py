@@ -85,6 +85,7 @@ from .walk import (
     WalkReport,
     WalkState,
     boundary_compare,
+    crosscheck_words,
     fit_geometric_rate,
     pairing_decay_series,
     random_itinerary,

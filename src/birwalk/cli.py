@@ -13,7 +13,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .config import (
     RunConfig,
@@ -42,11 +42,10 @@ from .errors import (
     SamplingExhausted,
 )
 from .genericity import check_genericity
-from .maps import IDENTITY_COMPONENTS, compose_letter
-from .picard import OperatorCache, PointRegistry, WeilClass
+from .picard import OperatorCache, PointRegistry
 from .walk import (
-    WalkState,
     boundary_compare,
+    crosscheck_words,
     random_itinerary,
     run_walk,
     write_rows_csv,
@@ -149,115 +148,10 @@ def cmd_walk(args) -> int:
 # -- crosscheck ---------------------------------------------------------
 
 
-def _crosscheck_words(gens, max_len: int, failure_cap: int = 50):
-    """DFS over reduced words verifying the class calculus word by word.
-
-    The walk state carries the pullback class; popping by the formal
-    inverse restores it bit-exactly, so one state serves the whole tree.
-    Each word checks: polynomial degree vs class degree on both the
-    pullback and forward tracks, unit self-intersection, the one-letter
-    degree recursion against the forward image's multiplicities at the
-    new letter's base points, adjointness through a probe exceptional
-    class, and the two-walk pairing identity against every ancestor.
-    """
-    registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
-                      track_classes=True, registry=registry, cache=cache)
-    probe_pid = cache.get(0, 1).base_ids[0]
-    probe = WeilClass.exceptional_class(probe_pid)
-    counts = {"degree": 0, "isometry": 0, "noether": 0, "adjoint": 0,
-              "gram": 0}
-    failures: List[dict] = []
-    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
-
-    def fail(word, check, detail):
-        failures.append({"word": [list(l) for l in word], "check": check,
-                         "detail": detail})
-
-    def visit(word: Tuple, comps, pushed: WeilClass, push_line: WeilClass,
-              ancestors):
-        if len(word) >= max_len or len(failures) >= failure_cap:
-            return
-        for letter in letters:
-            if word and letter == (word[-1][0], -word[-1][1]):
-                continue
-            new_word = word + (letter,)
-            prev_line = state.pull_class.line_coeff
-            depth_before = len(state.stack)
-            try:
-                op = cache.get(letter[0], letter[1])
-                # the degree recursion consumes the multiplicities the
-                # forward image class carries at the new letter's own
-                # indeterminacy points
-                base_mult = sum(push_line.point_part.get(pid, 0)
-                                for pid in op.base_ids)
-                state.step(letter)
-            except DegenerateConfiguration as exc:
-                fail(new_word, "degree", f"degenerate: {exc}")
-                if len(state.stack) > depth_before:
-                    state.step((letter[0], -letter[1]))
-                continue
-            cls = state.pull_class
-            new_comps = compose_letter(
-                *gens[letter[0]].letter_matrices(letter[1]), comps)
-            poly_degree = next(p.degree for p in new_comps if not p.is_zero)
-            try:
-                inv = cache.get(letter[0], -letter[1])
-                new_pushed = inv.pullback(pushed)
-                new_push_line = inv.pullback(push_line)
-            except DegenerateConfiguration as exc:
-                fail(new_word, "adjoint", f"probe transport degenerate: {exc}")
-                state.step((letter[0], -letter[1]))
-                continue
-            counts["degree"] += 1
-            if poly_degree != cls.line_coeff \
-                    or poly_degree != new_push_line.line_coeff \
-                    or poly_degree != 2 ** len(new_word):
-                fail(new_word, "degree",
-                     f"poly {poly_degree} vs class {cls.line_coeff} "
-                     f"vs forward class {new_push_line.line_coeff} "
-                     f"vs expected {2 ** len(new_word)}")
-            counts["isometry"] += 1
-            if cls.self_intersection() != 1:
-                fail(new_word, "isometry",
-                     f"self-intersection {cls.self_intersection()}")
-            counts["noether"] += 1
-            if cls.line_coeff != 2 * prev_line - base_mult:
-                fail(new_word, "noether",
-                     f"degree recursion broken: {cls.line_coeff} != "
-                     f"2*{prev_line} - {base_mult}")
-            counts["adjoint"] += 1
-            # <w*[L], E_q> = <[L], w_* E_q>: pullback multiplicity at the
-            # probe point vs line coefficient of the pushed probe
-            left = cls.intersect(probe)
-            right = new_pushed.line_coeff
-            if left != right:
-                fail(new_word, "adjoint",
-                     f"<w*L, E> = {left} but <L, w_*E> = {right}")
-            counts["gram"] += 1
-            for anc_len, anc_class in ancestors:
-                middle = len(new_word) - anc_len
-                if cls.intersect(anc_class) != 2 ** middle:
-                    fail(new_word, "gram",
-                         f"pairing with length-{anc_len} ancestor is "
-                         f"{cls.intersect(anc_class)}, expected 2^{middle}")
-            visit(new_word, new_comps, new_pushed, new_push_line,
-                  ancestors + [(len(new_word), cls)])
-            state.step((letter[0], -letter[1]))
-
-    try:
-        visit((), IDENTITY_COMPONENTS, probe, WeilClass.line_class(),
-              [(0, WeilClass.line_class())])
-    finally:
-        del visit  # the closure refers to itself: free the walk state now
-    return counts, failures
-
-
 def cmd_crosscheck(args) -> int:
     config = _config_from_args(args)
     gens = generators_from_jsonable(load_json(args.generators))
-    counts, failures = _crosscheck_words(gens, config.max_len)
+    counts, failures = crosscheck_words(gens, config.max_len)
     doc = stamp("birwalk-crosscheck")
     doc["max_len"] = config.max_len
     doc["checks"] = counts

@@ -47,7 +47,8 @@ adjudicated.
 
 `perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
 by replacing them in this module's namespace, so both stay module-level
-names and every call to them goes through the module globals.
+names and every call to them, `walk.crosscheck_words`'s too, goes
+through the module globals.
 """
 
 from __future__ import annotations

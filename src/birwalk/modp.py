@@ -32,7 +32,9 @@ d to a binary form of degree d or to zero.
 
 The lines of `CERT_LINES` send each variable to t, s or 0, so a term
 lands on one index.  `FILTER_LINE` sends each variable to a mix of s and
-t; its restrictions come from cached tables of the images' powers.
+t; each exponent triple's monomial restricts once, from cached tables of
+the images' powers, into a per-line term table, so a term then costs one
+scaled add.
 
 Lanes.  `coprime_lanes` runs `coprime` on many triples at once, one per
 row of an array, with a lockstep Euclid (`gcd_lanes` exposes its gcd
@@ -73,6 +75,8 @@ FILTER_LINE = ((3, 5), (7, 1), (2, 11))
 
 # line -> per coordinate, the residues of its image's powers 0, 1, 2, ...
 _POWERS: Dict[tuple, List[List[np.ndarray]]] = {}
+# line -> exponent triple (i, j, k) -> residues of x^i y^j z^k on the line
+_TERMS: Dict[tuple, Dict[tuple, np.ndarray]] = {}
 
 
 def residue(c) -> Optional[int]:
@@ -110,15 +114,20 @@ def restrict(p, line) -> Optional[List[int]]:
                 out[sum(e[v] for v in t_vars)] += r
         return [v % P for v in out]
     pows = _powers(line, d)
+    table = _TERMS.setdefault(line, {})
     acc = np.zeros(d + 1, dtype=np.int64)
-    for (i, j, k), c in p.terms:
+    for n, (e, c) in enumerate(p.terms, 1):
         r = residue(c)
         if r is None:
             return None
-        vec = np.convolve(np.convolve(pows[0][i], pows[1][j]) % P,
-                          pows[2][k]) % P
-        acc = (acc + r * vec) % P
-    return [int(v) for v in acc]
+        vec = table.get(e)
+        if vec is None:
+            vec = table[e] = np.convolve(np.convolve(
+                pows[0][e[0]], pows[1][e[1]]) % P, pows[2][e[2]]) % P
+        acc += r * vec  # below 2^40 per term: 2^22 terms fit in int64
+        if not n % (1 << 22):
+            acc %= P
+    return (acc % P).tolist()
 
 
 def _trim(a: list) -> list:

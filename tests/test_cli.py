@@ -1,5 +1,6 @@
 """End-to-end command line behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import random
@@ -224,6 +225,26 @@ def test_crosscheck_involution_pair_reports_failures(tmp_path,
     assert doc["ok"] is False
     assert doc["failures"]
     assert all("degenerate" in f["detail"] for f in doc["failures"])
+
+
+def test_crosscheck_depth_four_document_is_frozen(tmp_path, generators_file):
+    # sha256 of the document written by exact composition at every node
+    out = tmp_path / "x"
+    assert main(["crosscheck", "--generators", str(generators_file),
+                 "--max-len", "4", "--out-dir", str(out)]) == EXIT_OK
+    digest = hashlib.sha256((out / "crosscheck.json").read_bytes()).hexdigest()
+    assert digest == ("f8ff0ea2bec678961bde9f5f8a36353d"
+                      "4c08afcbb17ea36823ca220cf09289cd")
+
+
+def test_crosscheck_depth_five_certified_tuple(tmp_path, generators_file):
+    out = tmp_path / "x"
+    assert main(["crosscheck", "--generators", str(generators_file),
+                 "--max-len", "5", "--out-dir", str(out)]) == EXIT_OK
+    doc = load_json(out / "crosscheck.json")
+    assert doc["ok"] is True
+    assert doc["checks"] == dict.fromkeys(
+        ("degree", "isometry", "noether", "adjoint", "gram"), 484)
 
 
 def test_crosscheck_length_zero_is_vacuous(tmp_path, generators_file):

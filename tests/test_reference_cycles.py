@@ -8,9 +8,9 @@ until the next full collection.
 
 import gc
 
-from birwalk.cli import _crosscheck_words
 from birwalk.config import dumps_json
 from birwalk.genericity import check_genericity
+from birwalk.walk import crosscheck_words
 
 
 def _birwalk_functions_left_in_cycles(run):
@@ -41,7 +41,7 @@ def test_genericity_walk_leaves_no_cycle(certified_tuple):
 
 def test_crosscheck_walk_leaves_no_cycle(certified_tuple):
     left = _birwalk_functions_left_in_cycles(
-        lambda: _crosscheck_words(certified_tuple, 2))
+        lambda: crosscheck_words(certified_tuple, 2))
     assert left == []
 
 

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birwalk.errors import ExactLengthCap
+from birwalk import genericity
+from birwalk.errors import DegenerateConfiguration, ExactLengthCap
 from birwalk.genericity import _exact_word_components
-from birwalk.maps import sample_generators
+from birwalk.maps import (
+    IDENTITY_COMPONENTS,
+    compose_letter,
+    generator_from_matrices,
+    sample_generators,
+)
 from birwalk.picard import (
     LetterOperator,
     OperatorCache,
@@ -24,6 +30,7 @@ from birwalk.walk import (
     WalkReport,
     WalkState,
     boundary_compare,
+    crosscheck_words,
     fit_geometric_rate,
     transversality_ratio_series,
     pairing_decay_series,
@@ -430,3 +437,148 @@ def test_drift_estimate_short_float_run(gens):
     assert report.aborted is None
     drift = report.rows[-1].drift_estimate
     assert abs(drift - LOG2 / 2) < 0.05
+
+
+# -- crosscheck tree against exact composition --------------------------
+
+
+def _exact_crosscheck(gens, max_len, failure_cap=50):
+    """The crosscheck tree with every node composed exactly: compose_letter
+    onto the parent's stripped triple.  Returns (counts, failures, the
+    (word, polynomial degree) of every word whose degree is checked)."""
+    registry = PointRegistry("exact")
+    cache = OperatorCache(gens, registry)
+    state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
+                      track_classes=True, registry=registry, cache=cache)
+    probe = WeilClass.exceptional_class(cache.get(0, 1).base_ids[0])
+    counts = dict.fromkeys(("degree", "isometry", "noether", "adjoint",
+                            "gram"), 0)
+    failures, degrees = [], []
+    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
+
+    def fail(word, check, detail):
+        failures.append({"word": [list(l) for l in word], "check": check,
+                         "detail": detail})
+
+    def visit(word, comps, pushed, push_line, ancestors):
+        if len(word) >= max_len or len(failures) >= failure_cap:
+            return
+        for letter in letters:
+            if word and letter == (word[-1][0], -word[-1][1]):
+                continue
+            new_word = word + (letter,)
+            undo = (letter[0], -letter[1])
+            prev_line = state.pull_class.line_coeff
+            depth_before = len(state.stack)
+            try:
+                op = cache.get(*letter)
+                base_mult = sum(push_line.point_part.get(pid, 0)
+                                for pid in op.base_ids)
+                state.step(letter)
+            except DegenerateConfiguration as exc:
+                fail(new_word, "degree", f"degenerate: {exc}")
+                if len(state.stack) > depth_before:
+                    state.step(undo)
+                continue
+            cls = state.pull_class
+            new_comps = compose_letter(
+                *gens[letter[0]].letter_matrices(letter[1]), comps)
+            poly_degree = next(p.degree for p in new_comps if not p.is_zero)
+            try:
+                inv = cache.get(*undo)
+                new_pushed = inv.pullback(pushed)
+                new_push_line = inv.pullback(push_line)
+            except DegenerateConfiguration as exc:
+                fail(new_word, "adjoint", f"probe transport degenerate: {exc}")
+                state.step(undo)
+                continue
+            degrees.append((new_word, poly_degree))
+            counts["degree"] += 1
+            if poly_degree != cls.line_coeff \
+                    or poly_degree != new_push_line.line_coeff \
+                    or poly_degree != 2 ** len(new_word):
+                fail(new_word, "degree",
+                     f"poly {poly_degree} vs class {cls.line_coeff} "
+                     f"vs forward class {new_push_line.line_coeff} "
+                     f"vs expected {2 ** len(new_word)}")
+            counts["isometry"] += 1
+            if cls.self_intersection() != 1:
+                fail(new_word, "isometry",
+                     f"self-intersection {cls.self_intersection()}")
+            counts["noether"] += 1
+            if cls.line_coeff != 2 * prev_line - base_mult:
+                fail(new_word, "noether",
+                     f"degree recursion broken: {cls.line_coeff} != "
+                     f"2*{prev_line} - {base_mult}")
+            counts["adjoint"] += 1
+            left, right = cls.intersect(probe), new_pushed.line_coeff
+            if left != right:
+                fail(new_word, "adjoint",
+                     f"<w*L, E> = {left} but <L, w_*E> = {right}")
+            counts["gram"] += 1
+            for anc_len, anc_class in ancestors:
+                middle = len(new_word) - anc_len
+                if cls.intersect(anc_class) != 2 ** middle:
+                    fail(new_word, "gram",
+                         f"pairing with length-{anc_len} ancestor is "
+                         f"{cls.intersect(anc_class)}, expected 2^{middle}")
+            visit(new_word, new_comps, new_pushed, new_push_line,
+                  ancestors + [(len(new_word), cls)])
+            state.step(undo)
+
+    visit((), IDENTITY_COMPONENTS, probe, WeilClass.line_class(),
+          [(0, WeilClass.line_class())])
+    return counts, failures, degrees
+
+
+def _sigma_pair():
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return (generator_from_matrices(0, rows, rows),
+            generator_from_matrices(1, rows, rows))
+
+
+@pytest.mark.parametrize("name", ["certified", "sigma_pair", "height1_seed38",
+                                  "height2_seed86"])
+def test_crosscheck_words_match_exact_composition(name, gens, monkeypatch):
+    # the height-1 pair needs one exact decision, on a one-letter word; the
+    # height-2 pair needs ten, on words of length 1 to 4
+    tuples = {"certified": lambda: gens, "sigma_pair": _sigma_pair,
+              "height1_seed38":
+                  lambda: sample_generators(2, 1, random.Random(38)),
+              "height2_seed86":
+                  lambda: sample_generators(2, 2, random.Random(86))}
+    tup = tuples[name]()
+    counts, failures, degrees = _exact_crosscheck(tup, 4)
+    # the degree of every checked word, in DFS order, as the tree reads it:
+    # off a certifying line step, or off the lines of the exact triple
+    seen, exact_words = [], []
+    modp_step = genericity._modp_step
+    lines_from = genericity._lines_from_components
+    exact = genericity._exact_word_components
+
+    def spy_step(*args):
+        node = modp_step(*args)
+        if node is not None:
+            seen.append(node[1])
+        return node
+
+    def spy_lines(comps):
+        node = lines_from(comps)
+        seen.append(node[1])
+        return node
+
+    def spy_exact(gens_, word):
+        exact_words.append((len(seen) - 1, word))  # index of the word checked
+        return exact(gens_, word)
+
+    monkeypatch.setattr(genericity, "_modp_step", spy_step)
+    monkeypatch.setattr(genericity, "_lines_from_components", spy_lines)
+    monkeypatch.setattr(genericity, "_exact_word_components", spy_exact)
+    assert crosscheck_words(tup, 4) == (counts, failures)
+    assert seen[0] == 1  # the identity triple at the root
+    assert seen[1:] == [d for _word, d in degrees]
+    # exact decisions read their words with the outermost (newest) letter
+    # first
+    assert bool(exact_words) == (name != "certified")
+    for at, word in exact_words:
+        assert tuple(reversed(word)) == degrees[at][0]
