@@ -41,7 +41,6 @@ from .errors import (
     IndeterminatePoint,
     MissingInverse,
     NonExactDivision,
-    NotTimelike,
     SamplingExhausted,
 )
 from .genericity import (
@@ -70,7 +69,6 @@ from .picard import (
     OperatorCache,
     PointRegistry,
     WeilClass,
-    hyperbolic_distance,
 )
 from .poly import (
     HomPoly,
@@ -87,7 +85,6 @@ from .walk import (
     boundary_compare,
     crosscheck_words,
     fit_geometric_rate,
-    pairing_decay_series,
     random_itinerary,
     reduced_middle_length,
     run_walk,

@@ -38,10 +38,6 @@ class CurveContracted(BirwalkError):
     """A curve pullback stripped down to a constant: the curve is contracted."""
 
 
-class NotTimelike(BirwalkError):
-    """Hyperbolic distance requested for a class of non-positive self-intersection."""
-
-
 class DegreeCapExceeded(BirwalkError, ValueError):
     """A curve pullback would pass the configured polynomial degree cap."""
 

@@ -21,29 +21,44 @@ which `modp.coprime` certifies the three restrictions proves the raw
 triple coprime, so its exact stripped degree is the full 2^length; the
 `modp` docstring gives the argument.
 
-Words where the fast check cannot certify (a genuine degree drop, or the
-rare prime mishap) are recomposed exactly over the integers and judged on
-the true triple; a word that passes reseeds its subtree from the
-restrictions of that exact triple.  Class transport degeneracies and
-degree drops on either side are recorded in the report; the tree is
-pruned below a failing word but sibling branches keep being checked.
+Only the leaves (words of length max_len) need a polynomial verdict.  A
+common factor h of a word u's raw triple divides every component of b.u
+for the letter's inner matrix b, so h^2 divides each of the three
+products in sigma(b.u), and hence every component of the raw triple of
+f o u.  By induction a coprime leaf proves every inner word on its path
+coprime, and with it each inner word's degree 2^length.  A leaf the
+exact decision passes proves as much, since a factor stripped anywhere on
+its path would leave it short of degree 2^length.  So the first pass
+carries the inner words' line restrictions with no verdict and
+judges the leaves alone; the class side still runs on every node.
 
-Leaves (words of length max_len) are most of the tree and gate nothing
-below them, so their polynomial verdicts are deferred.  A leaf whose
-class side passes joins a queue with its DFS index; every `LEAF_BATCH`
-leaves, and at the end of the tree, the queue is judged at once: one
-batched letter step gives each leaf's restrictions to the first
-certificate line, and `modp.coprime_lanes` runs the gcds in lockstep.
-That is exactly the first `modp.coprime` call of the scalar step, so a
-lane that certifies needs nothing more, and a lane that does not goes
-through the scalar step on all six lines and then the exact decision,
-as any other word.  Inner words keep the scalar verdict, since it gates
-their subtree.  Failures carry their DFS index and are kept in that
-order; the report is then cut at the `failure_cap`-th one, which gives
-the `words_checked`, `failures` and `truncated` the scalar tree, judging
-each word as it visits it, would give.  The tree itself stops once it
-knows of `failure_cap` failures, and queued leaves past the cut are not
-adjudicated.
+Leaves are most of the tree and gate nothing below them, so their
+verdicts are deferred.  A leaf whose class side passes joins a queue with
+its DFS index; every `LEAF_BATCH` leaves, and at the end of the tree, the
+queue is judged at once: one batched letter step gives each leaf's
+restrictions to the first certificate line, and `modp.coprime_lanes`
+runs the gcds in lockstep.  That is exactly the first `modp.coprime`
+call of the scalar step, so a lane that certifies needs nothing more,
+and a lane that does not goes through the scalar step on all six lines
+and then the exact decision.  Words where the fast check cannot certify
+(a genuine degree drop, or the rare prime mishap) are recomposed exactly
+over the integers and judged on the true triple.
+
+The first pass gives up at the first sign of failure: a class-side miss,
+before any exact decision, or a leaf the exact decision rejects.  The
+tree then reruns with a verdict on every word, which traces a failure to
+the shortest failing word: an inner word without a fast verdict is
+decided exactly, and one that passes reseeds its subtree from the
+restrictions of its exact triple.  Class transport degeneracies and
+degree drops on either side are recorded in the report; the rerun prunes
+the tree below a failing word but keeps checking sibling branches.  Its
+failures carry their DFS index and are kept in that order; the report is
+then cut at the `failure_cap`-th one, which gives the `words_checked`,
+`failures` and `truncated` a tree judging each word as it visits it
+would give.  The rerun stops once it knows of `failure_cap` failures,
+and queued leaves past the cut are not adjudicated.  Both passes share
+one operator cache, whose memoised point images (the `picard` docstring)
+spare the rerun the class side's transports.
 
 `perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
 by replacing them in this module's namespace, so both stay module-level
@@ -134,8 +149,9 @@ def _mat_modp(rows: Mat3):
     return np.array([[c % modp.P for c in row] for row in rows], dtype=np.int64)
 
 
-def _modp_step(gen: GeneratorData, sign: int, lines, d):
-    """Fast certified step on the line restrictions; None means no verdict."""
+def _letter_step(gen: GeneratorData, sign: int, lines, d: int):
+    """The letter composed onto the line restrictions: those of the new raw
+    triple, of degree 2d, with no verdict on them."""
     a_rows, b_rows = gen.letter_matrices(sign)
     t = _mat_modp(b_rows) @ lines % modp.P
     s = np.empty((len(modp.CERT_LINES), 3, 2 * d + 1), dtype=np.int64)
@@ -143,7 +159,12 @@ def _modp_step(gen: GeneratorData, sign: int, lines, d):
         s[li, 0] = np.convolve(t1, t2)
         s[li, 1] = np.convolve(t0, t2)
         s[li, 2] = np.convolve(t0, t1)
-    new_lines = _mat_modp(a_rows) @ (s % modp.P) % modp.P
+    return _mat_modp(a_rows) @ (s % modp.P) % modp.P
+
+
+def _modp_step(gen: GeneratorData, sign: int, lines, d):
+    """Fast certified step on the line restrictions; None means no verdict."""
+    new_lines = _letter_step(gen, sign, lines, d)
     if not any(modp.coprime(rs) for rs in new_lines.tolist()):
         return None  # no line certifies the raw triple coprime
     return new_lines, 2 * d
@@ -215,6 +236,10 @@ def _leaf_verdicts(gens, queue) -> List[bool]:
 # -- the certification tree ---------------------------------------------
 
 
+class _GiveUp(Exception):
+    """The leaves-only pass met a failure: the per-word tree traces it."""
+
+
 def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
                      failure_cap: int = 20) -> GenericityReport:
     """Walk the reduced-word tree and certify free degree growth on it."""
@@ -222,13 +247,40 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
         raise ValueError("max_len must be at least 1")
     pts = [p for g in gens for p in g.base_pts + g.inv_base_pts]
     distinct_ok = len(set(pts)) == 6 * len(gens)
-    registry = PointRegistry("exact")
-    cache = OperatorCache(tuple(gens), registry)
+    # one cache for both passes: its memoised images stay exact
+    cache = OperatorCache(tuple(gens), PointRegistry("exact"))
+    try:
+        checked, failures, truncated = _tree(gens, cache, max_len,
+                                             failure_cap, leaves_only=True)
+    except _GiveUp:
+        checked, failures, truncated = _tree(gens, cache, max_len,
+                                             failure_cap, leaves_only=False)
+    return GenericityReport(
+        max_len=max_len,
+        generator_count=len(gens),
+        words_checked=checked,
+        distinct_points_ok=distinct_ok,
+        failures=failures,
+        truncated=truncated,
+    )
+
+
+def _tree(gens, cache: OperatorCache, max_len: int, failure_cap: int,
+          leaves_only: bool):
+    """One DFS over the reduced words: (words checked, failures, truncated).
+
+    With `leaves_only`, inner words carry their line restrictions with no
+    polynomial verdict, and the first failure raises `_GiveUp`."""
     letters = all_letters(len(gens))
     failures: List[Tuple[int, WordCheck]] = []  # (seq, check), by seq
     queue = []
     checked = 0
     truncated = False
+
+    def fail(seq: int, check: WordCheck) -> None:
+        if leaves_only:
+            raise _GiveUp
+        insort(failures, (seq, check), key=itemgetter(0))
 
     def flush() -> None:
         verdicts = _leaf_verdicts(gens, queue)
@@ -240,7 +292,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
             if _modp_step(gens[word[0][0]], word[0][1], lines, d) is None:
                 verdict = _adjudicate(gens, word, 2 ** len(word), None)
                 if isinstance(verdict, WordCheck):
-                    insort(failures, (seq, verdict), key=itemgetter(0))
+                    fail(seq, verdict)
         queue.clear()
 
     def visit(word: Word, lines, d: int, push: WeilClass) -> None:
@@ -266,20 +318,26 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
             except DegenerateConfiguration as exc:
                 transport_fail = str(exc)
             class_ok = transport_fail is None and class_degree == expected
+            if leaves_only and not class_ok:
+                raise _GiveUp  # before any exact decision
             if leaf and class_ok:
                 queue.append((checked, new_word, lines, d))
                 if len(queue) >= LEAF_BATCH:
                     flush()
                 continue
-            fast = _modp_step(gens[letter[0]], letter[1], lines, d) \
-                if class_ok else None
+            gen = gens[letter[0]]
+            if leaves_only:
+                fast = _letter_step(gen, letter[1], lines, d), 2 * d
+            else:
+                fast = _modp_step(gen, letter[1], lines, d) \
+                    if class_ok else None
             if fast is None:
                 # a leaf gets here only with a failing class side, which
                 # the exact decision always reports
                 verdict = _adjudicate(gens, new_word, class_degree,
                                       transport_fail)
                 if isinstance(verdict, WordCheck):
-                    insort(failures, (checked, verdict), key=itemgetter(0))
+                    fail(checked, verdict)
                     continue
                 fast = _lines_from_components(verdict)
             visit(new_word, *fast, new_push)
@@ -297,11 +355,4 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
         truncated = truncated or checked > cut
         checked = cut
         del failures[failure_cap:]
-    return GenericityReport(
-        max_len=max_len,
-        generator_count=len(gens),
-        words_checked=checked,
-        distinct_points_ok=distinct_ok,
-        failures=tuple(check for _seq, check in failures),
-        truncated=truncated,
-    )
+    return checked, tuple(check for _seq, check in failures), truncated

@@ -27,6 +27,16 @@ it sees, which transport chains read and extend without ever dividing
 out a content, and hands out the canonical form on read, so everything
 printed or written is canonical.
 
+In exact mode each operator memoises its point images: a dict from
+source point id to image point id, filled by every transport that
+succeeds.  The memo is exact.  A point id's stored representative never
+changes, transport of the same triple is deterministic, and the exact
+registry returns the same id for the same point, so a repeat would
+register the very id stored.  A transport that raises stores nothing,
+so a point on a contracted line raises again every time.  The float
+registry counts a merge at every registration of a nearby point, and
+walk artifacts report that count, so float operators keep no memo.
+
 The float registry hashes unit vectors on a grid of cell size ten times
 the merge radius and compares a query against both sign lifts, so
 antipodal representatives land together.  Two distinct registered points
@@ -36,10 +46,10 @@ closer than the ambiguity band abort the run rather than silently fuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import acosh, floor, sqrt
+from math import floor, sqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateConfiguration, IndeterminatePoint, NotTimelike
+from .errors import DegenerateConfiguration, IndeterminatePoint
 from .maps import GeneratorData, Mat3, matvec
 from .projective import (
     chordal_distance,
@@ -197,16 +207,6 @@ class WeilClass:
         return f"WeilClass({self.line_coeff}, {self.point_part})"
 
 
-def hyperbolic_distance(c1: WeilClass, c2: WeilClass) -> float:
-    """Distance between the rays of two positive classes in the hyperboloid model."""
-    s1 = c1.self_intersection()
-    s2 = c2.self_intersection()
-    if s1 <= 0 or s2 <= 0:
-        raise NotTimelike(f"self-intersections {s1}, {s2} must both be positive")
-    arg = c1.intersect(c2) / sqrt(s1 * s2)
-    return acosh(max(arg, 1.0))
-
-
 def coefficient_l2_diff(c1: WeilClass, scale1: int,
                         c2: WeilClass, scale2: int) -> float:
     """Euclidean norm of the coefficient difference of two rescaled classes.
@@ -244,11 +244,14 @@ class LetterOperator:
     table_points: Tuple[tuple, tuple, tuple] = field(init=False)
     eval_matrices: Tuple[Mat3, Mat3] = field(init=False)
     contracted_forms: Tuple[tuple, tuple, tuple] = field(init=False)
+    # exact mode: source pid -> image pid of every transport that succeeded
+    images: Optional[Dict[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         reg = self.registry
+        self.images = {} if reg.mode == "exact" else None
         own = self.gen.letter_base_pts(self.sign)
         table = self.gen.letter_base_pts(-self.sign)
         self.base_ids = tuple(reg.register(p) for p in own)
@@ -338,9 +341,13 @@ class LetterOperator:
             coeff = cls.line_coeff - t[j] - t[k]
             if coeff != 0:
                 out[self.base_ids[i]] = coeff
+        reg, images = self.registry, self.images
         for pid, coeff in entries.items():
-            img = self.transport(self.registry.representative(pid))
-            new_pid = self.registry.register(img)
+            new_pid = None if images is None else images.get(pid)
+            if new_pid is None:
+                new_pid = reg.register(self.transport(reg.representative(pid)))
+                if images is not None:
+                    images[pid] = new_pid
             if new_pid in out:
                 raise DegenerateConfiguration(
                     "transported point collides with another carried point")

@@ -629,23 +629,6 @@ def transversality_ratio_series(theta_class: WeilClass, theta_len: int,
     return out
 
 
-def pairing_decay_series(report: WalkReport) -> List[Tuple[int, float]]:
-    """Pairings of the walk's own final normalized class with each c_n.
-
-    Exactly 2^(middle reduced length) / 2^(final reduced length) by the
-    pairing identity; the series must decay geometrically in n.
-    """
-    if report.checkpoint_classes is None:
-        raise ValueError("walk was not run with keep_classes")
-    n_final = report.steps_done
-    l_final = report.final_reduced_len
-    out = []
-    for n, _ln, _c, _e in report.checkpoint_classes:
-        middle = reduced_middle_length(report.itinerary, n, n_final)
-        out.append((n, 2.0 ** (middle - l_final)))
-    return out
-
-
 def fit_geometric_rate(series: Sequence[Tuple[int, float]]) -> Tuple[float, float]:
     """Least-squares fit of s_n ~ C * rho^n; returns (C, rho)."""
     pts = [(n, math.log(v)) for n, v in series if v > 0.0]

@@ -279,3 +279,70 @@ def test_reports_match_the_frozen_scalar_tree(case, batch, monkeypatch):
         assert got.poly_degree == poly
         assert got.class_degree == cls
         assert got.reason == FROZEN_DOC["reasons"][reason]
+
+
+# -- leaves-only pass: a failing inner word is traced by the per-word tree --
+
+
+def _dfs_words(generator_count, max_len, word=()):
+    """Reduced words in the tree's visiting order, outermost letter first."""
+    if len(word) == max_len:
+        return
+    for letter in all_letters(generator_count):
+        if word and letter == (word[0][0], -word[0][1]):
+            continue
+        yield (letter,) + word
+        yield from _dfs_words(generator_count, max_len, (letter,) + word)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_inner_polynomial_failure_gives_up_the_leaves_only_pass(
+        certified_tuple, batch, monkeypatch):
+    # the frozen reports fail on the class side only: here an inner word's
+    # polynomial side fails while its class side passes, and its leaves,
+    # whose triples then share its factor, fail with it
+    if batch is not None:
+        monkeypatch.setattr(genericity, "LEAF_BATCH", batch)
+    gens, max_len = certified_tuple, 4
+    u = ((1, 1), (0, 1))
+    below = [w for w in _dfs_words(2, max_len) if w[-len(u):] == u and w != u]
+    leaves = [w for w in below if len(w) == max_len]
+
+    def raw_lines(word):
+        lines, d = genericity._lines_from_components(IDENTITY_COMPONENTS)
+        for letter in reversed(word):
+            lines, d = genericity._letter_step(gens[letter[0]], letter[1],
+                                               lines, d), 2 * d
+        return lines.tobytes()
+
+    stalled = {raw_lines(w) for w in [u] + leaves}
+    modp_step, leaf_verdicts = genericity._modp_step, genericity._leaf_verdicts
+    exact = genericity._exact_word_components
+    calls = []
+
+    def no_verdict(gen, sign, lines, d):
+        if genericity._letter_step(gen, sign, lines, d).tobytes() in stalled:
+            return None
+        return modp_step(gen, sign, lines, d)
+
+    def leaf_lanes(gens, queue):
+        return [ok and item[1] not in leaves
+                for item, ok in zip(queue, leaf_verdicts(gens, queue))]
+
+    def failing_exact(gens, word):
+        calls.append(word)
+        if word == u or word in leaves:
+            raise DegenerateComposition("injected")
+        return exact(gens, word)
+
+    monkeypatch.setattr(genericity, "_modp_step", no_verdict)
+    monkeypatch.setattr(genericity, "_leaf_verdicts", leaf_lanes)
+    monkeypatch.setattr(genericity, "_exact_word_components", failing_exact)
+    report = check_genericity(gens, max_len)
+    assert [f.word for f in report.failures] == [u]
+    assert report.failures[0].class_degree == 4
+    assert report.failures[0].reason == "exact composition failed: injected"
+    assert report.words_checked == reduced_word_count(2, max_len) - len(below)
+    assert not report.truncated
+    # the first pass stops at u's first leaf; the rerun decides u itself
+    assert calls == [leaves[0], u]

@@ -3,13 +3,14 @@
 import json
 import random
 from fractions import Fraction
-from math import acosh, sqrt
+from math import sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from birwalk import projective
-from birwalk.errors import DegenerateConfiguration, IndeterminatePoint, NotTimelike
+from birwalk.genericity import check_genericity
+from birwalk.errors import DegenerateConfiguration, IndeterminatePoint
 from birwalk.maps import generator_from_matrices, sample_generators
 from birwalk.picard import (
     LetterOperator,
@@ -19,9 +20,8 @@ from birwalk.picard import (
     class_from_jsonable,
     class_to_jsonable,
     coefficient_l2_diff,
-    hyperbolic_distance,
 )
-from birwalk.walk import run_walk
+from birwalk.walk import crosscheck_words, run_walk
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -214,8 +214,6 @@ def test_worked_class_identities():
     c = WeilClass(2, {i: 1 for i in ids})  # 2[line] - three exceptionals
     assert c.self_intersection() == 1
     assert c.intersect(L) == 2
-    assert hyperbolic_distance(L, c) == pytest.approx(acosh(2.0))
-    assert hyperbolic_distance(L, L) == 0.0
     assert coefficient_l2_diff(c, 1.0, L, 1.0) == pytest.approx(2.0)
 
 
@@ -247,11 +245,6 @@ def test_coefficient_l2_diff_integer_scales_match_float_scales():
         c2 = WeilClass(1 << l2, {p: coeff(l2) for p in ids})
         assert coefficient_l2_diff(c1, 1 << l1, c2, 1 << l2) == \
             coefficient_l2_diff(c1, float(2 ** l1), c2, float(2 ** l2))
-
-
-def test_not_timelike_rejected():
-    with pytest.raises(NotTimelike):
-        hyperbolic_distance(WeilClass.line_class(), WeilClass.exceptional_class(0))
 
 
 def test_zero_coefficients_dropped():
@@ -450,3 +443,74 @@ def test_intersection_symmetric(line_coeff, coeffs):
     u = WeilClass(line_coeff, dict(zip(ids, coeffs)))
     v = WeilClass(2, {ids[0]: 1, ids[2]: -2})
     assert u.intersect(v) == v.intersect(u)
+
+
+# -- memoised point images --------------------------------------------------
+
+
+def _pullback_without_memo(op, cls):
+    """The letter action with every carried point transported afresh."""
+    entries = dict(cls.point_part)
+    t = [entries.pop(tid, 0) for tid in op.table_ids]
+    out = {}
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+        if cls.line_coeff - t[j] - t[k] != 0:
+            out[op.base_ids[i]] = cls.line_coeff - t[j] - t[k]
+    reg = op.registry
+    for pid, coeff in entries.items():
+        new_pid = reg.register(op.transport(reg.representative(pid)))
+        if new_pid in out:
+            raise DegenerateConfiguration(
+                "transported point collides with another carried point")
+        out[new_pid] = coeff
+    return WeilClass(2 * cls.line_coeff - sum(t), out)
+
+
+def _class_results(gens):
+    walks = []
+    for seed in range(1, 33):
+        report = run_walk(gens, 16, seed=seed, mode="exact", exact_len_cap=16,
+                          checkpoint_every=4, keep_classes=True,
+                          track_pushforward=True)
+        push = report.final_push_class
+        walks.append((report.to_jsonable(include_classes=True),
+                      None if push is None
+                      else class_to_jsonable(push, report.registry)))
+    return walks, check_genericity(gens, 5), crosscheck_words(gens, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_memoised_images_change_no_class_or_report(seed, monkeypatch):
+    # seed 1 is the certified pair; seed 2 fails at depth 5 on the class side
+    gens = sample_generators(2, 5, random.Random(seed))
+    with_memo = _class_results(gens)
+    monkeypatch.setattr(LetterOperator, "pullback", _pullback_without_memo)
+    assert _class_results(gens) == with_memo
+
+
+def test_certificate_transports_each_point_once_per_letter(certified_tuple,
+                                                           monkeypatch):
+    seen = []
+    transport = LetterOperator.transport
+
+    def recording(op, coords):
+        # a point's stored representative names it: equal coordinates
+        # register to one id
+        seen.append((id(op), coords))
+        return transport(op, coords)
+
+    monkeypatch.setattr(LetterOperator, "transport", recording)
+    assert check_genericity(certified_tuple, 6).ok
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_degenerate_transport_raises_again_on_repeat():
+    reg = PointRegistry("exact")
+    op = LetterOperator(sigma_generator(), 1, reg)
+    x = reg.register((0, 1, 1))  # on a contracted line of sigma
+    y = reg.register((2, 1, 1))
+    for _ in range(2):
+        with pytest.raises(DegenerateConfiguration):
+            op.pullback(WeilClass(0, {y: -1, x: -1}))
+    # the transport that succeeded beside it is kept, the failed one is not
+    assert op.images == {y: reg.register((1, 2, 2))}

@@ -33,7 +33,6 @@ from birwalk.walk import (
     crosscheck_words,
     fit_geometric_rate,
     transversality_ratio_series,
-    pairing_decay_series,
     normalized_pairing,
     random_itinerary,
     reduced_middle_length,
@@ -235,19 +234,6 @@ def test_gram_identity_on_checkpoints(gens):
             n2, _, c2, _ = kept[j]
             middle = reduced_middle_length(it, n1, n2)
             assert c1.intersect(c2) == 2 ** middle
-
-
-def test_pairing_decay_series_matches_exact_intersections(gens):
-    steps = 20
-    it = random_itinerary(2, steps, random.Random(5))
-    report = run_walk(gens, steps, itinerary=it, mode="exact",
-                      exact_len_cap=16, checkpoint_every=4, keep_classes=True)
-    assert report.aborted is None
-    series = dict(pairing_decay_series(report))
-    c_final = report.final_class
-    l_final = report.final_reduced_len
-    for n, ln, c, _ in report.checkpoint_classes:
-        assert series[n] == c_final.intersect(c) / 2.0 ** (l_final + 0)
 
 
 def test_transversality_ratio_for_partner_and_for_self(gens):
