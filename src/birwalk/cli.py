@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import (
+    WALK_ARTIFACT_VERSION,
     RunConfig,
     build_generators,
     certificate_to_jsonable,
@@ -112,6 +113,7 @@ def cmd_walk(args) -> int:
     gens = generators_from_jsonable(load_json(args.generators))
     out = _out_dir(config)
     artifact = stamp("birwalk-artifact")
+    artifact["version"] = WALK_ARTIFACT_VERSION
     artifact["config"] = embedded_config(config)
     artifact["generators"] = generators_to_jsonable(gens)
     trials = []
@@ -128,7 +130,7 @@ def cmd_walk(args) -> int:
         except ExactLengthCap as exc:
             print(f"trial {i} (seed {wseed}) stopped: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
-        trials.append(report.to_jsonable(include_classes=True))
+        trials.append(report.to_jsonable())
         write_rows_csv(report.rows, out / f"walk_trial{i:02d}_seed{wseed}.csv")
         if report.aborted is not None:
             aborts.append({"trial": i, "seed": wseed,

@@ -3,26 +3,18 @@
 A run is a pure function of its configuration: generators come from a
 seeded sampler or explicit matrices, per-trial walk seeds derive from the
 config, and no document embeds wall-clock state.  All JSON is dumped
-with sorted keys, so re-running a config must reproduce output files
-byte for byte; that equality is itself one of the tests.
-
-``dumps_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)``.  The stdlib takes its pure-Python encoder whenever
-``indent`` is set, so a container whose values are all plain ``str``,
-``int``, ``float``, ``bool`` or ``None`` goes through the C encoder in
-one call, with that depth's newline and indent as item separator, and
-only nested containers are walked in Python, by ``json``'s rules.
+by the stdlib with sorted keys and a two-space indent, so re-running a
+config must reproduce output files byte for byte; that equality is
+itself one of the tests.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .genericity import GenericityReport
@@ -30,6 +22,7 @@ from .maps import GeneratorData, generator_from_matrices, sample_generators
 from .poly import format_poly
 
 ARTIFACT_VERSION = 1
+WALK_ARTIFACT_VERSION = 2  # from 2 on, per-step rows are in the CSVs only
 RNG_STAMP = "python-random-mt19937"
 
 
@@ -232,107 +225,10 @@ def _any_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-_INDENT = "  "
-_FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-def _atom(value) -> Optional[str]:
-    """JSON text of a non-string scalar, as ``json`` writes it; else None."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _indented(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, flat containers in C."""
-    chunks = []
-    flat = {}       # depth -> (C encoder, opening newline, closing newline)
-    open_ids = set()  # nested containers being written, for cycles
-
-    def flat_at(depth):
-        # positional: markers, default, string encoder, indent, key and
-        # item separators, sort_keys, skipkeys, allow_nan.  No markers: a
-        # container of scalars cannot close a cycle.
-        inner = "\n" + _INDENT * (depth + 1)
-        encoder = c_make_encoder(None, None, encode_basestring_ascii, None,
-                                 ": ", "," + inner, True, False, True)
-        flat[depth] = (encoder, inner, "\n" + _INDENT * depth)
-        return flat[depth]
-
-    def write(obj, depth):
-        if isinstance(obj, (list, tuple)):
-            brackets, values = "[]", obj
-        elif isinstance(obj, dict):
-            brackets, values = "{}", obj.values()
-        elif isinstance(obj, str):
-            chunks.append(encode_basestring_ascii(obj))
-            return
-        else:
-            text = _atom(obj)
-            if text is None:
-                raise TypeError(f"Object of type {obj.__class__.__name__} "
-                                f"is not JSON serializable")
-            chunks.append(text)
-            return
-        if not obj:
-            chunks.append(brackets)
-            return
-        if _FLAT_TYPES.issuperset(map(type, values)):
-            encoder, inner, outer = flat.get(depth) or flat_at(depth)
-            text = "".join(encoder(obj, 0))
-            chunks.extend((brackets[0], inner, text[1:-1], outer,
-                           brackets[1]))
-            return
-        if id(obj) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(obj))
-        inner = "\n" + _INDENT * (depth + 1)
-        lead = brackets[0] + inner
-        if brackets == "[]":
-            for value in obj:
-                chunks.append(lead)
-                lead = "," + inner
-                write(value, depth + 1)
-        else:
-            for key, value in sorted(obj.items()):
-                if not isinstance(key, str):
-                    text = _atom(key)
-                    if text is None:
-                        raise TypeError(
-                            f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-                    key = text
-                chunks.append(lead + encode_basestring_ascii(key) + ": ")
-                lead = "," + inner
-                write(value, depth + 1)
-        chunks.append("\n" + _INDENT * depth + brackets[1])
-        open_ids.remove(id(obj))
-
-    try:
-        write(obj, 0)
-    finally:
-        del write  # the closure refers to itself: free the chunk list now
-    return "".join(chunks)
-
-
 def dumps_json(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``."""
+    """``obj`` as sorted, 2-space indented JSON, integers of any length."""
     with _any_int_digits():
-        return _indented(obj)
+        return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def dump_json(path, obj) -> None:

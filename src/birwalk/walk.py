@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import genericity
-from .config import ARTIFACT_VERSION
+from .config import WALK_ARTIFACT_VERSION
 from .errors import DegenerateConfiguration, ExactLengthCap
 from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData, IDENTITY_COMPONENTS
@@ -401,10 +401,10 @@ class WalkReport:
         return [(coeff / scale, self.registry.coords_of(pid))
                 for pid, coeff in items[:count]]
 
-    def to_jsonable(self, include_classes: bool = False) -> dict:
+    def to_jsonable(self) -> dict:
         out = {
             "format": "birwalk-walk",
-            "version": ARTIFACT_VERSION,
+            "version": WALK_ARTIFACT_VERSION,
             "mode": self.mode,
             "seed": self.seed,
             "steps_requested": self.steps_requested,
@@ -420,21 +420,13 @@ class WalkReport:
             "registry_points": self.registry_points,
             "registry_merges": self.registry_merges,
             "registry_min_separation": self.registry_min_separation,
-            "rows": [
-                {"n": r.n, "reduced_len": r.reduced_len, "log2_deg": r.log2_deg,
-                 "cauchy_increment": r.cauchy_increment,
-                 "drift_estimate": r.drift_estimate,
-                 "self_intersection": r.self_intersection,
-                 "health_min_separation": r.health_min_separation}
-                for r in self.rows
-            ],
         }
         if self.final_class is not None:
             out["top_coefficients"] = [
                 [v, [str(c) for c in coords]]
                 for v, coords in self.top_coefficients()
             ]
-        if include_classes and self.checkpoint_classes is not None:
+        if self.checkpoint_classes is not None:
             out["checkpoint_classes"] = [
                 {"n": n, "reduced_len": ln,
                  "class": class_to_jsonable(c, self.registry)}

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: artifacts, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from birwalk.cli import EXIT_DEGENERATE, EXIT_INVARIANT, EXIT_OK, main
 from birwalk.config import (
     ARTIFACT_VERSION,
+    WALK_ARTIFACT_VERSION,
     _any_int_digits,
     config_to_dict,
     dump_json,
@@ -19,7 +21,7 @@ from birwalk.config import (
 )
 from birwalk.maps import generator_from_matrices
 from birwalk.poly import format_poly
-from birwalk.walk import random_itinerary
+from birwalk.walk import random_itinerary, run_walk
 
 IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -179,16 +181,26 @@ def _stdlib_text(doc) -> str:
 
 @pytest.mark.parametrize("extra", [["--no-classes", "--steps", "300"],
                                    ["--steps", "10"]])
-def test_walk_artifact_is_the_stdlib_text(tmp_path, generators_file, extra):
+def test_walk_artifact_is_the_stdlib_text(tmp_path, certified_tuple,
+                                          generators_file, extra):
     out = tmp_path / "run"
     assert main(["walk", "--generators", str(generators_file),
                  "--trials", "2", "--out-dir", str(out)] + extra) == EXIT_OK
     path = out / "artifact.json"
     doc = load_json(path)
     assert path.read_bytes() == _stdlib_text(doc).encode()
-    rows = [row for t in doc["trials"] for row in t["rows"]]
-    assert len(rows) == 2 * (int(extra[-1]) + 1)
-    assert None in _leaves(rows)
+    # the per-step rows live in the CSVs only
+    steps = int(extra[-1])
+    for i, trial in enumerate(doc["trials"]):
+        assert "rows" not in trial
+        csv_path = out / f"walk_trial{i:02d}_seed{trial['seed']}.csv"
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == steps + 1
+        replay = run_walk(certified_tuple, steps, seed=trial["seed"],
+                          track_classes=False)
+        assert [(int(r["n"]), int(r["reduced_len"])) for r in rows] \
+            == [(r.n, r.reduced_len) for r in replay.rows]
     if "--no-classes" not in extra:
         # checkpoint classes with big coordinates, coordinates as strings
         classes = [c for t in doc["trials"] for c in t["checkpoint_classes"]]
@@ -370,7 +382,9 @@ def test_every_document_carries_one_version_key(tmp_path, generators_file):
             load_json(cross / "crosscheck.json"),
             load_json(eq / "equidist.json")]
     for doc in docs:
-        assert doc["version"] == ARTIFACT_VERSION, doc["format"]
+        walk_doc = doc["format"] in ("birwalk-artifact", "birwalk-walk")
+        want = WALK_ARTIFACT_VERSION if walk_doc else ARTIFACT_VERSION
+        assert doc["version"] == want, doc["format"]
         _assert_no_format_version(doc)
         assert "out_dir" not in doc.get("config", {})
 

@@ -473,7 +473,7 @@ def _class_results(gens):
                           checkpoint_every=4, keep_classes=True,
                           track_pushforward=True)
         push = report.final_push_class
-        walks.append((report.to_jsonable(include_classes=True),
+        walks.append((report.to_jsonable(), report.rows,
                       None if push is None
                       else class_to_jsonable(push, report.registry)))
     return walks, check_genericity(gens, 5), crosscheck_words(gens, 4)

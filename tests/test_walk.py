@@ -329,6 +329,7 @@ def test_float_walk_matches_integer_oracle_and_is_deterministic(gens):
     r2 = run_walk(gens, steps, seed=11, mode="float", checkpoint_every=8)
     assert r1.aborted is None
     assert r1.to_jsonable() == r2.to_jsonable()
+    assert r1.rows == r2.rows
     oracle = _stack_lengths(r1.itinerary)
     for row in r1.rows[1:]:
         assert row.reduced_len == oracle[row.n - 1]
@@ -391,12 +392,12 @@ def test_report_jsonable_and_csv(tmp_path, gens):
     report = run_walk(gens, 16, seed=9, mode="exact", exact_len_cap=16,
                       checkpoint_every=4, keep_classes=True)
     assert report.aborted is None
-    blob = report.to_jsonable(include_classes=True)
+    blob = report.to_jsonable()
     text = json.dumps(blob, sort_keys=True)
     back = json.loads(text)
     assert back["format"] == "birwalk-walk"
     assert back["steps_done"] == 16
-    assert len(back["rows"]) == 17  # the n=0 state plus one row per step
+    assert "rows" not in back  # the per-step rows go to the CSV only
     assert [cp["n"] for cp in back["checkpoint_classes"]] == [0, 4, 8, 12, 16]
     assert len(back["top_coefficients"]) == 5
     path = tmp_path / "rows.csv"
@@ -405,6 +406,7 @@ def test_report_jsonable_and_csv(tmp_path, gens):
     assert lines[0] == ("n,reduced_len,log2_deg,cauchy_increment,"
                        "drift_estimate,self_intersection,health_min_separation")
     assert len(lines) == len(report.rows) + 1
+    assert len(report.rows) == 17  # the n=0 state plus one row per step
 
 
 def test_zero_steps_report(gens):
