@@ -34,6 +34,18 @@ class DegenerateConfiguration(BirwalkError):
     """A point collision or contracted-curve hit that the exact model refuses."""
 
 
+class TablePointHit(DegenerateConfiguration):
+    """A carried point is the evaluating letter's table point ``index``.
+
+    Transport raises it so that a class walk can fan the point out
+    through the letter's table; anywhere else it is a degenerate hit.
+    """
+
+    def __init__(self, index: int):
+        super().__init__(f"carried point is table point {index}")
+        self.index = index
+
+
 class CurveContracted(BirwalkError):
     """A curve pullback stripped down to a constant: the curve is contracted."""
 

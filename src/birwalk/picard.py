@@ -23,9 +23,19 @@ counts only after the exact cross-product test ``same_point``; distinct
 points that share a fingerprint fall back to a small dict keyed by the
 canonical form, and a triple whose residues all vanish is canonicalised
 before it is keyed.  The registry keeps the first integer representative
-it sees, which transport chains read and extend without ever dividing
-out a content, and hands out the canonical form on read, so everything
-printed or written is canonical.
+it sees, which transport chains read and extend, and hands out the
+canonical form on read, so everything printed or written is canonical.
+
+Exact transport takes one inner product ``v = inner * x`` per hop and
+reads every verdict off its zeros: one zero puts the point on a
+contracted line, two make it a table point, none lets it move on to
+``outer * sigma(v)``.  The image is then divided by its gcd with the
+operator's fixed ``D = det(inner)^2 * |det(outer)|``, which strips the
+content the letter itself puts in.  That gcd is linear in the size of
+the image, where a full content gcd is quadratic; a prime outside D
+divides an image only where the source point meets a table point mod
+that prime, so the representatives stay within a few percent of the
+canonical bit length.
 
 In exact mode each operator memoises its point images: a dict from
 source point id to image point id, filled by every transport that
@@ -46,11 +56,11 @@ closer than the ambiguity band abort the run rather than silently fuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, sqrt
+from math import floor, gcd, sqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateConfiguration, IndeterminatePoint
-from .maps import GeneratorData, Mat3, matvec
+from .errors import DegenerateConfiguration, TablePointHit
+from .maps import GeneratorData, Mat3, det3, matvec
 from .projective import (
     chordal_distance,
     cross,
@@ -244,6 +254,8 @@ class LetterOperator:
     table_points: Tuple[tuple, tuple, tuple] = field(init=False)
     eval_matrices: Tuple[Mat3, Mat3] = field(init=False)
     contracted_forms: Tuple[tuple, tuple, tuple] = field(init=False)
+    # exact mode: D = det(inner)^2 * |det(outer)|, the letter's content bound
+    content_bound: int = field(init=False, repr=False)
     # exact mode: source pid -> image pid of every transport that succeeded
     images: Optional[Dict[int, int]] = field(init=False, repr=False)
 
@@ -275,6 +287,15 @@ class LetterOperator:
             forms.append(form)
         self.contracted_forms = tuple(forms)
         self._check_forms()
+        if reg.mode == "exact":
+            outer, inner = self.eval_matrices
+            self.content_bound = det3(inner) ** 2 * abs(det3(outer))
+            # transport names a table hit by the one nonzero of inner * x
+            for t, q in enumerate(self.table_points):
+                v = matvec(inner, q)
+                if [a for a in range(3) if v[a]] != [t]:
+                    raise DegenerateConfiguration(
+                        "a table point misses its axis of the inner matrix")
 
     def _check_forms(self):
         reg = self.registry
@@ -291,13 +312,11 @@ class LetterOperator:
     # transport of a single carried point by the inverse letter
 
     def table_index_of(self, coords) -> Optional[int]:
-        """Index 0..2 if coords names a table point, else None."""
+        """Float mode: index 0..2 if coords names a table point, else None.
+
+        Exact transport reports a table point itself, by ``TablePointHit``.
+        """
         reg = self.registry
-        if reg.mode == "exact":
-            for t, q in enumerate(self.table_points):
-                if same_point(q, coords):
-                    return t
-            return None
         u = normalize_float(coords, reg.eps)
         for t, q in enumerate(self.table_points):
             if chordal_distance(u, q) < reg.eps:
@@ -305,29 +324,43 @@ class LetterOperator:
         return None
 
     def transport(self, coords):
-        """Image of a non-table point under the inverse letter, guarded.
+        """Image of a carried point under the inverse letter, guarded.
 
         Raises DegenerateConfiguration when the point sits on a curve the
         inverse letter contracts (the class of such a point does not move
-        to the class of a plane point).  An exact image is the raw integer
-        triple outer * sigma(inner * coords), never divided by its content.
+        to the class of a plane point).  In exact mode a table point
+        raises ``TablePointHit`` with its index, and an image is the
+        integer triple outer * sigma(inner * coords) divided by its gcd
+        with ``content_bound``, never by its full content.
         """
-        reg = self.registry
-        for form in self.contracted_forms:
-            val = form[0] * coords[0] + form[1] * coords[1] + form[2] * coords[2]
-            on_line = (val == 0) if reg.mode == "exact" else (abs(val) < reg.eps)
-            if on_line:
-                raise DegenerateConfiguration(
-                    "carried point lies on a contracted line of the evaluating letter")
         outer, inner = self.eval_matrices
-        v = matvec(inner, coords)
-        s = (v[1] * v[2], v[0] * v[2], v[0] * v[1])
-        out = matvec(outer, s)
-        if reg.mode == "exact":
-            if out[0] == 0 and out[1] == 0 and out[2] == 0:
-                raise IndeterminatePoint("all three coordinates vanish")
-            return out
-        return normalize_float(out, reg.eps)
+        reg = self.registry
+        if reg.mode != "exact":
+            for form in self.contracted_forms:
+                val = form[0] * coords[0] + form[1] * coords[1] + form[2] * coords[2]
+                if abs(val) < reg.eps:
+                    raise DegenerateConfiguration(
+                        "carried point lies on a contracted line of the evaluating letter")
+            v = matvec(inner, coords)
+            return normalize_float(
+                matvec(outer, (v[1] * v[2], v[0] * v[2], v[0] * v[1])), reg.eps)
+        x, y, z = coords
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = inner
+        v0 = a0 * x + a1 * y + a2 * z
+        v1 = b0 * x + b1 * y + b2 * z
+        v2 = c0 * x + c1 * y + c2 * z
+        if not (v0 and v1 and v2):
+            if (v0 == 0) + (v1 == 0) + (v2 == 0) == 2:
+                raise TablePointHit(0 if v0 else 1 if v1 else 2)
+            raise DegenerateConfiguration(
+                "carried point lies on a contracted line of the evaluating letter")
+        s0, s1, s2 = v1 * v2, v0 * v2, v0 * v1
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = outer
+        x = a0 * s0 + a1 * s1 + a2 * s2
+        y = b0 * s0 + b1 * s1 + b2 * s2
+        z = c0 * s0 + c1 * s1 + c2 * s2
+        g = gcd(self.content_bound, x, y, z)
+        return (x // g, y // g, z // g)
 
     # full class action
 

@@ -4,9 +4,10 @@ Exact points are integer triples up to a nonzero scalar.  Their normal
 form, made only by ``normalize_exact``, has content 1 and its first
 nonzero coordinate positive; it is a private tuple subclass that comes
 back unchanged when handed in again.  The walk itself never pays for
-that content gcd: a transport hands on the raw integer triple, and the
-registry tells points apart by ``fingerprint``, a scale-free residue
-key, confirmed exactly by ``same_point``, the vanishing of the cross
+that content gcd: a transport hands on the integer triple divided only
+by its gcd with a small number fixed by the letter, and the registry
+tells points apart by ``fingerprint``, a scale-free residue key,
+confirmed exactly by ``same_point``, the vanishing of the cross
 product.  Canonical forms are made when a point is read out for
 printing or for a document, and whenever a plain list, a ``Fraction``
 or a parsed document comes in.  Float points are unit vectors with the

@@ -13,8 +13,14 @@ Formal cancellation is handled on a stack: a letter that is the formal
 inverse of the newest stacked letter pops it instead of pushing, and
 the pullback class is rolled back by inverting the linear update.  Each
 stack entry keeps the three chained classes its push subtracted, so the
-rollback adds back exactly those classes, with no transport at all, and
-memory stays linear in the reduced length.
+rollback adds back exactly those classes, with no transport at all.  In
+exact mode the pop also files those classes, under the popped letter,
+with the entry below it (or a root slot under an empty stack), and
+pushing that letter onto that entry again reuses them instead of
+transporting anything: the chains depend only on the letter and the
+stack below.  Float mode files nothing, because its registry counts a
+merge at every registration a chain ends in, and a reused chain would
+change that count.
 
 One append step with letter f on composite w (reduced stack bottom to
 top f_1 .. f_n) updates c by
@@ -28,6 +34,8 @@ letter, newest letter first.  Each w^*[exc] starts as a single carried
 point and is moved down the stack by plain point transport until it
 either survives to the bottom (one new exceptional class) or hits a
 stacked letter's table and fans out through the finite table action.
+An exact hop is one call of the letter's transport kernel, which reports
+a table point by raising ``TablePointHit``.
 
 The pushforward track needs no chains at all: the new letter acts
 outermost, so e' is one application of the letter's pushforward
@@ -49,14 +57,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import genericity
 from .config import WALK_ARTIFACT_VERSION
-from .errors import DegenerateConfiguration, ExactLengthCap
+from .errors import DegenerateConfiguration, ExactLengthCap, TablePointHit
 from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData, IDENTITY_COMPONENTS
 from .picard import (
+    _COMPLEMENT,
     LetterOperator,
     OperatorCache,
     PointRegistry,
@@ -105,6 +114,8 @@ class _StackEntry:
     pull_op: Optional[LetterOperator]
     # the chained base classes the push subtracted; the pop adds them back
     chained: Optional[List[WeilClass]]
+    # exact mode: letter -> chained classes of each letter popped off this entry
+    popped: Optional[Dict[Letter, List[WeilClass]]] = None
 
 
 class WalkState:
@@ -132,6 +143,7 @@ class WalkState:
             self.registry = None
             self.cache = None
         self.stack: List[_StackEntry] = []
+        self._root_popped: Dict[Letter, List[WeilClass]] = {}
         self.n = 0
         self.pull_class = WeilClass.line_class() if track_classes else None
         self.push_class = WeilClass.line_class() if track_pushforward else None
@@ -144,16 +156,22 @@ class WalkState:
     # a single carried point moved through a run of operators (newest first)
 
     def _chain_point(self, ops: Sequence[LetterOperator], coords) -> WeilClass:
+        exact = self.registry.mode == "exact"
         for depth in range(len(ops) - 1, -1, -1):
             op = ops[depth]
-            hit = op.table_index_of(coords)
-            if hit is not None:
-                j, k = (1, 2) if hit == 0 else (0, 2) if hit == 1 else (0, 1)
-                cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
-                for d2 in range(depth - 1, -1, -1):
-                    cls = ops[d2].pullback(cls)
-                return cls
-            coords = op.transport(coords)
+            # exact transport reports a table point itself
+            hit = None if exact else op.table_index_of(coords)
+            if hit is None:
+                try:
+                    coords = op.transport(coords)
+                    continue
+                except TablePointHit as exc:
+                    hit = exc.index
+            j, k = _COMPLEMENT[hit]
+            cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
+            for d2 in range(depth - 1, -1, -1):
+                cls = ops[d2].pullback(cls)
+            return cls
         pid = self.registry.register(coords)
         return WeilClass(0, {pid: -1})
 
@@ -195,6 +213,15 @@ class WalkState:
         return [self._chain_point(pull_ops, self.registry.representative(pid))
                 for pid in op.base_ids]
 
+    def _popped_here(self) -> Dict[Letter, List[WeilClass]]:
+        """Chained classes of the letters popped off the current stack top."""
+        if not self.stack:
+            return self._root_popped
+        top = self.stack[-1]
+        if top.popped is None:  # made on demand: class-free walks need none
+            top.popped = {}
+        return top.popped
+
     def step(self, letter: Letter) -> None:
         self.itinerary.append(letter)
         cancelling = bool(self.stack) and \
@@ -210,11 +237,15 @@ class WalkState:
             if self.track_classes:
                 self.pull_class = self._disassemble(self.pull_class,
                                                     entry.chained)
+                if self.mode == "exact":
+                    self._popped_here()[entry.letter] = entry.chained
         else:
             pull_op = chained = None
             if self.track_classes:
                 pull_op = self.cache.get(letter[0], letter[1])
-                chained = self._chained_base_classes(pull_op)
+                chained = self._popped_here().get(letter)
+                if chained is None:
+                    chained = self._chained_base_classes(pull_op)
                 self.pull_class = self._assemble(self.pull_class, chained)
             self.stack.append(_StackEntry(letter, pull_op, chained))
         if self.track_pushforward:

@@ -8,10 +8,19 @@ from math import sqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birwalk import projective
+from birwalk import picard, projective
 from birwalk.genericity import check_genericity
-from birwalk.errors import DegenerateConfiguration, IndeterminatePoint
-from birwalk.maps import generator_from_matrices, sample_generators
+from birwalk.errors import (
+    DegenerateConfiguration,
+    IndeterminatePoint,
+    TablePointHit,
+)
+from birwalk.maps import (
+    det3,
+    generator_from_matrices,
+    matvec,
+    sample_generators,
+)
 from birwalk.picard import (
     LetterOperator,
     OperatorCache,
@@ -21,7 +30,7 @@ from birwalk.picard import (
     class_to_jsonable,
     coefficient_l2_diff,
 )
-from birwalk.walk import crosscheck_words, run_walk
+from birwalk.walk import WalkState, crosscheck_words, run_walk
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -47,37 +56,45 @@ def test_exact_registry_identifies_rescalings():
 
 
 def test_walk_path_takes_no_content_gcd(certified_tuple, monkeypatch):
-    # seed 126 reaches reduced length 16.  Transport, table lookup and
-    # registration tell points apart by fingerprint and cross product, so
-    # the only content gcds left are the normal forms coords_of reads out
-    scopes, gcd_scopes, calls = [], [], {}
+    # seed 126 reaches reduced length 16.  Transport reads its verdicts off
+    # one inner product and registration tells points apart by fingerprint
+    # and cross product, so the only content gcds left are the normal forms
+    # coords_of reads out; the strip gcd of transport takes the letter's D
+    scopes, gcd_scopes, strips, calls = [], [], [], {}
     igcd = projective._igcd
 
     def counted_gcd(*args):
-        gcd_scopes.append(scopes[-1] if scopes else None)
+        gcd_scopes.append(scopes[-1][0] if scopes else None)
+        return igcd(*args)
+
+    def strip_gcd(*args):
+        name, owner = scopes[-1]
+        strips.append((name, args[0] == owner.content_bound))
         return igcd(*args)
 
     def scoped(name, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(self, *args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            scopes.append(name)
+            scopes.append((name, self))
             try:
-                return fn(*args, **kwargs)
+                return fn(self, *args, **kwargs)
             finally:
                 scopes.pop()
         return wrapper
 
     monkeypatch.setattr(projective, "_igcd", counted_gcd)
+    monkeypatch.setattr(picard, "gcd", strip_gcd)
     for cls, name in ((LetterOperator, "transport"),
-                      (LetterOperator, "table_index_of"),
                       (PointRegistry, "register"),
                       (PointRegistry, "coords_of")):
         monkeypatch.setattr(cls, name, scoped(name, getattr(cls, name)))
     report = run_walk(certified_tuple, 16, seed=126, mode="exact",
                       keep_classes=True)
     assert report.final_reduced_len == 16
-    assert min(calls[n] for n in ("transport", "table_index_of", "register")) > 0
+    assert min(calls[n] for n in ("transport", "register")) > 0
     assert set(gcd_scopes) <= {"coords_of"}
+    assert len(strips) == calls["transport"]
+    assert set(strips) == {("transport", True)}
     # reading the final class out canonicalises its points, in coords_of
     walked = len(gcd_scopes)
     doc = class_to_jsonable(report.final_class, report.registry)
@@ -86,6 +103,29 @@ def test_walk_path_takes_no_content_gcd(certified_tuple, monkeypatch):
     assert set(gcd_scopes) == {"coords_of"}
     assert all(list(projective.normalize_exact(c)) == c
                for c, _coeff in doc["point_entries"])
+
+
+def _bits(coords):
+    return sum(abs(c).bit_length() for c in coords)
+
+
+def test_stripped_representatives_stay_near_canonical(certified_tuple):
+    # the strip takes only the letter's content out of an image, so a
+    # representative keeps any factor its point shares with a table point
+    # mod a prime outside D.  Frozen: seed 126's largest coordinate is the
+    # canonical 273,068 bits (383,735 unstripped), and over walk seeds
+    # 1-32 the representatives carry 1.02% more bits than the normal
+    # forms (1.22% over seeds 1-128, 28% unstripped); the bound is 2%
+    reg = run_walk(certified_tuple, 16, seed=126, mode="exact").registry
+    assert max(max(abs(c).bit_length() for c in reg.representative(p))
+               for p in range(len(reg))) == 273068
+    held = canonical = 0
+    for seed in range(1, 33):
+        reg = run_walk(certified_tuple, 16, seed=seed, mode="exact").registry
+        for pid in range(len(reg)):
+            held += _bits(reg.representative(pid))
+            canonical += _bits(reg.coords_of(pid))
+    assert canonical <= held <= 1.02 * canonical
 
 
 P = projective.FINGERPRINT_P
@@ -303,14 +343,22 @@ def test_involution_rejects_point_on_contracted_line():
         op.pullback(WeilClass.exceptional_class(x))
 
 
+def _kernel_verdict(op, x):
+    try:
+        return "image", op.transport(x)
+    except TablePointHit as hit:
+        return "table", hit.index
+    except DegenerateConfiguration:
+        return "line", None
+
+
 def test_transport_and_table_lookup():
     reg = PointRegistry("exact")
     op = LetterOperator(sigma_generator(), 1, reg)
     assert op.transport((2, 1, 1)) == (1, 2, 2)
-    assert op.table_index_of((0, 1, 0)) == 1
-    assert op.table_index_of((5, 1, 1)) is None
-    with pytest.raises(DegenerateConfiguration):
-        op.transport((1, 0, 1))
+    assert _kernel_verdict(op, (0, 1, 0)) == ("table", 1)
+    assert _kernel_verdict(op, (5, 1, 1))[0] == "image"
+    assert _kernel_verdict(op, (1, 0, 1)) == ("line", None)
 
 
 _BIG_SCALARS = (3 ** 200, -(2 ** 127 - 1), P, -7 * P, P * P)
@@ -326,14 +374,75 @@ def test_transport_does_not_depend_on_scale(certified_tuple, letter):
             assert reg.register(op.transport(tuple(k * c for c in p))) == image
     for t, q in enumerate(op.table_points):
         for k in _BIG_SCALARS:
-            assert op.table_index_of(tuple(k * c for c in q)) == t
+            assert _kernel_verdict(op, tuple(k * c for c in q)) == ("table", t)
     # a point of a contracted line other than the table points spanning it
     for j, k in ((1, 2), (0, 2), (0, 1)):
         q = tuple(a + b for a, b in zip(op.table_points[j], op.table_points[k]))
-        assert op.table_index_of(q) is None
         for scale in _BIG_SCALARS:
-            with pytest.raises(DegenerateConfiguration):
-                op.transport(tuple(scale * c for c in q))
+            assert _kernel_verdict(op, tuple(scale * c for c in q)) == ("line", None)
+
+
+def _cross_product_verdict(op, x):
+    """Reference transport: table points by cross product, contracted
+    lines by their forms, and the unstripped image."""
+    for t, q in enumerate(op.table_points):
+        if projective.same_point(q, x):
+            return "table", t
+    if any(sum(f * c for f, c in zip(form, x)) == 0
+           for form in op.contracted_forms):
+        return "line", None
+    outer, inner = op.eval_matrices
+    v = matvec(inner, x)
+    return "image", matvec(outer, (v[1] * v[2], v[0] * v[2], v[0] * v[1]))
+
+
+def _kernel_test_points(op, rng):
+    q = op.table_points
+    points = list(q)
+    for j, k in ((1, 2), (0, 2), (0, 1)):
+        points.append(tuple(a + b for a, b in zip(q[j], q[k])))
+        points.append(tuple(3 * a - 7 * b for a, b in zip(q[j], q[k])))
+    points += [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(20)]
+    points += [tuple(rng.getrandbits(200) - rng.getrandbits(200)
+                     for _ in range(3)) for _ in range(5)]
+    points = [p for p in points if any(p)]
+    return points + [tuple(k * c for c in p) for p in points for k in _BIG_SCALARS]
+
+
+@pytest.mark.parametrize("letter", [None, (0, 1), (0, -1), (1, 1), (1, -1)])
+def test_kernel_agrees_with_cross_product_transport(certified_tuple, letter):
+    # None is the standard involution, whose table is the coordinate axes
+    reg = PointRegistry("exact")
+    op = LetterOperator(sigma_generator(), 1, reg) if letter is None \
+        else OperatorCache(certified_tuple, reg).get(*letter)
+    outer, inner = op.eval_matrices
+    assert op.content_bound == det3(inner) ** 2 * abs(det3(outer))
+    seen = set()
+    for x in _kernel_test_points(op, random.Random(3)):
+        kind, got = _kernel_verdict(op, x)
+        want_kind, want = _cross_product_verdict(op, x)
+        assert kind == want_kind, x
+        seen.add(kind)
+        if kind == "table":
+            assert got == want
+        elif kind == "image":
+            assert projective.same_point(got, want)
+            # the strip divides by a factor of D and by nothing else
+            g = next(w // c for w, c in zip(want, got) if c)
+            assert g > 0 and op.content_bound % g == 0
+            assert tuple(g * c for c in got) == want
+    assert seen == {"table", "line", "image"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_chained_table_hit_fans_out(mode):
+    # pushing the standard involution onto itself carries each of its base
+    # points onto its own table: the fan-out gives 2(2L - E) - (3L - 2E) = L
+    state = WalkState((sigma_generator(),), mode=mode)
+    state.step((0, 1))
+    with pytest.raises(DegenerateConfiguration,
+                       match="line coefficient 1 vs reduced length 2"):
+        state.step((0, 1))
 
 
 # -- sampled generator operators ----------------------------------------

@@ -1,5 +1,6 @@
 """Walk engine: invariants, rollback exactness, frozen small-case oracles."""
 
+import hashlib
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birwalk import genericity
+from birwalk.config import dumps_json
 from birwalk.errors import DegenerateConfiguration, ExactLengthCap
 from birwalk.genericity import _exact_word_components
 from birwalk.maps import (
@@ -115,7 +117,8 @@ def test_cancellation_restores_exact_class(gens):
 def test_cancelling_step_reuses_its_push(gens, monkeypatch):
     # a pop adds back the chained classes its push kept: on the pullback
     # track only pushing steps transport points, and each pop restores
-    # the class from before its push
+    # the class from before its push.  Every hop of a chain is one call
+    # of the transport kernel, table points included
     transports = []
     transport = LetterOperator.transport
 
@@ -139,25 +142,66 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch):
             before_push.append(prior)
     assert popped >= 5
     assert pushed > 0
+    # pushing the letter just popped again reuses the chains it kept
+    top = state.stack[-1].letter
+    after_push = state.pull_class
+    state.step(genericity._inverse_letter(top))
+    seen = len(transports)
+    state.step(top)
+    assert len(transports) == seen
+    assert state.pull_class == after_push
 
 
-def test_replayed_reduced_word_gives_same_class(gens):
-    # walked-with-cancellations state must equal the state of its reduced word
-    steps = 30
-    it = random_itinerary(2, steps, random.Random(5))
-    report = run_walk(gens, steps, itinerary=it, mode="exact",
-                      exact_len_cap=16, checkpoint_every=0)
+_BACKTRACKING = (
+    ((0, 1), (1, 1), (1, -1), (1, 1), (0, 1), (0, -1), (0, 1), (1, -1)),
+    # every pop lands on the empty stack, whose root slot keeps the chains
+    ((0, 1), (0, -1), (1, 1), (1, -1), (0, 1), (0, -1), (1, 1), (0, 1)),
+    ((1, -1), (0, 1), (0, 1), (0, -1), (0, -1), (0, 1), (0, 1), (1, 1),
+     (1, -1), (1, 1), (0, -1), (0, 1), (0, -1), (1, 1), (1, 1)),
+)
+
+
+def test_replayed_reduced_word_gives_same_class(gens, monkeypatch):
+    # walked-with-cancellations state must equal the state of its reduced
+    # word, also where a push reuses the chains a pop left behind
+    chains = []
+    compute = WalkState._chained_base_classes
+
+    def counted(self, op):
+        chains.append(op)
+        return compute(self, op)
+
+    monkeypatch.setattr(WalkState, "_chained_base_classes", counted)
+    for it in (random_itinerary(2, 30, random.Random(5)), *_BACKTRACKING):
+        chains.clear()
+        report = run_walk(gens, len(it), itinerary=it, mode="exact",
+                          exact_len_cap=16, checkpoint_every=0)
+        assert report.aborted is None
+        lengths = _stack_lengths(it)
+        pushes = sum(1 for a, b in zip(lengths, [0, *lengths]) if a > b)
+        assert len(chains) < pushes
+        state = WalkState(gens, mode="exact")
+        for letter in it:
+            state.step(letter)
+        reduced = tuple(e.letter for e in state.stack)
+        assert len(reduced) == report.final_reduced_len
+        fresh = run_walk(gens, len(reduced), itinerary=reduced, mode="exact",
+                         exact_len_cap=16, checkpoint_every=0)
+        a = class_to_jsonable(report.final_class, report.registry)
+        b = class_to_jsonable(fresh.final_class, fresh.registry)
+        assert a == b
+
+
+def test_float_walk_refiles_no_chain(gens):
+    # a float pop keeps no chains for a later push: every push registers
+    # its chain ends again, and each registration may count a merge.
+    # Frozen: with the chains reused, this walk would count 1 merge, not 2
+    report = run_walk(gens, 24, seed=15, mode="float", checkpoint_every=4)
     assert report.aborted is None
-    state = WalkState(gens, mode="exact")
-    for letter in it:
-        state.step(letter)
-    reduced = tuple(e.letter for e in state.stack)
-    assert len(reduced) == report.final_reduced_len
-    fresh = run_walk(gens, len(reduced), itinerary=reduced, mode="exact",
-                     exact_len_cap=16, checkpoint_every=0)
-    a = class_to_jsonable(report.final_class, report.registry)
-    b = class_to_jsonable(fresh.final_class, fresh.registry)
-    assert a == b
+    assert report.registry_merges == 2
+    text = dumps_json(report.to_jsonable())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f7220460230bc8d4bb129e2104932f8cb4fe57395945fb773555cdae5931f096"
 
 
 def test_reduced_length_matches_integer_oracle_exact(gens):
