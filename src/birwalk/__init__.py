@@ -37,6 +37,7 @@ from .errors import (
     DegenerateConfiguration,
     DegreeCapExceeded,
     ExactLengthCap,
+    HeuristicGcdFailed,
     IncompatibleArtifacts,
     IndeterminatePoint,
     MissingInverse,

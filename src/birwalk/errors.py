@@ -14,6 +14,10 @@ class NonExactDivision(BirwalkError):
     """Polynomial division left a remainder where exactness was required."""
 
 
+class HeuristicGcdFailed(BirwalkError):
+    """The heuristic gcd ran out of evaluation points without a proven divisor."""
+
+
 class DegenerateComposition(BirwalkError):
     """A composed map collapsed to a constant triple and defines no map."""
 

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd as _igcd, lcm as _ilcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -38,6 +36,7 @@ from .poly import (
     X,
     Y,
     Z,
+    canonical_components,
     div_exact,
     is_squarefree,
     jacobian_det,
@@ -76,35 +75,6 @@ def matcol(m: Mat3, j: int) -> tuple:
 
 
 # -- canonical component triples ----------------------------------------
-
-
-def canonical_components(comps: Sequence[HomPoly]) -> Components:
-    """Common rescale to integer coefficients, content 1, positive first lead.
-
-    The three components share one scalar, so only a joint rescale is
-    allowed; anything finer would change the map.
-    """
-    comps = tuple(comps)
-    nz = [p for p in comps if not p.is_zero]
-    if not nz:
-        raise ValueError("all components vanish")
-    if len({p.degree for p in nz}) != 1:
-        raise ValueError("components of unequal degree")
-    coeffs = [c for p in nz for _, c in p.terms]
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = _ilcm(den, c.denominator)
-    # math.gcd stops combining once the running gcd is 1
-    num = _igcd(*(coeffs if den == 1 else [int(c * den) for c in coeffs]))
-    if nz[0].terms[0][1] < 0:
-        num = -num
-    if den == 1:
-        if num == 1:
-            return comps
-        return tuple(HomPoly._trusted(tuple((e, c // num) for e, c in p.terms),
-                                      p.degree) for p in comps)
-    return tuple(p.scale(Fraction(den, num)) for p in comps)
 
 
 def strip_common_factor(comps: Sequence[HomPoly]) -> Tuple[Components, HomPoly]:

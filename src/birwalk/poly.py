@@ -23,21 +23,23 @@ j < 2**_SHIFT, descending keys are descending (i, j), the grlex order.
 
 GCD strategy: a cheap certificate first (restrict the inputs to a line,
 reduce them mod a prime and take a one-variable gcd there; `modp` says
-when coprime restrictions prove the inputs coprime), falling back to a
-recursive primitive pseudo-remainder sequence that treats one variable as
-the main variable with coefficients in the polynomial ring of the other
-two.  The fallback is exact and complete; the certificate only ever
-short-circuits the answer "the gcd is constant".
+when coprime restrictions prove the inputs coprime), which only ever
+short-circuits the answer "the gcd is constant".  Otherwise the exact gcd
+is a heuristic integer gcd (GCDHEU, `_heu_gcd`) of the integer-primitive
+inputs with monomial content split off and z set to 1: evaluate a variable
+at a large integer, recurse, rebuild a candidate from xi-adic digits, and
+keep it only if trial division proves it divides both inputs.  It never
+returns an unproven gcd: after `HEU_GCD_TRIES` points it raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from . import modp
-from .errors import NonExactDivision
+from .errors import HeuristicGcdFailed, NonExactDivision
 
 Coeff = Union[int, Fraction]
 Expo = Tuple[int, int, int]
@@ -413,170 +415,144 @@ def certainly_coprime(*polys: HomPoly) -> bool:
     return False
 
 
-# -- gcd: recursive primitive PRS fallback ------------------------------
+# -- gcd: heuristic integer gcd, proved by trial division ----------------
 
 
-def _dict_degv(A: Dict[Expo, Coeff], v: int) -> int:
-    return max(e[v] for e in A)
+def canonical_components(comps: Sequence[HomPoly]) -> Tuple[HomPoly, ...]:
+    """Common rescale to integer coefficients, content 1, positive first lead.
 
-
-def _dict_mul(A, B):
-    out: Dict[Expo, Coeff] = {}
-    get = out.get
-    for ea, ca in A.items():
-        for eb, cb in B.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _dict_sub(A, B):
-    out = dict(A)
-    for e, c in B.items():
-        nv = out.get(e, 0) - c
-        if nv == 0:
-            out.pop(e, None)
-        else:
-            out[e] = nv
-    return out
-
-
-def _dict_shift(A, v: int, n: int):
-    out = {}
-    for e, c in A.items():
-        ne = list(e)
-        ne[v] += n
-        out[tuple(ne)] = c
-    return out
-
-
-def _v_lead(A, v: int):
-    """(degree in v, coefficient dict with the v-exponent zeroed)."""
-    dv = _dict_degv(A, v)
-    lead = {}
-    for e, c in A.items():
-        if e[v] == dv:
-            ne = list(e)
-            ne[v] = 0
-            lead[tuple(ne)] = c
-    return dv, lead
-
-
-def _prem(A, B, v):
-    """Pseudo-remainder of A by B in the main variable v."""
-    db, lb = _v_lead(B, v)
-    r = dict(A)
-    while r:
-        dr, lr = _v_lead(r, v)
-        if dr < db:
-            break
-        r = _dict_sub(_dict_mul(lb, r), _dict_mul(_dict_shift(lr, v, dr - db), B))
-    return r
-
-def _rat_normalize(A):
-    """Scale to integer coefficients with content 1 and positive grlex lead."""
-    if not A:
-        return A
+    The components share one scalar, so only a joint rescale is allowed;
+    for a map's triple anything finer would change the map.
+    """
+    comps = tuple(comps)
+    nz = [p for p in comps if not p.is_zero]
+    if not nz:
+        raise ValueError("all components vanish")
+    if len({p.degree for p in nz}) != 1:
+        raise ValueError("components of unequal degree")
+    coeffs = [c for p in nz for _, c in p.terms]
     den = 1
-    for c in A.values():
-        if isinstance(c, Fraction):
+    for c in coeffs:
+        if type(c) is not int:
             den = _ilcm(den, c.denominator)
-    num = 0
-    for c in A.values():
-        num = _igcd(num, abs(int(c * den)) if isinstance(c, Fraction) else abs(c * den))
-    scale = Fraction(den, num)
-    out = {e: _norm_coeff(c * scale) for e, c in A.items()}
-    lead = max(out, key=lambda e: (sum(e), e[0], e[1]))
-    if out[lead] < 0:
-        out = {e: -c for e, c in out.items()}
+    # math.gcd stops combining once the running gcd is 1
+    num = _igcd(*(coeffs if den == 1 else [int(c * den) for c in coeffs]))
+    if nz[0].terms[0][1] < 0:
+        num = -num
+    if den == 1:
+        if num == 1:
+            return comps
+        return tuple(HomPoly._trusted(tuple((e, c // num) for e, c in p.terms),
+                                      p.degree) for p in comps)
+    return tuple(p.scale(Fraction(den, num)) for p in comps)
+
+
+def _eval_last(A: Dict[tuple, int], xi: int) -> Dict[tuple, int]:
+    """A with its last variable set to xi, keyed by the other exponents."""
+    pw = _pow_table(xi, max(e[-1] for e in A))
+    out: Dict[tuple, int] = {}
+    for e, c in A.items():
+        out[e[:-1]] = out.get(e[:-1], 0) + c * pw[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: Dict[tuple, int], xi: int) -> Dict[tuple, int]:
+    """Lift h by one variable: each coefficient's balanced xi-adic digits."""
+    out = {}
+    for e, c in h.items():
+        n = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[e + (n,)] = d
+            c = (c - d) // xi
+            n += 1
     return out
 
 
-def _content(A, v):
-    """Gcd of the v-level coefficient dicts (a polynomial without v)."""
-    levels: Dict[int, Dict[Expo, Coeff]] = {}
-    for e, c in A.items():
-        ne = list(e)
-        n = ne[v]
-        ne[v] = 0
-        levels.setdefault(n, {})[tuple(ne)] = c
-    g: Dict[Expo, Coeff] = {}
-    for sub in levels.values():
-        g = _gcd_dict(g, sub)
-        if g and max(sum(e) for e in g) == 0:
-            return {(0, 0, 0): 1}
-    return g
-
-
-def _dict_div_exact(A, B):
-    """Exact division for possibly non-homogeneous dicts (gcd internals)."""
-    if not B:
-        raise ZeroDivisionError
+def _divides(h: Dict[tuple, int], A: Dict[tuple, int]) -> bool:
+    """Whether h divides A over the integers, by long division in lex order."""
+    lead = max(h)
+    lc = h[lead]
     rem = dict(A)
-    quot: Dict[Expo, Coeff] = {}
-    bl = max(B, key=lambda e: (sum(e), e[0], e[1]))
-    bc = B[bl]
     while rem:
-        rl = max(rem, key=lambda e: (sum(e), e[0], e[1]))
-        rc = rem[rl]
-        if not _expo_divides(bl, rl):
-            raise NonExactDivision("inexact division inside gcd")
-        qe = (rl[0] - bl[0], rl[1] - bl[1], rl[2] - bl[2])
-        qc = _norm_coeff(Fraction(rc) / Fraction(bc))
-        quot[qe] = qc
-        for e, c in B.items():
-            t = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
-            nv = rem.get(t, 0) - qc * c
-            if nv == 0:
-                rem.pop(t, None)
+        e = max(rem)
+        q, r = divmod(rem[e], lc)
+        if r or any(a < b for a, b in zip(e, lead)):
+            return False
+        s = tuple(a - b for a, b in zip(e, lead))
+        for f, c in h.items():
+            t = tuple(a + b for a, b in zip(f, s))
+            v = rem.get(t, 0) - q * c
+            if v:
+                rem[t] = v
             else:
-                rem[t] = nv
-    return quot
+                del rem[t]
+    return True
 
 
-def _gcd_dict(A: Dict[Expo, Coeff], B: Dict[Expo, Coeff]) -> Dict[Expo, Coeff]:
-    if not A:
-        return _rat_normalize(dict(B)) if B else {}
-    if not B:
-        return _rat_normalize(dict(A))
-    # split off monomial content
-    mono = [0, 0, 0]
-    for v in (0, 1, 2):
-        mono[v] = min(min(e[v] for e in A), min(e[v] for e in B))
-    shiftA = [-min(e[v] for e in A) for v in (0, 1, 2)]
-    shiftB = [-min(e[v] for e in B) for v in (0, 1, 2)]
-    A = {(e[0] + shiftA[0], e[1] + shiftA[1], e[2] + shiftA[2]): c for e, c in A.items()}
-    B = {(e[0] + shiftB[0], e[1] + shiftB[1], e[2] + shiftB[2]): c for e, c in B.items()}
+# Evaluation points tried per level before the heuristic gives up.
+HEU_GCD_TRIES = 6
 
-    def attach_mono(G):
-        return {(e[0] + mono[0], e[1] + mono[1], e[2] + mono[2]): c for e, c in G.items()}
 
-    if max(sum(e) for e in A) == 0 or max(sum(e) for e in B) == 0:
-        return attach_mono({(0, 0, 0): 1})
-    present = [v for v in (0, 1, 2) if _dict_degv(A, v) > 0 or _dict_degv(B, v) > 0]
-    both = [v for v in present if _dict_degv(A, v) > 0 and _dict_degv(B, v) > 0]
-    if not both:
-        return attach_mono({(0, 0, 0): 1})
-    v = min(both, key=lambda w: min(_dict_degv(A, w), _dict_degv(B, w)))
-    if _dict_degv(A, v) < _dict_degv(B, v):
-        A, B = B, A
-    ca = _content(A, v)
-    cb = _content(B, v)
-    gc = _gcd_dict(ca, cb)
-    pa = _dict_div_exact(A, ca)
-    pb = _dict_div_exact(B, cb)
-    while True:
-        r = _prem(pa, pb, v)
-        if not r:
-            g = pb
-            break
-        if _dict_degv(r, v) == 0:
-            g = {(0, 0, 0): 1}
-            break
-        r = _rat_normalize(_dict_div_exact(r, _content(r, v)))
-        pa, pb = pb, r
-    result = _dict_mul(attach_mono(gc), g)
-    return _rat_normalize(result)
+def _heu_gcd(A: Dict[tuple, int], B: Dict[tuple, int]) -> Dict[tuple, int]:
+    """Gcd over the integers of nonzero polynomials keyed by exponent tuples.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): after
+    the common integer content c is taken out, the last variable is set
+    to xi >= 2 min(|A|, |B|) + 29 (max-norms), the gcd gamma of the
+    images is taken one level down (``math.gcd`` at the bottom), and H is
+    the primitive part of the polynomial whose last-variable coefficients
+    are the balanced xi-adic digits of gamma, so H(xi) = gamma / k for an
+    integer 0 < |k| <= xi / 2.  H is kept only if it divides A and B.
+
+    Why a kept H is the greatest divisor: the gcd D (content 1 once c is
+    out) is H * Q.  By induction gamma is the exact gcd of the images, so
+    D(xi) divides gamma, which makes Q(xi) an integer dividing k.  Q
+    divides F, the input of least norm, whose nonzero coefficients in the
+    other variables are polynomials in the last one with roots below
+    1 + |F| <= xi / 2.  Q's leading coefficient in the other variables
+    divides one of them, so it is nonzero at xi; as Q(xi) is constant, Q
+    has no other variable.  Then Q divides all of them, and if Q were not
+    constant, |Q(xi)| > xi / 2 >= |k|.  So Q = +-1 and c * H is the gcd.
+    """
+    if not next(iter(A)):  # no variable left: integers
+        return {(): _igcd(A[()], B[()])}
+    c = _igcd(*A.values(), *B.values())
+    A = {e: a // c for e, a in A.items()}
+    B = {e: b // c for e, b in B.items()}
+    xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 29
+    for _ in range(HEU_GCD_TRIES):
+        a, b = _eval_last(A, xi), _eval_last(B, xi)
+        if a and b:
+            h = _interpolate(_heu_gcd(a, b), xi)
+            k = _igcd(*h.values())
+            h = {e: v // k for e, v in h.items()}
+            if _divides(h, A) and _divides(h, B):
+                return {e: c * v for e, v in h.items()}
+        xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
+    raise HeuristicGcdFailed(f"no divisor after {HEU_GCD_TRIES} evaluation points")
+
+
+def _gcd_forms(a: HomPoly, b: HomPoly) -> HomPoly:
+    """Gcd of two nonzero forms, up to a scalar.
+
+    The monomial content splits off exactly, since x, y and z are primes.
+    What is left is divisible by no variable (a single term is a constant),
+    so setting z = 1 loses no factor and keeps every degree, and the gcd
+    of the affine parts in Z[x, y] homogenizes back to the gcd of the forms.
+    """
+    (a,), (b,) = canonical_components((a,)), canonical_components((b,))
+    lows = [[min(e[v] for e, _ in p.terms) for v in (0, 1, 2)] for p in (a, b)]
+    mono = [min(m) for m in zip(*lows)]
+    A, B = ({(e[0] - lo[0], e[1] - lo[1]): c for e, c in p.terms}
+            for p, lo in zip((a, b), lows))
+    g = {(0, 0): 1} if len(A) == 1 or len(B) == 1 else _heu_gcd(A, B)
+    d = max(i + j for i, j in g)
+    return HomPoly({(i + mono[0], j + mono[1], d - i - j + mono[2]): c
+                    for (i, j), c in g.items()})
 
 
 def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
@@ -589,8 +565,7 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return a.monic()
     if certainly_coprime(a, b):
         return ONE
-    g = _gcd_dict(a.as_dict(), b.as_dict())
-    return HomPoly(g).monic()
+    return _gcd_forms(a, b).monic()
 
 
 def triple_gcd(f0: HomPoly, f1: HomPoly, f2: HomPoly) -> HomPoly:

@@ -6,6 +6,7 @@ with what HomPoly(dict) builds from the naive dict sum or product.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from birwalk.poly import HomPoly
@@ -64,3 +65,26 @@ def naive_product(a, b):
             e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
             acc[e] = acc.get(e, 0) + ca * cb
     return HomPoly(acc, a.degree + b.degree)
+
+
+def sympy_gcd(a, b):
+    """The monic gcd of two forms by ``sympy.gcd``, an independent oracle.
+
+    Each form's power of x is set aside and x set to 1: a form that x does
+    not divide keeps its factors and its degree there, so sympy's gcd of
+    the parts in y and z, made homogeneous again, times the least power
+    of x, is the gcd.  sympy takes over 10 s on the degree-32 forms of the
+    genericity hang tuple in three variables, and 0.03 s in two.
+    """
+    sp = pytest.importorskip("sympy")
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    low = [min(e[0] for e, _ in p.terms) for p in (a, b)]
+    pa, pb = (sp.Poly.from_dict({e[1:]: sp.Rational(c.numerator, c.denominator)
+                                 for e, c in p.terms},
+                                *sp.symbols("y z"), domain="QQ")
+              for p in (a, b))
+    g = sp.gcd(pa, pb).as_dict()
+    d = max(j + k for j, k in g)
+    return HomPoly({(d - j - k + min(low), j, k): Fraction(int(c.p), int(c.q))
+                    for (j, k), c in g.items()}).monic()

@@ -2,13 +2,14 @@
 
 import json
 import random
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import birwalk.genericity as genericity
-from birwalk import modp
+from birwalk import modp, poly
 from birwalk.genericity import (
     GenericityReport,
     all_letters,
@@ -22,6 +23,8 @@ from birwalk.maps import (
     sample_generators,
 )
 from birwalk.poly import HomPoly, triple_gcd
+
+from form_oracles import sympy_gcd
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -213,6 +216,43 @@ def test_identical_involutions_need_exact_adjudication(monkeypatch):
     report = check_genericity(pair, 2)
     assert len(report.failures) == 12
     assert len(calls) == report.words_checked == 16
+
+
+# -- the exact gcd on a hard tuple ------------------------------------------
+# The word (1-)(0+)(0+)(0+) of this tuple needs an exact decision: the gcd
+# of degree-16 forms with 76-bit coefficients, a linear factor; at depth 5
+# one of degree-32 forms.  A pseudo-remainder sequence over Fractions gave
+# no answer in 60 s there.
+HANG_TUPLE = (2, 3, 16)
+
+
+def _within(seconds, fn, *args):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("max_len, failure_cap, seconds", [(4, 3, 10), (5, 2, 20)])
+def test_hang_tuple_answers_as_with_the_sympy_gcd(max_len, failure_cap, seconds,
+                                                   monkeypatch):
+    r, height, seed = HANG_TUPLE
+    gens = sample_generators(r, height, random.Random(seed))
+    report = _within(seconds, check_genericity, gens, max_len, failure_cap)
+    calls = []
+
+    def oracle(a, b):
+        calls.append(1)
+        return sympy_gcd(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", oracle)
+    assert check_genericity(gens, max_len, failure_cap) == report
+    assert calls  # the exact decisions went through the oracle
 
 
 # -- frozen reports: deferred leaf verdicts replay in DFS order -----------

@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from birwalk.errors import NonExactDivision
+from birwalk import modp, poly
+from birwalk.errors import HeuristicGcdFailed, NonExactDivision
 from birwalk.poly import (
     ONE,
     HomPoly,
@@ -25,7 +26,6 @@ from birwalk.poly import (
     parse_poly,
     poly_gcd,
     triple_gcd,
-    _gcd_dict,
 )
 
 from form_oracles import (
@@ -34,6 +34,7 @@ from form_oracles import (
     exact_forms,
     naive_product,
     naive_sum,
+    sympy_gcd,
 )
 
 
@@ -250,12 +251,84 @@ def test_gcd_multiplicative_on_planted_factor(a, b, g):
 @settings(max_examples=60, deadline=None)
 def test_fast_certificate_is_sound(a, b):
     if certainly_coprime(a, b):
-        slow = HomPoly(_gcd_dict(a.as_dict(), b.as_dict()))
+        slow = sympy_gcd(a, b)
         assert slow.degree == 0
 
 
 def test_gcd_of_zero_pair_is_zero():
     assert poly_gcd(HomPoly({}), HomPoly({})).is_zero
+
+
+def test_gcd_keeps_inner_integer_content():
+    # with z = 1 and y at xi, y + z is the integer xi + 1 one level down:
+    # its content is the whole gcd there
+    assert poly_gcd(Y + Z, Y + Z) == Y + Z
+    assert poly_gcd(X * (Y + Z), (X - Y) * (Y + Z)) == Y + Z
+    assert poly_gcd(Y.scale(2) + Z.scale(4), (Y + Z.scale(2)) * X) == Y + Z.scale(2)
+
+
+def test_gcd_refuses_a_candidate_that_divides_one_input():
+    # at y = xi = 31 (z = 1) both forms are x + 1, which divides only a;
+    # the next point proves the gcd constant
+    a, b = X + Z, X * Y - (X * Z).scale(30) + Z * Z
+    assert poly._gcd_forms(a, b).degree == 0
+    assert poly._gcd_forms(b, a).degree == 0
+
+
+@st.composite
+def exact_nonzero_forms(draw, max_degree=3, max_terms=4):
+    p = draw(exact_forms(draw(st.integers(min_value=0, max_value=max_degree)),
+                         max_terms))
+    return p if not p.is_zero else monomial(p.degree, 0, 0, Fraction(1, 2))
+
+
+def _monomials(max_exponent=2):
+    e = st.integers(min_value=0, max_value=max_exponent)
+    return st.builds(monomial, e, e, e)
+
+
+@given(exact_nonzero_forms(), exact_nonzero_forms(),
+       exact_nonzero_forms(max_degree=2), _monomials(), _monomials())
+@settings(max_examples=60, deadline=None)
+@example(a=ONE, b=ONE, g=Y + Z, ma=ONE, mb=ONE)
+@example(a=X, b=X - Y, g=Y + Z, ma=Z, mb=Z * Z)
+@example(a=Z, b=X, g=(X + Y).scale(Fraction(1, 3)), ma=X * Y, mb=Y * Y * Z)
+def test_gcd_matches_sympy_on_planted_factor(a, b, g, ma, mb):
+    # g is a non-monomial factor; ma and mb put monomial content in each variable
+    assume(len(g.terms) >= 2)
+    fa, fb = a * g * ma, b * g * mb
+    assert poly_gcd(fa, fb) == sympy_gcd(fa, fb)
+
+
+@st.composite
+def certificate_blind_pairs(draw):
+    """(g*u + P*v, g*w): g divides both mod the certificate prime P only."""
+    dg, du, dw = (draw(st.integers(min_value=lo, max_value=2)) for lo in (1, 0, 0))
+    g = draw(exact_forms(dg).filter(lambda p: len(p.terms) >= 2))
+    u, w = (draw(exact_forms(d).filter(lambda p: not p.is_zero)) for d in (du, dw))
+    v = draw(exact_forms(dg + du))
+    return g * u + v.scale(modp.P), g * w
+
+
+@given(certificate_blind_pairs())
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy_where_the_certificate_abstains(pair):
+    a, b = pair
+    assume(not certainly_coprime(a, b))
+    assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+def test_heuristic_give_up_raises_and_returns_nothing(monkeypatch):
+    monkeypatch.setattr(poly, "HEU_GCD_TRIES", 0)
+    s = X + Y + Z
+    result = None
+    with pytest.raises(HeuristicGcdFailed):
+        result = poly_gcd(s * (X - Y), s * (X + Z))
+    assert result is None
+    with pytest.raises(HeuristicGcdFailed):
+        triple_gcd(s * X, s * Y, s * Z)
+    with pytest.raises(HeuristicGcdFailed):
+        is_squarefree(s * s)
 
 
 # -- jacobian and squarefreeness ----------------------------------------
