@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Drift of the reduced word length across a batch of seeded walks.
 
-Runs float-mode walks with class tracking off, so each walk is pure
+Runs modp-mode walks with class tracking off, so each walk is pure
 integer cancellation bookkeeping and thousands of steps cost nothing.
 The final drift estimates are compared with the prediction for uniform
 letters over r generators and their inverses: a fresh letter cancels
@@ -45,7 +45,7 @@ def main(argv=None):
     rows = []
     for k in range(args.walks):
         seed = args.first_seed + k
-        report = run_walk(gens, args.steps, seed=seed, mode="float",
+        report = run_walk(gens, args.steps, seed=seed, mode="modp",
                           track_classes=False)
         drift = report.rows[-1].drift_estimate
         rows.append((seed, report.final_reduced_len, drift))

@@ -43,7 +43,7 @@ from .errors import (
     SamplingExhausted,
 )
 from .genericity import check_genericity
-from .picard import OperatorCache, PointRegistry
+from .picard import MODES, OperatorCache, PointRegistry
 from .walk import (
     boundary_compare,
     crosscheck_words,
@@ -122,9 +122,8 @@ def cmd_walk(args) -> int:
         try:
             report = run_walk(
                 gens, config.steps, seed=wseed, mode=config.mode,
-                eps=config.epsilon, checkpoint_every=config.checkpoint_every,
+                checkpoint_every=config.checkpoint_every,
                 exact_len_cap=config.exact_len_cap,
-                float_steps_cap=config.float_steps_cap,
                 track_classes=config.track_classes,
                 keep_classes=config.track_classes)
         except ExactLengthCap as exc:
@@ -248,6 +247,11 @@ def cmd_compare(args) -> int:
                 "artifacts come from different generator tuples")
         trial_a = _trial_zero(doc_a)
         trial_b = _trial_zero(doc_b)
+        for trial in (trial_a, trial_b):
+            if trial["mode"] not in MODES:
+                raise IncompatibleArtifacts(
+                    f"{trial['mode']} mode is retired and its walks cannot be "
+                    f"replayed; rerun them with --mode modp")
         if trial_a["mode"] != trial_b["mode"]:
             raise IncompatibleArtifacts("artifacts ran in different modes")
         if not (trial_a["track_classes"] and trial_b["track_classes"]):
@@ -258,14 +262,13 @@ def cmd_compare(args) -> int:
         return EXIT_INVARIANT
     gens = generators_from_jsonable(doc_a["generators"])
     mode = trial_a["mode"]
-    eps = float(doc_a["config"]["epsilon"])
-    registry = PointRegistry(mode, eps)
+    registry = PointRegistry(mode)
     cache = OperatorCache(gens, registry)
     reports = []
     for trial in (trial_a, trial_b):
         itinerary = tuple((i, s) for i, s in trial["itinerary"])
         report = run_walk(gens, len(itinerary), itinerary=itinerary,
-                          mode=mode, eps=eps, keep_classes=True,
+                          mode=mode, keep_classes=True,
                           registry=registry, cache=cache)
         if report.aborted is not None:
             print(f"replay aborted at step {report.aborted_at}: "
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--height", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=("exact", "float"), default=None)
+        p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--checkpoint-every", dest="checkpoint_every",

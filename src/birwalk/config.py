@@ -19,10 +19,13 @@ from typing import Optional, Tuple
 
 from .genericity import GenericityReport
 from .maps import GeneratorData, generator_from_matrices, sample_generators
+from .picard import MODES
 from .poly import format_poly
 
 ARTIFACT_VERSION = 1
-WALK_ARTIFACT_VERSION = 2  # from 2 on, per-step rows are in the CSVs only
+# from 2 on, per-step rows are in the CSVs only; from 3 on, the retired
+# float mode's tolerances and registry counters are gone
+WALK_ARTIFACT_VERSION = 3
 RNG_STAMP = "python-random-mt19937"
 
 
@@ -45,17 +48,15 @@ class RunConfig:
     trial_seeds: Optional[Tuple[int, ...]] = None
     checkpoint_every: int = 8
     exact_len_cap: int = 16
-    float_steps_cap: int = 5000
     degree_cap: int = 256
     max_len: int = 4
-    epsilon: float = 1e-9
     retry_budget: int = 2000
     track_classes: bool = True
     curve: str = "x + y + z"
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "float"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.r < 1:
             raise ValueError("need at least one generator")
@@ -63,8 +64,6 @@ class RunConfig:
             raise ValueError("steps and trials must be nonnegative")
         if self.max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        if self.epsilon <= 0.0:
-            raise ValueError("tolerance must be positive")
         if self.trial_seeds is not None:
             object.__setattr__(self, "trial_seeds", tuple(self.trial_seeds))
             if len(self.trial_seeds) < self.trials:

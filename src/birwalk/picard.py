@@ -4,8 +4,8 @@ A class is stored as ``line_coeff * [line] - sum point_part[p] * [exc_p]``
 over point ids issued by a registry.  The intersection pairing in these
 coordinates is ``line_coeff * line_coeff' - sum point_part * point_part'``
 over shared ids.  Coefficients stay integers in both arithmetic modes;
-only point identification ever touches floats, so every pairing value is
-exact and normalisations by powers of two happen scalar-side.
+only point identity is ever reduced mod a prime, so every pairing value
+is exact and normalisations by powers of two happen scalar-side.
 
 A letter (a generator or its inverse) acts on classes by pullback.  The
 action is a finite table on the letter's own data - the line class picks
@@ -37,38 +37,48 @@ divides an image only where the source point meets a table point mod
 that prime, so the representatives stay within a few percent of the
 canonical bit length.
 
-In exact mode each operator memoises its point images: a dict from
-source point id to image point id, filled by every transport that
-succeeds.  The memo is exact.  A point id's stored representative never
-changes, transport of the same triple is deterministic, and the exact
-registry returns the same id for the same point, so a repeat would
-register the very id stored.  A transport that raises stores nothing,
-so a point on a contracted line raises again every time.  The float
-registry counts a merge at every registration of a nearby point, and
-walk artifacts report that count, so float operators keep no memo.
+In ``modp`` mode a point is its fingerprint mod ``MODP_P`` = 2^61 - 1:
+the residue triple with first nonzero entry 1 is at once its key, its
+stored representative and what is read out.  A hop is the exact kernel
+reduced mod p, with the same three verdicts; its image is left
+unnormalised, and ``register`` normalises where a chain ends.  A true
+zero of v is always a zero mod p, so no contracted line or table point
+is missed.  Two errors are possible, both rare:
 
-The float registry hashes unit vectors on a grid of cell size ten times
-the merge radius and compares a query against both sign lifts, so
-antipodal representatives land together.  Two distinct registered points
-closer than the ambiguity band abort the run rather than silently fuse.
+* a collision, two plane points with one residue triple, which share
+  an id.  Over N registered points its chance is about N^2 / 2^62,
+  about 3.5e-12 for the 4,000 points of a 2000-step walk;
+* a false zero, a coordinate of v that vanishes mod p and not over the
+  integers, about 3/p per hop.  Alone it aborts with a contracted-line
+  record that says it was found mod p and may be a false zero; a silent
+  wrong table fan-out needs it beside a second zero, true or false.
+
+A triple whose residues all vanish has no point mod p, and ``register``
+refuses it with a ``DegenerateConfiguration`` that says so.
+
+Each operator memoises its point images: a dict from source point id to
+image point id, filled by every transport that succeeds.  The memo is
+exact.  A point id's stored representative never changes, transport of
+the same triple is deterministic, and the registry returns the same id
+for the same point (or residue triple), so a repeat would register the
+very id stored.  A transport that raises stores nothing, so a point on a
+contracted line raises again every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, gcd, sqrt
+from math import frexp, gcd, ldexp, sqrt
+from sys import float_info
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateConfiguration, TablePointHit
 from .maps import GeneratorData, Mat3, det3, matvec
-from .projective import (
-    chordal_distance,
-    cross,
-    fingerprint,
-    normalize_exact,
-    normalize_float,
-    same_point,
-)
+from .projective import fingerprint, normalize_exact, same_point
+
+MODES = ("exact", "modp")
+MODP_P = (1 << 61) - 1  # a Mersenne prime: products of residues fit 122 bits
+MODP_NOTE = " (found mod p = 2^61 - 1; may be a false {} of the reduction)"
 
 
 # -- point registry -----------------------------------------------------
@@ -77,40 +87,48 @@ from .projective import (
 class PointRegistry:
     """Issues stable integer ids for plane points in one arithmetic mode."""
 
-    def __init__(self, mode: str = "exact", eps: float = 1e-9):
-        if mode not in ("exact", "float"):
+    def __init__(self, mode: str = "exact"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.eps = eps
+        # the prime that point identity and transport reduce by, if any
+        self.modulus = MODP_P if mode == "modp" else None
         self._points: List[tuple] = []
-        self._by_fingerprint: Dict[int, int] = {}
+        self._by_fingerprint: Dict[tuple, int] = {}
         self._clashes: Dict[tuple, int] = {}
-        self._grid: Dict[Tuple[int, int, int], List[int]] = {}
-        self.merge_count = 0
-        self.min_separation = float("inf")
 
     def __len__(self) -> int:
         return len(self._points)
 
     def coords_of(self, pid: int) -> tuple:
-        """The point's normal form: canonical in exact mode, a unit vector in float."""
-        if self.mode == "exact":
-            return normalize_exact(self._points[pid])
-        return self._points[pid]
+        """The point's normal form: canonical integers in exact mode, the
+        residue triple mod p with first nonzero entry 1 in modp mode."""
+        if self.modulus:
+            return self._points[pid]
+        return normalize_exact(self._points[pid])
 
     def representative(self, pid: int) -> tuple:
         """The stored coordinates, which transport reads; internal to the class walk.
 
         In exact mode this is the first integer triple registered for the
-        point, a multiple of its normal form by any nonzero scalar.
+        point, a multiple of its normal form by any nonzero scalar; in
+        modp mode it is the normal form.
         """
         return self._points[pid]
 
     def register(self, coords) -> int:
-        if self.mode != "exact":
-            return self._register_float(coords)
         if type(coords) is not tuple or not all(type(c) is int for c in coords):
             coords = normalize_exact(coords)
+        if self.modulus:
+            key = fingerprint(coords, self.modulus)
+            if key is None:
+                raise DegenerateConfiguration(
+                    "point vanishes mod p = 2^61 - 1: the reduction mod p "
+                    "leaves no point to register")
+            pid = self._by_fingerprint.get(key)
+            if pid is None:
+                self._by_fingerprint[key] = pid = self._append(key)
+            return pid
         key = fingerprint(coords)
         if key is None:  # a multiple of the prime: its normal form has a key
             coords = normalize_exact(coords)
@@ -131,43 +149,6 @@ class PointRegistry:
     def _append(self, coords) -> int:
         self._points.append(coords)
         return len(self._points) - 1
-
-    def _cell_of(self, u) -> Tuple[int, int, int]:
-        h = 10.0 * self.eps
-        return (floor(u[0] / h), floor(u[1] / h), floor(u[2] / h))
-
-    def _candidates(self, u):
-        seen = set()
-        for rep in (u, (-u[0], -u[1], -u[2])):
-            cx, cy, cz = self._cell_of(rep)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        for pid in self._grid.get((cx + dx, cy + dy, cz + dz), ()):
-                            if pid not in seen:
-                                seen.add(pid)
-                                yield pid
-    def _register_float(self, coords) -> int:
-        u = normalize_float(coords, self.eps)
-        best_pid, best_d = None, float("inf")
-        for pid in self._candidates(u):
-            d = chordal_distance(u, self._points[pid])
-            if d < best_d:
-                best_pid, best_d = pid, d
-        if best_pid is not None:
-            if best_d < self.eps:
-                if best_d > 0.0:
-                    self.merge_count += 1
-                return best_pid
-            # closest approach between points kept distinct: the health metric
-            self.min_separation = min(self.min_separation, best_d)
-            if best_d < 10.0 * self.eps:
-                raise DegenerateConfiguration(
-                    f"points separated by {best_d:.3e}, inside the ambiguity band "
-                    f"[{self.eps:.1e}, {10 * self.eps:.1e})")
-        pid = self._append(u)
-        self._grid.setdefault(self._cell_of(u), []).append(pid)
-        return pid
 
 
 # -- class vectors ------------------------------------------------------
@@ -218,17 +199,33 @@ class WeilClass:
 
 
 def coefficient_l2_diff(c1: WeilClass, scale1: int,
-                        c2: WeilClass, scale2: int) -> float:
+                        c2: WeilClass, scale2: int) -> Optional[float]:
     """Euclidean norm of the coefficient difference of two rescaled classes.
 
     Integer scales keep each quotient an int/int division, which Python
-    rounds correctly and which cannot overflow at any walk length.
+    rounds correctly and which cannot overflow at any walk length.  The
+    differences are scaled by a power of two that brings the largest to
+    [0.5, 1) before they are squared, so a difference far below 1e-154
+    does not square to 0.0; where the unscaled sum stays normal the
+    scaling changes no bit.  None once a nonzero coefficient's quotient
+    falls below the least normal float (for scale 2^len, a coefficient 1
+    past len 1022): that quotient is subnormal or 0.0, and the norm would
+    lose its precision without a sign.
     """
-    total = (c1.line_coeff / scale1 - c2.line_coeff / scale2) ** 2
+    for cls, scale in ((c1, scale1), (c2, scale2)):
+        least = min((abs(c) for c in (cls.line_coeff, *cls.point_part.values())
+                     if c), default=0)
+        if least and least / scale < float_info.min:
+            return None
+    diffs = [c1.line_coeff / scale1 - c2.line_coeff / scale2]
     for pid in set(c1.point_part) | set(c2.point_part):
-        d = c1.point_part.get(pid, 0) / scale1 - c2.point_part.get(pid, 0) / scale2
-        total += d * d
-    return sqrt(total)
+        diffs.append(c1.point_part.get(pid, 0) / scale1
+                     - c2.point_part.get(pid, 0) / scale2)
+    top = max(abs(d) for d in diffs)
+    if top == 0.0:
+        return 0.0
+    e = frexp(top)[1]
+    return ldexp(sqrt(sum(ldexp(d, -e) ** 2 for d in diffs)), e)
 
 
 # -- letter action ------------------------------------------------------
@@ -253,20 +250,20 @@ class LetterOperator:
     table_ids: Tuple[int, int, int] = field(init=False)
     table_points: Tuple[tuple, tuple, tuple] = field(init=False)
     eval_matrices: Tuple[Mat3, Mat3] = field(init=False)
-    contracted_forms: Tuple[tuple, tuple, tuple] = field(init=False)
     # exact mode: D = det(inner)^2 * |det(outer)|, the letter's content bound
-    content_bound: int = field(init=False, repr=False)
-    # exact mode: source pid -> image pid of every transport that succeeded
-    images: Optional[Dict[int, int]] = field(init=False, repr=False)
+    content_bound: Optional[int] = field(init=False, repr=False)
+    # source pid -> image pid of every transport that succeeded
+    images: Dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         reg = self.registry
-        self.images = {} if reg.mode == "exact" else None
+        p = reg.modulus
+        self.images = {}
         own = self.gen.letter_base_pts(self.sign)
         table = self.gen.letter_base_pts(-self.sign)
-        self.base_ids = tuple(reg.register(p) for p in own)
+        self.base_ids = tuple(reg.register(q) for q in own)
         self.table_ids = tuple(reg.register(q) for q in table)
         # a self-inverse letter may share the two triples wholesale; what the
         # table algebra cannot survive is a collapse inside either triple
@@ -274,91 +271,53 @@ class LetterOperator:
             raise DegenerateConfiguration(
                 "a letter's indeterminacy triple collapsed in the registry")
         self.table_points = tuple(reg.coords_of(tid) for tid in self.table_ids)
-        self.eval_matrices = self.gen.letter_matrices(-self.sign)
-        forms = []
-        for i in range(3):
-            j, k = _COMPLEMENT[i]
-            form = cross(self.table_points[j], self.table_points[k])
-            if reg.mode == "float":
-                n = sqrt(sum(v * v for v in form))
-                if n < reg.eps:
-                    raise DegenerateConfiguration("contracted line form degenerates")
-                form = tuple(v / n for v in form)
-            forms.append(form)
-        self.contracted_forms = tuple(forms)
-        self._check_forms()
-        if reg.mode == "exact":
-            outer, inner = self.eval_matrices
-            self.content_bound = det3(inner) ** 2 * abs(det3(outer))
-            # transport names a table hit by the one nonzero of inner * x
-            for t, q in enumerate(self.table_points):
-                v = matvec(inner, q)
-                if [a for a in range(3) if v[a]] != [t]:
-                    raise DegenerateConfiguration(
-                        "a table point misses its axis of the inner matrix")
-
-    def _check_forms(self):
-        reg = self.registry
-        for i in range(3):
-            j, k = _COMPLEMENT[i]
-            form = self.contracted_forms[i]
-            for t, expect_zero in ((j, True), (k, True), (i, False)):
-                val = sum(f * c for f, c in zip(form, self.table_points[t]))
-                on_line = (val == 0) if reg.mode == "exact" else (abs(val) < reg.eps)
-                if on_line != expect_zero:
-                    raise DegenerateConfiguration(
-                        "contracted line of the inverse letter misses its defining points")
+        self.eval_matrices = outer, inner = self.gen.letter_matrices(-self.sign)
+        self.content_bound = None if p else det3(inner) ** 2 * abs(det3(outer))
+        # transport names a table hit by the one nonzero of inner * x, and a
+        # contracted line by a single zero
+        for t, q in enumerate(self.table_points):
+            v = matvec(inner, q)
+            if [a for a in range(3) if (v[a] % p if p else v[a])] != [t]:
+                raise DegenerateConfiguration(
+                    "a table point misses its axis of the inner matrix")
 
     # transport of a single carried point by the inverse letter
-
-    def table_index_of(self, coords) -> Optional[int]:
-        """Float mode: index 0..2 if coords names a table point, else None.
-
-        Exact transport reports a table point itself, by ``TablePointHit``.
-        """
-        reg = self.registry
-        u = normalize_float(coords, reg.eps)
-        for t, q in enumerate(self.table_points):
-            if chordal_distance(u, q) < reg.eps:
-                return t
-        return None
 
     def transport(self, coords):
         """Image of a carried point under the inverse letter, guarded.
 
         Raises DegenerateConfiguration when the point sits on a curve the
         inverse letter contracts (the class of such a point does not move
-        to the class of a plane point).  In exact mode a table point
-        raises ``TablePointHit`` with its index, and an image is the
-        integer triple outer * sigma(inner * coords) divided by its gcd
-        with ``content_bound``, never by its full content.
+        to the class of a plane point), and ``TablePointHit`` with its
+        index at a table point.  In exact mode an image is the integer
+        triple outer * sigma(inner * coords) divided by its gcd with
+        ``content_bound``, never by its full content; in modp mode v and
+        the image are reduced mod p, and the image is not normalised.
         """
         outer, inner = self.eval_matrices
-        reg = self.registry
-        if reg.mode != "exact":
-            for form in self.contracted_forms:
-                val = form[0] * coords[0] + form[1] * coords[1] + form[2] * coords[2]
-                if abs(val) < reg.eps:
-                    raise DegenerateConfiguration(
-                        "carried point lies on a contracted line of the evaluating letter")
-            v = matvec(inner, coords)
-            return normalize_float(
-                matvec(outer, (v[1] * v[2], v[0] * v[2], v[0] * v[1])), reg.eps)
+        p = self.registry.modulus
         x, y, z = coords
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = inner
         v0 = a0 * x + a1 * y + a2 * z
         v1 = b0 * x + b1 * y + b2 * z
         v2 = c0 * x + c1 * y + c2 * z
+        if p:
+            v0 %= p
+            v1 %= p
+            v2 %= p
         if not (v0 and v1 and v2):
             if (v0 == 0) + (v1 == 0) + (v2 == 0) == 2:
                 raise TablePointHit(0 if v0 else 1 if v1 else 2)
             raise DegenerateConfiguration(
-                "carried point lies on a contracted line of the evaluating letter")
+                "carried point lies on a contracted line of the evaluating "
+                "letter" + (MODP_NOTE.format("zero") if p else ""))
         s0, s1, s2 = v1 * v2, v0 * v2, v0 * v1
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = outer
         x = a0 * s0 + a1 * s1 + a2 * s2
         y = b0 * s0 + b1 * s1 + b2 * s2
         z = c0 * s0 + c1 * s1 + c2 * s2
+        if p:
+            return (x % p, y % p, z % p)
         g = gcd(self.content_bound, x, y, z)
         return (x // g, y // g, z // g)
 
@@ -376,14 +335,14 @@ class LetterOperator:
                 out[self.base_ids[i]] = coeff
         reg, images = self.registry, self.images
         for pid, coeff in entries.items():
-            new_pid = None if images is None else images.get(pid)
+            new_pid = images.get(pid)
             if new_pid is None:
-                new_pid = reg.register(self.transport(reg.representative(pid)))
-                if images is not None:
-                    images[pid] = new_pid
+                new_pid = images[pid] = reg.register(
+                    self.transport(reg.representative(pid)))
             if new_pid in out:
                 raise DegenerateConfiguration(
-                    "transported point collides with another carried point")
+                    "transported point collides with another carried point"
+                    + (MODP_NOTE.format("collision") if reg.modulus else ""))
             out[new_pid] = coeff
         return WeilClass(new_line, out)
 

@@ -1,4 +1,4 @@
-"""Projective plane points in two flavours: exact integer and unit-norm float.
+"""Projective plane points as integer triples, and their residue keys.
 
 Exact points are integer triples up to a nonzero scalar.  Their normal
 form, made only by ``normalize_exact``, has content 1 and its first
@@ -10,23 +10,22 @@ tells points apart by ``fingerprint``, a scale-free residue key,
 confirmed exactly by ``same_point``, the vanishing of the cross
 product.  Canonical forms are made when a point is read out for
 printing or for a document, and whenever a plain list, a ``Fraction``
-or a parsed document comes in.  Float points are unit vectors with the
-first coordinate of magnitude above the resolution threshold made
-positive; antipodal representatives are reconciled by the distance
-helper, not by the normal form, because a sign flip of a coordinate near
-zero is not stable under perturbation.
+or a parsed document comes in.
+
+The same ``fingerprint`` taken mod a larger prime is the whole identity
+of a point in the prime-field walk (``picard``): there the residue
+triple with its first nonzero entry 1 is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, isfinite, lcm, sqrt
+from math import gcd as _igcd, lcm
 from typing import Optional, Tuple
 
 from .errors import IndeterminatePoint
 
 ExactCoords = Tuple[int, int, int]
-FloatCoords = Tuple[float, float, float]
 
 
 class _Canonical(tuple):
@@ -59,25 +58,24 @@ def normalize_exact(coords) -> ExactCoords:
 FINGERPRINT_P = 1073741789  # the largest prime below 2^30
 
 
-def fingerprint(coords) -> Optional[int]:
-    """Scale-free key of an integer triple: its residues mod FINGERPRINT_P,
-    divided by the first nonzero residue, packed into one int.
+def fingerprint(coords, p: int = FINGERPRINT_P) -> Optional[ExactCoords]:
+    """Scale-free key of an integer triple: its residues mod the prime p,
+    divided by the first nonzero residue.
 
-    A triple and its multiples by a scalar prime to FINGERPRINT_P share
-    the key; distinct points may share it too, so a hit is only a
-    candidate for ``same_point``.  None when every residue is 0.
+    A triple and its multiples by a scalar prime to p share the key;
+    distinct points may share it too, so in the exact registry a hit is
+    only a candidate for ``same_point``.  None when every residue is 0.
     """
     x, y, z = coords
-    x %= FINGERPRINT_P
-    y %= FINGERPRINT_P
-    z %= FINGERPRINT_P
+    x %= p
+    y %= p
+    z %= p
     if x:
-        inv = pow(x, -1, FINGERPRINT_P)
-        return ((FINGERPRINT_P + y * inv % FINGERPRINT_P) * FINGERPRINT_P
-                + z * inv % FINGERPRINT_P)
+        inv = pow(x, -1, p)
+        return (1, y * inv % p, z * inv % p)
     if y:
-        return FINGERPRINT_P + z * pow(y, -1, FINGERPRINT_P) % FINGERPRINT_P
-    return 1 if z else None
+        return (0, 1, z * pow(y, -1, p) % p)
+    return (0, 0, 1) if z else None
 
 
 def same_point(a, b) -> bool:
@@ -86,34 +84,3 @@ def same_point(a, b) -> bool:
             and a[0] * b[2] == a[2] * b[0]
             and a[1] * b[2] == a[2] * b[1])
 
-
-def normalize_float(coords, eps: float = 1e-9) -> FloatCoords:
-    """Canonical unit vector: norm 1, first coordinate above eps made positive."""
-    c = [float(v) for v in coords]
-    if not all(isfinite(v) for v in c):
-        raise IndeterminatePoint("non-finite coordinate")
-    norm = sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    if norm == 0.0:
-        raise IndeterminatePoint("all three coordinates vanish")
-    u = [v / norm for v in c]
-    lead = next(v for v in u if abs(v) > eps)
-    if lead < 0:
-        u = [-v for v in u]
-    return (u[0] + 0.0, u[1] + 0.0, u[2] + 0.0)
-
-
-def cross(a, b):
-    """Coefficient triple of the line through two points (or the meet of two lines)."""
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def chordal_distance(a, b) -> float:
-    """Distance between projective points as lines: min over the sign choice.
-
-    Accepts unit float triples; antipodal representatives are identified.
-    """
-    d_minus = sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
-    d_plus = sqrt((a[0] + b[0]) ** 2 + (a[1] + b[1]) ** 2 + (a[2] + b[2]) ** 2)
-    return min(d_minus, d_plus)

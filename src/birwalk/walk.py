@@ -13,14 +13,11 @@ Formal cancellation is handled on a stack: a letter that is the formal
 inverse of the newest stacked letter pops it instead of pushing, and
 the pullback class is rolled back by inverting the linear update.  Each
 stack entry keeps the three chained classes its push subtracted, so the
-rollback adds back exactly those classes, with no transport at all.  In
-exact mode the pop also files those classes, under the popped letter,
-with the entry below it (or a root slot under an empty stack), and
-pushing that letter onto that entry again reuses them instead of
-transporting anything: the chains depend only on the letter and the
-stack below.  Float mode files nothing, because its registry counts a
-merge at every registration a chain ends in, and a reused chain would
-change that count.
+rollback adds back exactly those classes, with no transport at all.  The
+pop also files those classes, under the popped letter, with the entry
+below it (or a root slot under an empty stack), and pushing that letter
+onto that entry again reuses them instead of transporting anything: the
+chains depend only on the letter and the stack below.
 
 One append step with letter f on composite w (reduced stack bottom to
 top f_1 .. f_n) updates c by
@@ -34,22 +31,32 @@ letter, newest letter first.  Each w^*[exc] starts as a single carried
 point and is moved down the stack by plain point transport until it
 either survives to the bottom (one new exceptional class) or hits a
 stacked letter's table and fans out through the finite table action.
-An exact hop is one call of the letter's transport kernel, which reports
-a table point by raising ``TablePointHit``.
+A hop is one call of the letter's transport kernel, which reports a
+table point by raising ``TablePointHit``.
+
+Two arithmetic modes share all of this.  In ``exact`` mode points are
+integer triples, whose bits about double per reduced letter, so class
+walks are held to ``exact_len_cap`` (default 16).  In ``modp`` mode
+points are residue triples mod p = 2^61 - 1 (``picard``), a hop costs
+the same at any depth, and a 2000-step walk reaches reduced length
+about 1000.  Its class coefficients are still exact integers; only
+point identity is reduced.  Two points share an id with a chance of
+about N^2 / 2^62 over N points, and a false zero of a hop, about 3/p
+per hop, aborts loudly.  On walk seeds 1-40 at 16 steps the final
+classes of the two modes agree once the exact points are reduced.
 
 The pushforward track needs no chains at all: the new letter acts
 outermost, so e' is one application of the letter's pushforward
 operator to e, and a cancelling letter undoes its partner exactly.
 
-Class coefficients stay integers in both arithmetic modes.  The degree
-invariant (line coefficient equals 2^reduced-length), the unit
-self-intersection, and the nonnegativity of the point multiplicities
-are asserted as the walk runs, so a silent breakdown of the free-basis
-bookkeeping cannot pass.  Class tracking can also be switched off
-entirely, leaving the exact integer word-length bookkeeping, which is
-all the degree-growth and drift statistics need: the degree of the
-composite is exactly 2^reduced-length, so deep runs do not pay for (or
-abort on) geometry they never consult.
+The degree invariant (line coefficient equals 2^reduced-length), the
+unit self-intersection, and the nonnegativity of the point
+multiplicities are asserted as the walk runs, so a silent breakdown of
+the free-basis bookkeeping cannot pass.  Class tracking can also be
+switched off entirely, leaving the exact integer word-length
+bookkeeping, which is all the degree-growth and drift statistics need:
+the degree of the composite is exactly 2^reduced-length, so deep runs
+do not pay for (or abort on) geometry they never consult.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData, IDENTITY_COMPONENTS
 from .picard import (
     _COMPLEMENT,
+    MODP_NOTE,
+    MODP_P,
     LetterOperator,
     OperatorCache,
     PointRegistry,
@@ -105,6 +114,16 @@ def normalized_pairing(c1: WeilClass, len1: int, c2: WeilClass, len2: int) -> fl
     return c1.intersect(c2) / (1 << (len1 + len2))
 
 
+# 4^-537 = 2^-1074 is the least positive float
+_LAST_POW4_LEN = 537
+
+
+def normalized_self_pairing(reduced_len: int) -> Optional[float]:
+    """4^-reduced_len, the pairing of a walk's normalized class with
+    itself, or None past length 537, where it underflows to 0.0."""
+    return 4.0 ** -reduced_len if reduced_len <= _LAST_POW4_LEN else None
+
+
 # -- the stacked state --------------------------------------------------
 
 
@@ -114,7 +133,7 @@ class _StackEntry:
     pull_op: Optional[LetterOperator]
     # the chained base classes the push subtracted; the pop adds them back
     chained: Optional[List[WeilClass]]
-    # exact mode: letter -> chained classes of each letter popped off this entry
+    # letter -> chained classes of each letter popped off this entry
     popped: Optional[Dict[Letter, List[WeilClass]]] = None
 
 
@@ -122,7 +141,7 @@ class WalkState:
     """Mutable walk state over a shared registry and operator cache."""
 
     def __init__(self, gens: Tuple[GeneratorData, ...], mode: str = "exact",
-                 eps: float = 1e-9, exact_len_cap: int = 16,
+                 exact_len_cap: int = 16,
                  track_classes: bool = True,
                  track_pushforward: bool = False,
                  registry: Optional[PointRegistry] = None,
@@ -134,7 +153,7 @@ class WalkState:
         self.track_pushforward = track_pushforward
         if track_classes or track_pushforward:
             self.registry = registry if registry is not None \
-                else PointRegistry(mode, eps)
+                else PointRegistry(mode)
             if self.registry.mode != mode:
                 raise ValueError("registry mode does not match walk mode")
             self.cache = cache if cache is not None \
@@ -156,24 +175,20 @@ class WalkState:
     # a single carried point moved through a run of operators (newest first)
 
     def _chain_point(self, ops: Sequence[LetterOperator], coords) -> WeilClass:
-        exact = self.registry.mode == "exact"
         for depth in range(len(ops) - 1, -1, -1):
             op = ops[depth]
-            # exact transport reports a table point itself
-            hit = None if exact else op.table_index_of(coords)
-            if hit is None:
-                try:
-                    coords = op.transport(coords)
-                    continue
-                except TablePointHit as exc:
-                    hit = exc.index
-            j, k = _COMPLEMENT[hit]
-            cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
-            for d2 in range(depth - 1, -1, -1):
-                cls = ops[d2].pullback(cls)
-            return cls
-        pid = self.registry.register(coords)
-        return WeilClass(0, {pid: -1})
+            try:
+                coords = op.transport(coords)
+            except TablePointHit as hit:
+                j, k = _COMPLEMENT[hit.index]
+                break
+        else:
+            pid = self.registry.register(coords)
+            return WeilClass(0, {pid: -1})
+        cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
+        for d2 in range(depth - 1, -1, -1):
+            cls = ops[d2].pullback(cls)
+        return cls
 
     def _assemble(self, base: WeilClass, chained: List[WeilClass]) -> WeilClass:
         line = 2 * base.line_coeff
@@ -231,14 +246,13 @@ class WalkState:
                 and (self.track_classes or self.track_pushforward):
             raise ExactLengthCap(
                 f"reduced length would exceed the exact-mode cap "
-                f"{self.exact_len_cap}; rerun in float mode or raise the cap")
+                f"{self.exact_len_cap}; rerun with --mode modp or raise the cap")
         if cancelling:
             entry = self.stack.pop()
             if self.track_classes:
                 self.pull_class = self._disassemble(self.pull_class,
                                                     entry.chained)
-                if self.mode == "exact":
-                    self._popped_here()[entry.letter] = entry.chained
+                self._popped_here()[entry.letter] = entry.chained
         else:
             pull_op = chained = None
             if self.track_classes:
@@ -392,8 +406,8 @@ class StepRow:
     log2_deg: int
     cauchy_increment: Optional[float]
     drift_estimate: float
-    self_intersection: float
-    health_min_separation: Optional[float]
+    # 4^-reduced_len, None past 537 where it underflows
+    self_intersection: Optional[float]
 
 
 @dataclass
@@ -411,8 +425,6 @@ class WalkReport:
     aborted: Optional[str]
     aborted_at: Optional[int]
     registry_points: int
-    registry_merges: int
-    registry_min_separation: Optional[float]
     final_class: Optional[WeilClass] = field(repr=False, default=None)
     final_push_class: Optional[WeilClass] = field(repr=False, default=None)
     checkpoint_classes: Optional[Tuple[Tuple[int, int, WeilClass, Optional[WeilClass]], ...]] \
@@ -423,7 +435,8 @@ class WalkReport:
         return 0 if self.final_class is None else len(self.final_class.point_part)
 
     def top_coefficients(self, count: int = 5) -> List[Tuple[float, tuple]]:
-        """Largest normalized point multiplicities of the final class."""
+        """Largest normalized point multiplicities of the final class, each
+        with its point: residues mod p in modp mode."""
         if self.final_class is None:
             return []
         scale = 1 << self.final_reduced_len
@@ -449,9 +462,10 @@ class WalkReport:
             "aborted": self.aborted,
             "aborted_at": self.aborted_at,
             "registry_points": self.registry_points,
-            "registry_merges": self.registry_merges,
-            "registry_min_separation": self.registry_min_separation,
         }
+        if self.mode == "modp":
+            # every coordinate below is a residue mod this prime
+            out["residue_prime"] = MODP_P
         if self.final_class is not None:
             out["top_coefficients"] = [
                 [v, [str(c) for c in coords]]
@@ -467,7 +481,7 @@ class WalkReport:
 
 
 CSV_COLUMNS = ("n", "reduced_len", "log2_deg", "cauchy_increment",
-               "drift_estimate", "self_intersection", "health_min_separation")
+               "drift_estimate", "self_intersection")
 
 
 def write_rows_csv(rows: Sequence[StepRow], path) -> None:
@@ -480,31 +494,29 @@ def write_rows_csv(rows: Sequence[StepRow], path) -> None:
                 r.n, r.reduced_len, r.log2_deg,
                 "" if r.cauchy_increment is None else repr(r.cauchy_increment),
                 repr(r.drift_estimate),
-                repr(r.self_intersection),
-                "" if r.health_min_separation is None else repr(r.health_min_separation),
+                "" if r.self_intersection is None else repr(r.self_intersection),
             ])
 
 
 def _assert_class_health(cls: WeilClass, n: int, label: str,
                          mode: str = "exact") -> None:
     # class coefficients are integers in both modes, so a broken identity
-    # in float mode means the registry identified two points that are
-    # merely close: a numerical degeneracy of the run, not a code bug
-    err = DegenerateConfiguration if mode == "float" else AssertionError
+    # in modp mode can come from the registry identifying two points that
+    # agree only mod p
+    err, where = (DegenerateConfiguration, MODP_NOTE.format("collision")) \
+        if mode == "modp" else (AssertionError, "")
     if cls.self_intersection() != 1:
-        raise err(f"{label} class lost unit self-intersection at step {n}")
+        raise err(f"{label} class lost unit self-intersection at step {n}{where}")
     if any(v < 0 for v in cls.point_part.values()):
-        raise err(f"{label} class grew a negative multiplicity at step {n}")
+        raise err(f"{label} class grew a negative multiplicity at step {n}{where}")
 
 
 def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
              seed: Optional[int] = None,
              itinerary: Optional[Word] = None,
              mode: str = "exact",
-             eps: float = 1e-9,
              checkpoint_every: int = 8,
              exact_len_cap: int = 16,
-             float_steps_cap: int = 5000,
              track_classes: bool = True,
              track_pushforward: bool = False,
              keep_classes: bool = False,
@@ -519,8 +531,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
     exact-mode length cap raises, because that is a configuration limit
     the caller chose.
     """
-    if mode == "float" and steps > float_steps_cap:
-        raise ValueError(f"{steps} float steps exceed the cap {float_steps_cap}")
     if keep_classes and not track_classes:
         raise ValueError("keep_classes needs track_classes")
     if itinerary is None:
@@ -529,7 +539,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         itinerary = random_itinerary(len(gens), steps, random.Random(seed))
     if len(itinerary) < steps:
         raise ValueError("itinerary shorter than requested steps")
-    state = WalkState(gens, mode=mode, eps=eps, exact_len_cap=exact_len_cap,
+    state = WalkState(gens, mode=mode, exact_len_cap=exact_len_cap,
                       track_classes=track_classes,
                       track_pushforward=track_pushforward,
                       registry=registry, cache=cache)
@@ -538,13 +548,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
     prev_cp: Optional[Tuple[WeilClass, int]] = None
     aborted = None
     aborted_at = None
-
-    def health() -> Optional[float]:
-        reg = state.registry
-        if reg is None or reg.mode == "exact" \
-                or reg.min_separation == float("inf"):
-            return None
-        return reg.min_separation
 
     def record(at_checkpoint: bool) -> None:
         nonlocal prev_cp
@@ -568,8 +571,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
             log2_deg=ln,
             cauchy_increment=inc,
             drift_estimate=(ln / state.n) * LOG2 if state.n else 0.0,
-            self_intersection=4.0 ** (-ln),
-            health_min_separation=health(),
+            self_intersection=normalized_self_pairing(ln),
         ))
 
     record(at_checkpoint=True)  # the n=0 state: the line class itself
@@ -598,10 +600,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         aborted=aborted,
         aborted_at=aborted_at,
         registry_points=0 if reg is None else len(reg),
-        registry_merges=0 if reg is None else reg.merge_count,
-        registry_min_separation=(None if reg is None
-                                 or reg.min_separation == float("inf")
-                                 else reg.min_separation),
         final_class=state.pull_class,
         final_push_class=state.push_class,
         checkpoint_classes=tuple(kept) if keep_classes else None,
@@ -617,7 +615,8 @@ def boundary_compare(report_a: WalkReport, report_b: WalkReport) -> dict:
 
     The self-pairings 4^-len come along as the coincidence controls: a
     walk paired with itself lands exactly there, so a cross pairing well
-    above both witnesses distinct limits.
+    above both witnesses distinct limits.  A control past length 537 is
+    None, not a float 0.0.
     """
     if report_a.registry is not report_b.registry:
         raise ValueError("walks were not run over a shared registry")
@@ -627,8 +626,8 @@ def boundary_compare(report_a: WalkReport, report_b: WalkReport) -> dict:
     return {
         "pairing": normalized_pairing(report_a.final_class, la,
                                       report_b.final_class, lb),
-        "control_a": 4.0 ** (-la),
-        "control_b": 4.0 ** (-lb),
+        "control_a": normalized_self_pairing(la),
+        "control_b": normalized_self_pairing(lb),
     }
 
 

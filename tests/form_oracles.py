@@ -88,3 +88,10 @@ def sympy_gcd(a, b):
     d = max(j + k for j, k in g)
     return HomPoly({(d - j - k + min(low), j, k): Fraction(int(c.p), int(c.q))
                     for (j, k), c in g.items()}).monic()
+
+
+def cross(a, b):
+    """Coefficient triple of the line through two points."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])

@@ -191,7 +191,7 @@ def test_criterion_06_drift_matches_the_free_group_statistic(certified_tuple):
     started = time.monotonic()
     drifts = []
     for seed in range(1, 11):
-        report = run_walk(certified_tuple, 2000, seed=seed, mode="float",
+        report = run_walk(certified_tuple, 2000, seed=seed, mode="modp",
                           track_classes=False)
         assert report.aborted is None and report.steps_done == 2000
         # integer-only replica of the itinerary and its cancellation stack:
@@ -222,8 +222,8 @@ def test_criterion_07_approximants_contract_and_norms_decay_exactly(
     # sits at 0.523 after a late cancellation burst) and eight suffice
     passing = 0
     for seed in range(1, 11):
-        report = run_walk(certified_tuple, 32, seed=seed, mode="float",
-                          eps=1e-12, checkpoint_every=1)
+        report = run_walk(certified_tuple, 32, seed=seed, mode="modp",
+                          checkpoint_every=1)
         assert report.aborted is None
         series = [(r.n, r.cauchy_increment) for r in report.rows
                   if r.cauchy_increment is not None]
@@ -252,14 +252,14 @@ def test_criterion_08_independent_walks_reach_distinct_boundaries(
     floors = []
     walk_a = None
     for k in range(20):
-        registry = PointRegistry("float", 1e-12)
+        registry = PointRegistry("modp")
         cache = OperatorCache(certified_tuple, registry)
-        walk_a = run_walk(certified_tuple, 26, seed=100 + 2 * k, mode="float",
-                          eps=1e-12, checkpoint_every=1, keep_classes=True,
+        walk_a = run_walk(certified_tuple, 26, seed=100 + 2 * k, mode="modp",
+                          checkpoint_every=1, keep_classes=True,
                           track_pushforward=True, registry=registry,
                           cache=cache)
-        walk_b = run_walk(certified_tuple, 26, seed=101 + 2 * k, mode="float",
-                          eps=1e-12, registry=registry, cache=cache)
+        walk_b = run_walk(certified_tuple, 26, seed=101 + 2 * k, mode="modp",
+                          registry=registry, cache=cache)
         assert walk_a.aborted is None and walk_b.aborted is None
         result = boundary_compare(walk_a, walk_b)
         # a pairing an order of magnitude above both coincidence controls
@@ -282,6 +282,63 @@ def test_criterion_08_independent_walks_reach_distinct_boundaries(
     final_len = walk_a.final_reduced_len
     assert final_len >= 4
     assert diag[-1][1] == 4.0 ** (-final_len)
+
+
+@pytest.fixture(scope="module")
+def deep_modp_walks(certified_tuple):
+    """Walk seeds 1-3 at 600 steps in modp mode over one registry: reduced
+    lengths 306, 280 and 320, about 0.7 s each."""
+    registry = PointRegistry("modp")
+    cache = OperatorCache(certified_tuple, registry)
+    return [run_walk(certified_tuple, 600, seed=seed, mode="modp",
+                     checkpoint_every=1, registry=registry, cache=cache)
+            for seed in (1, 2, 3)]
+
+
+def test_depth_modp_walks_keep_the_degree_invariant(deep_modp_walks):
+    # the walk checks the degree invariant at every step and aborts when
+    # it breaks; past the exact cap the classes still obey it exactly
+    for report in deep_modp_walks:
+        assert report.aborted is None and report.steps_done == 600
+        assert report.final_reduced_len >= 280
+        stack = []
+        for row, letter in zip(report.rows[1:], report.itinerary):
+            if stack and stack[-1] == _inv(letter):
+                stack.pop()
+            else:
+                stack.append(letter)
+            assert row.reduced_len == len(stack)
+        cls = report.final_class
+        assert cls.line_coeff == 2 ** report.final_reduced_len
+        assert cls.self_intersection() == 1
+        assert min(cls.point_part.values()) > 0
+        assert report.rows[-1].self_intersection == \
+            4.0 ** -report.final_reduced_len
+
+
+def test_depth_approximants_contract_at_the_predicted_rate(deep_modp_walks):
+    # increments shrink like 2^-(reduced length), which grows half a letter
+    # per step: rho^5 near 2^-2.5 = 0.177.  Frozen seeds 1-3 fit 0.166,
+    # 0.200 and 0.160; each clears criterion 07's bar of 0.5 and lies
+    # within a factor sqrt(2) of the prediction
+    for report in deep_modp_walks:
+        series = [(r.n, r.cauchy_increment) for r in report.rows
+                  if r.cauchy_increment is not None]
+        assert len(series) == 600 and all(v > 0.0 for _n, v in series)
+        _scale, rho = fit_geometric_rate(series)
+        assert 2 ** -3 <= rho ** 5 <= 2 ** -2 <= 0.5
+
+
+def test_depth_walks_reach_distinct_boundaries(deep_modp_walks):
+    # criterion 08's bar is ten times the larger control; every pair of
+    # frozen seeds pairs at exactly 1.0, 3.8e168 times its larger control
+    # 4^-280 or more
+    for i, walk_a in enumerate(deep_modp_walks):
+        for walk_b in deep_modp_walks[i + 1:]:
+            result = boundary_compare(walk_a, walk_b)
+            assert result["pairing"] > 10.0 * max(result["control_a"],
+                                                  result["control_b"])
+            assert result["pairing"] == 1.0
 
 
 def _random_curve(rng, degree):

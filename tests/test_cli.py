@@ -153,10 +153,10 @@ def test_walk_exact_length_cap_exits_degenerate(tmp_path, generators_file,
     assert "cap 3" in err[0]
 
 
-def test_walk_no_classes_runs_long_float(tmp_path, generators_file):
+def test_walk_no_classes_runs_long_modp(tmp_path, generators_file):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(generators_file),
-                 "--mode", "float", "--steps", "300", "--no-classes",
+                 "--mode", "modp", "--steps", "300", "--no-classes",
                  "--out-dir", str(out)])
     assert code == EXIT_OK
     trial = load_json(out / "artifact.json")["trials"][0]
@@ -457,9 +457,77 @@ def test_compare_rejects_non_artifact(tmp_path, generators_file, capsys):
 def test_compare_needs_class_tracking(tmp_path, generators_file, capsys):
     out = tmp_path / "light"
     assert main(["walk", "--generators", str(generators_file),
-                 "--mode", "float", "--steps", "20", "--no-classes",
+                 "--mode", "modp", "--steps", "20", "--no-classes",
                  "--out-dir", str(out)]) == EXIT_OK
     art = out / "artifact.json"
     code = main(["compare", str(art), str(art)])
     assert code == EXIT_INVARIANT
     assert "class tracking" in capsys.readouterr().err
+
+
+def _as_older_version(art, tmp_path, version):
+    """The artifact as version 1 or 2 wrote it: float-mode fields in the
+    config and the trials, and at version 1 the per-step rows too."""
+    doc = load_json(art)
+    doc["version"] = version
+    doc["config"].update(epsilon=1e-9, float_steps_cap=5000)
+    for trial in doc["trials"]:
+        trial.update(version=version, registry_merges=0,
+                     registry_min_separation=None)
+        if version == 1:
+            trial["rows"] = []
+    path = tmp_path / f"v{version}_{art.parent.name}.json"
+    dump_json(path, doc)
+    return path
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_compare_reads_older_exact_artifacts(tmp_path, generators_file,
+                                            capsys, version):
+    assert WALK_ARTIFACT_VERSION == 3
+    art_a = _walk_artifact(tmp_path, generators_file, "A", 1)
+    art_b = _walk_artifact(tmp_path, generators_file, "B", 2)
+    capsys.readouterr()
+    assert main(["compare", str(art_a), str(art_b)]) == EXIT_OK
+    want = capsys.readouterr().out
+    old_a = _as_older_version(art_a, tmp_path, version)
+    old_b = _as_older_version(art_b, tmp_path, version)
+    assert main(["compare", str(old_a), str(old_b)]) == EXIT_OK
+    assert capsys.readouterr().out == want
+    assert main(["compare", str(old_a), str(art_b)]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_compare_refuses_a_float_mode_artifact(tmp_path, generators_file,
+                                               capsys):
+    art = _walk_artifact(tmp_path, generators_file, "A", 1)
+    old = _as_older_version(art, tmp_path, 2)
+    doc = load_json(old)
+    doc["trials"][0]["mode"] = "float"
+    dump_json(old, doc)
+    capsys.readouterr()
+    for pair in ((old, old), (art, old)):
+        assert main(["compare", *map(str, pair)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "float mode is retired" in err and "--mode modp" in err
+
+
+def test_modp_walk_and_compare(tmp_path, generators_file, capsys):
+    arts = []
+    for name, seed in (("A", 1), ("B", 2)):
+        out = tmp_path / name
+        assert main(["walk", "--generators", str(generators_file),
+                     "--mode", "modp", "--steps", "40", "--seed", str(seed),
+                     "--out-dir", str(out)]) == EXIT_OK
+        arts.append(out / "artifact.json")
+        trial = load_json(arts[-1])["trials"][0]
+        assert trial["mode"] == "modp"
+        assert trial["residue_prime"] == 2 ** 61 - 1
+        assert trial["final_reduced_len"] > 16  # past the exact cap
+    capsys.readouterr()
+    assert main(["compare", *map(str, arts)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pairing"] > 10.0 * max(doc["control_a"], doc["control_b"])
+    exact = _walk_artifact(tmp_path, generators_file, "E", 1)
+    assert main(["compare", str(arts[0]), str(exact)]) == EXIT_INVARIANT
+    assert "different modes" in capsys.readouterr().err

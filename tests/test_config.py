@@ -37,7 +37,7 @@ def test_config_roundtrip_defaults():
 def test_config_roundtrip_with_matrices_and_seeds():
     config = RunConfig(seed=7, trials=2, trial_seeds=(11, 12, 13),
                        matrices=((IDENTITY_ROWS, IDENTITY_ROWS),),
-                       mode="float", epsilon=1e-8)
+                       mode="modp", exact_len_cap=12)
     data = json.loads(json.dumps(config_to_dict(config)))
     assert config_from_dict(data) == config
 
@@ -53,7 +53,7 @@ def test_config_rejects_unknown_fields():
     {"steps": -1},
     {"trials": -2},
     {"max_len": -1},
-    {"epsilon": 0.0},
+    {"mode": "float"},  # retired
     {"trials": 3, "trial_seeds": (1, 2)},
 ])
 def test_config_validation(kwargs):
@@ -73,8 +73,8 @@ def test_walk_seeds_explicit_list_truncated():
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "config.json"
     dump_json(path, config_to_dict(RunConfig(seed=5, steps=30)))
-    config = load_config(path, {"steps": 7, "mode": "float"})
-    assert (config.seed, config.steps, config.mode) == (5, 7, "float")
+    config = load_config(path, {"steps": 7, "mode": "modp"})
+    assert (config.seed, config.steps, config.mode) == (5, 7, "modp")
     assert load_config(None, None) == RunConfig()
 
 

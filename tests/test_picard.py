@@ -32,6 +32,8 @@ from birwalk.picard import (
 )
 from birwalk.walk import WalkState, crosscheck_words, run_walk
 
+from form_oracles import cross
+
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -199,36 +201,29 @@ def test_exact_registry_ids_match_normal_forms(scaled):
     assert len(reg) == len(set(forms))
 
 
-def test_float_registry_merges_within_radius():
-    reg = PointRegistry("float", eps=1e-9)
-    a = reg.register((1.0, 2.0, 2.0))
-    b = reg.register((1.0 + 1e-12, 2.0, 2.0))
-    assert a == b
-    assert reg.merge_count == 1
-    # merges do not count as a closest distinct-point approach
-    assert reg.min_separation == float("inf")
+M = picard.MODP_P
 
 
-def test_float_registry_identifies_antipodes():
-    reg = PointRegistry("float", eps=1e-9)
-    a = reg.register((1.0, 2.0, 2.0))
-    b = reg.register((-3.0, -6.0, -6.0))
-    assert a == b
+def test_modp_registry_keys_points_by_residues():
+    reg = PointRegistry("modp")
+    a = reg.register((1, 2, 2))
+    assert reg.register((-3, -6, -6)) == a
+    assert reg.register([2, 4, 4]) == a
+    ids = {reg.register(q) for q in [(1, 0, 0), (0, 1, 0), (1, 1, 1),
+                                     (1, -1, 2)]}
+    assert len(ids) == 4 and a not in ids
+    assert reg.coords_of(reg.register((0, 3, -6))) == (0, 1, M - 2)
+    # the registry sees residues only: (1, M, 0) is (1, 0, 0) mod p
+    assert reg.register((1, M, 0)) == reg.register((1, 0, 0))
+    assert reg.representative(a) == reg.coords_of(a) == (1, 2, 2)
 
 
-def test_float_registry_aborts_in_ambiguity_band():
-    reg = PointRegistry("float", eps=1e-9)
-    reg.register((2e-9, 1.0, 0.0))
-    with pytest.raises(DegenerateConfiguration):
-        reg.register((-1.4e-9, 1.0, 0.0))
-
-
-def test_float_registry_keeps_separated_points_apart():
-    reg = PointRegistry("float", eps=1e-9)
-    ids = {reg.register(p) for p in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                     (1.0, 1.0, 1.0), (1.0, -1.0, 2.0)]}
-    assert len(ids) == 4
-    assert reg.merge_count == 0
+def test_modp_registry_refuses_a_triple_that_vanishes_mod_p():
+    reg = PointRegistry("modp")
+    for q in ((M, 2 * M, 3 * M), (0, 0, 0)):
+        with pytest.raises(DegenerateConfiguration, match="vanishes mod p"):
+            reg.register(q)
+    assert len(reg) == 0
 
 
 # -- class vectors ------------------------------------------------------
@@ -269,6 +264,36 @@ def test_coefficient_l2_diff_at_reduced_length_1100():
                      - float(Fraction(c2.point_part[0], s2))) ** 2)
     assert coefficient_l2_diff(c1, s1, c2, s2) == expect
     assert coefficient_l2_diff(c1, s1, c1, s1) == 0.0
+
+
+@pytest.mark.parametrize("ln, k", [(538, 538), (1100, 600)])
+def test_coefficient_l2_diff_does_not_square_to_zero(ln, k):
+    # classes at reduced length ln that share a point of weight 3/4 and
+    # differ at two points of weights 3 and 4 times 2^-k, as a walk's
+    # checkpoints differ at its newest points: each difference squares
+    # below the least float, the scaled sum keeps them
+    s = 1 << ln
+    c1 = WeilClass(s, {0: 3 << (ln - 2), 1: 3 << (ln - k)})
+    c2 = WeilClass(s, {0: 3 << (ln - 2), 2: 4 << (ln - k)})
+    assert coefficient_l2_diff(c1, s, c2, s) == 5.0 * 2.0 ** -k
+    assert coefficient_l2_diff(c2, s, c1, s) == 5.0 * 2.0 ** -k
+    assert coefficient_l2_diff(c1, s, c1, s) == 0.0
+
+
+@pytest.mark.parametrize("ln", [1030, 1100])
+def test_coefficient_l2_diff_refuses_quotients_below_the_float_range(ln):
+    # a coefficient 1 over 2^ln is subnormal at 1030 and 0.0 at 1100: the
+    # norm is refused rather than read off lost bits, whichever class holds it
+    s = 1 << ln
+    c1 = WeilClass(s, {0: 3 << (ln - 2), 1: 1})
+    c2 = WeilClass(s, {0: 3 << (ln - 2)})
+    assert coefficient_l2_diff(c1, s, c2, s) is None
+    assert coefficient_l2_diff(c2, s, c1, s) is None
+    # at 1022 the same quotient is the least normal float and still counts
+    s = 1 << 1022
+    c1 = WeilClass(s, {0: 3 << 1020, 1: 1})
+    c2 = WeilClass(s, {0: 3 << 1020})
+    assert coefficient_l2_diff(c1, s, c2, s) == 2.0 ** -1022
 
 
 def test_coefficient_l2_diff_integer_scales_match_float_scales():
@@ -382,6 +407,13 @@ def test_transport_does_not_depend_on_scale(certified_tuple, letter):
             assert _kernel_verdict(op, tuple(scale * c for c in q)) == ("line", None)
 
 
+def _contracted_forms(op):
+    """The lines through two of the letter's table points: the curves its
+    inverse contracts."""
+    q = op.table_points
+    return [cross(q[j], q[k]) for j, k in ((1, 2), (0, 2), (0, 1))]
+
+
 def _cross_product_verdict(op, x):
     """Reference transport: table points by cross product, contracted
     lines by their forms, and the unstripped image."""
@@ -389,7 +421,7 @@ def _cross_product_verdict(op, x):
         if projective.same_point(q, x):
             return "table", t
     if any(sum(f * c for f, c in zip(form, x)) == 0
-           for form in op.contracted_forms):
+           for form in _contracted_forms(op)):
         return "line", None
     outer, inner = op.eval_matrices
     v = matvec(inner, x)
@@ -434,7 +466,7 @@ def test_kernel_agrees_with_cross_product_transport(certified_tuple, letter):
     assert seen == {"table", "line", "image"}
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["exact", "modp"])
 def test_chained_table_hit_fans_out(mode):
     # pushing the standard involution onto itself carries each of its base
     # points onto its own table: the fan-out gives 2(2L - E) - (3L - 2E) = L
@@ -462,7 +494,7 @@ def _generic_pool(rng, reg, ops, count=6):
     while len(pool) < count:
         coords = tuple(rng.randint(1, 30) for _ in range(3))
         if any(sum(f * c for f, c in zip(form, coords)) == 0
-               for op in ops for form in op.contracted_forms):
+               for op in ops for form in _contracted_forms(op)):
             continue
         pool.append(reg.register(coords))
     return pool
@@ -503,18 +535,58 @@ def test_operator_cache_reuses_instances():
     assert cache.get(0, 1) is not cache.get(0, -1)
 
 
-def test_float_operator_matches_exact_on_table():
+def test_modp_operator_matches_exact_on_table():
     (gen,) = sample_generators(1, 5, random.Random(31))
     reg_e = PointRegistry("exact")
-    reg_f = PointRegistry("float")
+    reg_m = PointRegistry("modp")
     op_e = LetterOperator(gen, 1, reg_e)
-    op_f = LetterOperator(gen, 1, reg_f)
+    op_m = LetterOperator(gen, 1, reg_m)
     L = WeilClass.line_class()
     ce = op_e.pullback(op_e.pullback(L))
-    cf = op_f.pullback(op_f.pullback(L))
-    assert ce.line_coeff == cf.line_coeff == 4
-    assert sorted(ce.point_part.values()) == sorted(cf.point_part.values())
-    assert ce.self_intersection() == cf.self_intersection() == 1
+    cm = op_m.pullback(op_m.pullback(L))
+    assert ce.line_coeff == cm.line_coeff == 4
+    assert {projective.fingerprint(reg_e.coords_of(p), M): c
+            for p, c in ce.point_part.items()} == \
+        {reg_m.coords_of(p): c for p, c in cm.point_part.items()}
+    assert ce.self_intersection() == cm.self_intersection() == 1
+
+
+@pytest.mark.parametrize("letter", [None, (0, 1), (0, -1), (1, 1), (1, -1)])
+def test_modp_kernel_is_the_exact_kernel_reduced(certified_tuple, letter):
+    reg_e, reg_m = PointRegistry("exact"), PointRegistry("modp")
+    if letter is None:
+        op_e = LetterOperator(sigma_generator(), 1, reg_e)
+        op_m = LetterOperator(sigma_generator(), 1, reg_m)
+    else:
+        op_e = OperatorCache(certified_tuple, reg_e).get(*letter)
+        op_m = OperatorCache(certified_tuple, reg_m).get(*letter)
+    assert op_m.table_points == tuple(projective.fingerprint(q, M)
+                                      for q in op_e.table_points)
+    seen = set()
+    for x in _kernel_test_points(op_e, random.Random(3)):
+        kind, got = _kernel_verdict(op_e, x)
+        kind_m, got_m = _kernel_verdict(op_m, projective.fingerprint(x, M))
+        assert kind_m == kind, x
+        seen.add(kind)
+        if kind == "table":
+            assert got_m == got
+        elif kind == "image":
+            # a hop reduces and leaves normalising to the registry
+            assert all(0 <= c < M for c in got_m)
+            assert projective.fingerprint(got_m, M) == \
+                projective.fingerprint(got, M)
+    assert seen == {"table", "line", "image"}
+
+
+def test_modp_contracted_line_names_the_reduction():
+    reg = PointRegistry("modp")
+    op = LetterOperator(sigma_generator(), 1, reg)
+    x = reg.register((0, 1, 1))
+    with pytest.raises(DegenerateConfiguration,
+                       match="contracted line.*found mod p.*may be a false zero"):
+        op.pullback(WeilClass.exceptional_class(x))
+    with pytest.raises(TablePointHit):
+        op.transport((0, 1, 0))
 
 
 # -- serialisation ------------------------------------------------------

@@ -1,19 +1,18 @@
-"""Normal forms and distances for plane points."""
+"""Normal forms and residue keys for plane points."""
 
 import json
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from birwalk.errors import IndeterminatePoint
+from birwalk.picard import MODP_P
 from birwalk.projective import (
     FINGERPRINT_P,
-    chordal_distance,
     fingerprint,
     normalize_exact,
-    normalize_float,
     same_point,
 )
 
@@ -99,34 +98,20 @@ def test_fingerprint_is_scale_free_and_same_point_is_exact(pt, k, i):
         (normalize_exact(pt) == normalize_exact(shifted))
 
 
-def test_float_normal_form_unit_and_sign():
-    u = normalize_float((-3.0, 0.0, 4.0))
-    assert u == pytest.approx((0.6, 0.0, -0.8))
-    assert sqrt(sum(c * c for c in u)) == pytest.approx(1.0)
+@pytest.mark.parametrize("p", [FINGERPRINT_P, MODP_P])
+def test_fingerprint_is_the_residue_triple_led_by_one(p):
+    assert fingerprint((2, 4, 6), p) == (1, 2, 3)
+    assert fingerprint((0, -3, 6), p) == (0, 1, p - 2)
+    assert fingerprint((0, 0, -5), p) == (0, 0, 1)
+    assert fingerprint((p, 2 * p, 3 * p), p) is None
+    # inverting the lead residue: 3 * (1, y, z) has residues (3, 1, 2)
+    x, y, z = fingerprint((3, 1, 2), p)
+    assert (x, 3 * y % p, 3 * z % p) == (1, 1, 2)
 
 
-def test_float_normal_form_skips_tiny_lead():
-    u = normalize_float((1e-12, -2.0, 0.0))
-    assert u[1] > 0
-
-
-def test_float_normal_form_rejects_bad_input():
-    with pytest.raises(IndeterminatePoint):
-        normalize_float((0.0, 0.0, 0.0))
-    with pytest.raises(IndeterminatePoint):
-        normalize_float((float("nan"), 1.0, 0.0))
-
-
-def test_chordal_distance_identifies_antipodes():
-    u = normalize_float((1.0, 2.0, 2.0))
-    v = tuple(-c for c in u)
-    assert chordal_distance(u, v) == 0.0
-    assert chordal_distance(u, u) == 0.0
-
-
-@given(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
-       .filter(lambda t: sum(c * c for c in t) > 1e-6))
-def test_float_normal_form_idempotent(pt):
-    u = normalize_float(pt)
-    assert normalize_float(u) == pytest.approx(u)
-    assert sqrt(sum(c * c for c in u)) == pytest.approx(1.0)
+@given(st.tuples(_BIG, _BIG, _BIG).filter(lambda t: any(t)),
+       st.integers(-(2 ** 300), 2 ** 300).filter(lambda k: k % MODP_P))
+def test_fingerprint_mod_the_walk_prime_is_scale_free(pt, k):
+    key = fingerprint(pt, MODP_P)
+    assert fingerprint(tuple(k * c for c in pt), MODP_P) == key
+    assert key is None or all(0 <= c < MODP_P for c in key)

@@ -21,14 +21,17 @@ from birwalk.maps import (
     sample_generators,
 )
 from birwalk.picard import (
+    MODP_P,
     LetterOperator,
     OperatorCache,
     PointRegistry,
     WeilClass,
     class_to_jsonable,
 )
+from birwalk.projective import fingerprint
 from birwalk.walk import (
     LOG2,
+    StepRow,
     WalkReport,
     WalkState,
     boundary_compare,
@@ -36,6 +39,7 @@ from birwalk.walk import (
     fit_geometric_rate,
     transversality_ratio_series,
     normalized_pairing,
+    normalized_self_pairing,
     random_itinerary,
     reduced_middle_length,
     run_walk,
@@ -114,7 +118,8 @@ def test_cancellation_restores_exact_class(gens):
     assert state.push_class == WeilClass.line_class()
 
 
-def test_cancelling_step_reuses_its_push(gens, monkeypatch):
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
     # a pop adds back the chained classes its push kept: on the pullback
     # track only pushing steps transport points, and each pop restores
     # the class from before its push.  Every hop of a chain is one call
@@ -127,7 +132,7 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch):
         return transport(self, coords)
 
     monkeypatch.setattr(LetterOperator, "transport", counted)
-    state = WalkState(gens, mode="exact")
+    state = WalkState(gens, mode=mode)
     before_push = []
     pushed = popped = 0
     for letter in random_itinerary(2, 30, random.Random(5)):
@@ -161,7 +166,8 @@ _BACKTRACKING = (
 )
 
 
-def test_replayed_reduced_word_gives_same_class(gens, monkeypatch):
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_replayed_reduced_word_gives_same_class(gens, monkeypatch, mode):
     # walked-with-cancellations state must equal the state of its reduced
     # word, also where a push reuses the chains a pop left behind
     chains = []
@@ -174,34 +180,22 @@ def test_replayed_reduced_word_gives_same_class(gens, monkeypatch):
     monkeypatch.setattr(WalkState, "_chained_base_classes", counted)
     for it in (random_itinerary(2, 30, random.Random(5)), *_BACKTRACKING):
         chains.clear()
-        report = run_walk(gens, len(it), itinerary=it, mode="exact",
+        report = run_walk(gens, len(it), itinerary=it, mode=mode,
                           exact_len_cap=16, checkpoint_every=0)
         assert report.aborted is None
         lengths = _stack_lengths(it)
         pushes = sum(1 for a, b in zip(lengths, [0, *lengths]) if a > b)
         assert len(chains) < pushes
-        state = WalkState(gens, mode="exact")
+        state = WalkState(gens, mode=mode)
         for letter in it:
             state.step(letter)
         reduced = tuple(e.letter for e in state.stack)
         assert len(reduced) == report.final_reduced_len
-        fresh = run_walk(gens, len(reduced), itinerary=reduced, mode="exact",
+        fresh = run_walk(gens, len(reduced), itinerary=reduced, mode=mode,
                          exact_len_cap=16, checkpoint_every=0)
         a = class_to_jsonable(report.final_class, report.registry)
         b = class_to_jsonable(fresh.final_class, fresh.registry)
         assert a == b
-
-
-def test_float_walk_refiles_no_chain(gens):
-    # a float pop keeps no chains for a later push: every push registers
-    # its chain ends again, and each registration may count a merge.
-    # Frozen: with the chains reused, this walk would count 1 merge, not 2
-    report = run_walk(gens, 24, seed=15, mode="float", checkpoint_every=4)
-    assert report.aborted is None
-    assert report.registry_merges == 2
-    text = dumps_json(report.to_jsonable())
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "f7220460230bc8d4bb129e2104932f8cb4fe57395945fb773555cdae5931f096"
 
 
 def test_reduced_length_matches_integer_oracle_exact(gens):
@@ -316,8 +310,7 @@ def _report_with_final_class(cls, reduced_len, registry):
         steps_done=reduced_len, checkpoint_every=0, generator_count=2,
         track_classes=True, itinerary=(), rows=(),
         final_reduced_len=reduced_len, aborted=None, aborted_at=None,
-        registry_points=len(registry), registry_merges=0,
-        registry_min_separation=None, final_class=cls, registry=registry)
+        registry_points=len(registry), final_class=cls, registry=registry)
 
 
 def test_normalized_diagnostics_at_reduced_length_1100():
@@ -355,6 +348,40 @@ def test_normalized_diagnostics_match_float_scales_below_length_500():
             (v / float(2 ** ln) for v in c.point_part.values()), reverse=True)
 
 
+def test_self_pairing_controls_stop_at_length_537():
+    # 4^-537 = 2^-1074 is the least float; past it the control is None, not
+    # 0.0, and so is a row's self_intersection
+    assert normalized_self_pairing(537) == 2.0 ** -1074
+    assert normalized_self_pairing(16) == 4.0 ** -16
+    registry = PointRegistry("exact")
+    p = registry.register((1, 2, 3))
+    for ln in (538, 1100):
+        assert normalized_self_pairing(ln) is None
+        # planted final classes of degree 2^ln at reduced length ln
+        a = WeilClass(1 << ln, {p: 1})
+        b = WeilClass(1 << ln, {p: -1})
+        ra = _report_with_final_class(a, ln, registry)
+        rb = _report_with_final_class(b, ln, registry)
+        out = boundary_compare(ra, rb)
+        assert out["control_a"] is None and out["control_b"] is None
+        assert out["pairing"] == 1.0
+        assert json.loads(dumps_json(out))["control_a"] is None
+    assert boundary_compare(_report_with_final_class(a, 537, registry),
+                            rb)["control_a"] == 2.0 ** -1074
+
+
+def test_rows_past_length_537_write_an_empty_self_intersection(tmp_path):
+    rows = [StepRow(n=n, reduced_len=ln, log2_deg=ln, cauchy_increment=None,
+                    drift_estimate=0.5, self_intersection=
+                    normalized_self_pairing(ln))
+            for n, ln in ((1074, 537), (1076, 538), (2200, 1100))]
+    path = tmp_path / "rows.csv"
+    write_rows_csv(rows, path)
+    lines = path.read_text().strip().split("\n")
+    assert [line.split(",")[-1] for line in lines[1:]] == \
+        [repr(2.0 ** -1074), "", ""]
+
+
 def test_boundary_compare_self_equals_control(gens):
     registry = PointRegistry("exact")
     cache = OperatorCache(gens, registry)
@@ -364,29 +391,56 @@ def test_boundary_compare_self_equals_control(gens):
     assert out["pairing"] == out["control_a"] == out["control_b"]
 
 
-# -- float mode ---------------------------------------------------------
+# -- modp mode ----------------------------------------------------------
 
 
-def test_float_walk_matches_integer_oracle_and_is_deterministic(gens):
+def test_modp_walk_matches_integer_oracle_and_is_deterministic(gens):
     steps = 40
-    r1 = run_walk(gens, steps, seed=11, mode="float", checkpoint_every=8)
-    r2 = run_walk(gens, steps, seed=11, mode="float", checkpoint_every=8)
+    r1 = run_walk(gens, steps, seed=11, mode="modp", checkpoint_every=8)
+    r2 = run_walk(gens, steps, seed=11, mode="modp", checkpoint_every=8)
     assert r1.aborted is None
     assert r1.to_jsonable() == r2.to_jsonable()
     assert r1.rows == r2.rows
     oracle = _stack_lengths(r1.itinerary)
     for row in r1.rows[1:]:
         assert row.reduced_len == oracle[row.n - 1]
-    assert r1.registry_min_separation is None or \
-        r1.registry_min_separation >= 1e-8
+
+
+def test_modp_classes_are_the_exact_classes_reduced(gens):
+    # walk seeds 1-40 at 16 steps: the same reduced lengths, and the same
+    # final classes once every exact point is reduced mod p
+    for seed in range(1, 41):
+        exact = run_walk(gens, 16, seed=seed, mode="exact")
+        modp = run_walk(gens, 16, seed=seed, mode="modp")
+        assert exact.aborted is None and modp.aborted is None
+        assert modp.final_reduced_len == exact.final_reduced_len
+        ce, cm = exact.final_class, modp.final_class
+        assert cm.line_coeff == ce.line_coeff
+        assert {modp.registry.coords_of(p): c
+                for p, c in cm.point_part.items()} == \
+            {fingerprint(exact.registry.coords_of(p), MODP_P): c
+             for p, c in ce.point_part.items()}
+
+
+def test_modp_report_labels_its_residues(gens):
+    modp = run_walk(gens, 12, seed=9, mode="modp", keep_classes=True)
+    doc = modp.to_jsonable()
+    assert doc["residue_prime"] == MODP_P == 2 ** 61 - 1
+    assert all(0 <= int(c) < MODP_P
+               for _v, coords in doc["top_coefficients"] for c in coords)
+    assert all(0 <= c < MODP_P for cp in doc["checkpoint_classes"]
+               for coords, _coeff in cp["class"]["point_entries"]
+               for c in coords)
+    exact = run_walk(gens, 12, seed=9, mode="exact", keep_classes=True)
+    assert "residue_prime" not in exact.to_jsonable()
 
 
 def test_shared_registry_walks_can_be_paired(gens):
-    registry = PointRegistry("float", 1e-9)
+    registry = PointRegistry("modp")
     cache = OperatorCache(gens, registry)
-    ra = run_walk(gens, 40, seed=21, mode="float",
+    ra = run_walk(gens, 40, seed=21, mode="modp",
                   registry=registry, cache=cache)
-    rb = run_walk(gens, 40, seed=22, mode="float",
+    rb = run_walk(gens, 40, seed=22, mode="modp",
                   registry=registry, cache=cache)
     assert ra.aborted is None and rb.aborted is None
     out = boundary_compare(ra, rb)
@@ -394,7 +448,7 @@ def test_shared_registry_walks_can_be_paired(gens):
 
 
 def test_classfree_walk_runs_deep_and_fast(gens):
-    report = run_walk(gens, 2000, seed=6, mode="float",
+    report = run_walk(gens, 2000, seed=6, mode="modp",
                       checkpoint_every=100, track_classes=False)
     assert report.aborted is None
     assert report.steps_done == 2000
@@ -410,23 +464,34 @@ def test_classfree_walk_runs_deep_and_fast(gens):
 
 def test_exact_len_cap_refuses_deep_stack(gens):
     it = tuple((0, 1) for _ in range(6))
-    with pytest.raises(ExactLengthCap):
+    with pytest.raises(ExactLengthCap, match="--mode modp"):
         run_walk(gens, 6, itinerary=it, mode="exact", exact_len_cap=4)
+    # the cap holds exact points only
+    assert run_walk(gens, 6, itinerary=it, mode="modp",
+                    exact_len_cap=4).final_reduced_len == 6
 
 
-def test_float_steps_cap(gens):
-    with pytest.raises(ValueError):
-        run_walk(gens, 100, seed=1, mode="float", float_steps_cap=50)
-
-
-def test_fat_epsilon_walk_aborts_in_report(gens):
-    # a huge merge radius forces the ambiguity band quickly; the walk must
-    # stop and say so rather than keep computing with unreliable ids
-    report = run_walk(gens, 200, seed=3, mode="float", eps=0.05)
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_walk_stops_at_an_abort_and_records_it(mode):
+    # on this height-1 pair, walk seed 2 carries a point onto a contracted
+    # line at step 5: the walk must stop there and say so rather than go on
+    # with a class it cannot carry; the failed step is not done
+    pair = sample_generators(2, 1, random.Random(2))
+    report = run_walk(pair, 200, seed=2, mode=mode)
     assert report.aborted is not None
-    assert report.aborted_at is not None
-    assert report.steps_done < 200
-    assert "ambiguity band" in report.aborted or "contracted" in report.aborted
+    assert report.aborted_at == report.steps_done + 1 == 5
+    assert [row.n for row in report.rows] == [0, 1, 2, 3, 4]
+    assert report.aborted.startswith(
+        "carried point lies on a contracted line")
+    assert ("found mod p" in report.aborted) == (mode == "modp")
+    blob = report.to_jsonable()
+    assert (blob["aborted"], blob["aborted_at"]) == (report.aborted, 5)
+    # the sigma pair's second letter undoes the first, which the degree
+    # check catches once the step is done
+    report = run_walk(_sigma_pair(), 200, seed=2, mode=mode)
+    assert report.aborted_at == report.steps_done == 2
+    assert [row.n for row in report.rows] == [0, 1]
+    assert report.aborted.startswith("degree invariant broken at step 2")
 
 
 # -- artifacts ----------------------------------------------------------
@@ -448,7 +513,7 @@ def test_report_jsonable_and_csv(tmp_path, gens):
     write_rows_csv(report.rows, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("n,reduced_len,log2_deg,cauchy_increment,"
-                       "drift_estimate,self_intersection,health_min_separation")
+                       "drift_estimate,self_intersection")
     assert len(lines) == len(report.rows) + 1
     assert len(report.rows) == 17  # the n=0 state plus one row per step
 
@@ -462,9 +527,9 @@ def test_zero_steps_report(gens):
     assert report.rows[0].log2_deg == 0
 
 
-def test_drift_estimate_short_float_run(gens):
+def test_drift_estimate_short_classfree_run(gens):
     # crude sanity only; the long-run statistics live in the acceptance suite
-    report = run_walk(gens, 2000, seed=2, mode="float",
+    report = run_walk(gens, 2000, seed=2, mode="modp",
                       checkpoint_every=100, track_classes=False)
     assert report.aborted is None
     drift = report.rows[-1].drift_estimate
