@@ -32,33 +32,33 @@ its path would leave it short of degree 2^length.  So the first pass
 carries the inner words' line restrictions with no verdict and
 judges the leaves alone; the class side still runs on every node.
 
-Leaves are most of the tree and gate nothing below them, so their
-verdicts are deferred.  A leaf whose class side passes joins a queue with
-its DFS index; every `LEAF_BATCH` leaves, and at the end of the tree, the
-queue is judged at once: one batched letter step gives each leaf's
-restrictions to the first certificate line, and `modp.coprime_lanes`
-runs the gcds in lockstep.  That is exactly the first `modp.coprime`
-call of the scalar step, so a lane that certifies needs nothing more,
-and a lane that does not goes through the scalar step on all six lines
-and then the exact decision.  Words where the fast check cannot certify
-(a genuine degree drop, or the rare prime mishap) are recomposed exactly
-over the integers and judged on the true triple.
+Leaves are most of the tree and gate nothing below them, so they are
+judged in batches.  A leaf whose class side passes joins a queue; every
+`LEAF_BATCH` leaves, and at the end of the tree, the queue is judged at
+once: one batched letter step gives each leaf's restrictions to the
+first certificate line, and `modp.coprime_lanes` runs the gcds in
+lockstep.  That is exactly the first `modp.coprime` call of the scalar
+step, so a lane that certifies needs nothing more, and a lane that does
+not goes through the scalar step on all six lines and then the exact
+decision.  Words where the fast check cannot certify (a genuine degree
+drop, or the rare prime mishap) are recomposed exactly over the integers
+and judged on the true triple.
 
 The first pass gives up at the first sign of failure: a class-side miss,
 before any exact decision, or a leaf the exact decision rejects.  The
-tree then reruns with a verdict on every word, which traces a failure to
-the shortest failing word: an inner word without a fast verdict is
-decided exactly, and one that passes reseeds its subtree from the
-restrictions of its exact triple.  Class transport degeneracies and
-degree drops on either side are recorded in the report; the rerun prunes
-the tree below a failing word but keeps checking sibling branches.  Its
-failures carry their DFS index and are kept in that order; the report is
-then cut at the `failure_cap`-th one, which gives the `words_checked`,
-`failures` and `truncated` a tree judging each word as it visits it
-would give.  The rerun stops once it knows of `failure_cap` failures,
-and queued leaves past the cut are not adjudicated.  Both passes share
-one operator cache, whose memoised point images (the `picard` docstring)
-spare the rerun the class side's transports.
+tree then reruns judging every word as it visits it, which traces a
+failure to the shortest failing word: a word the scalar step leaves
+without a verdict is decided exactly, and one that passes reseeds its
+subtree from the restrictions of its exact triple.  Class transport
+degeneracies and degree drops on either side are recorded in the report
+in DFS order; the rerun prunes the tree below a failing word but keeps
+checking sibling branches, and stops at the `failure_cap`-th failure.
+Both passes share one operator cache, whose memoised point images (the
+`picard` docstring) spare the rerun the class side's transports.
+
+Both passes, and `walk.crosscheck_words`, go through the one DFS of
+`walk_words`, which hands each word the state its step made for the
+word's parent.
 
 `perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
 by replacing them in this module's namespace, so both stay module-level
@@ -68,19 +68,18 @@ through the module globals.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import modp
 from .errors import DegenerateComposition, DegenerateConfiguration
-from .maps import Components, GeneratorData, IDENTITY_COMPONENTS, Mat3, compose_letter
+from .maps import Components, GeneratorData, IDENTITY_COMPONENTS, compose_letter
 from .picard import OperatorCache, PointRegistry, WeilClass
 
 Letter = Tuple[int, int]  # (generator index, sign)
+# outermost letter first; itineraries are in time order
 Word = Tuple[Letter, ...]
 
 
@@ -132,6 +131,23 @@ def all_letters(generator_count: int) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
+def walk_words(letters: Sequence[Letter], max_len: int,
+               step: Callable[[Word, Any], Any], state: Any,
+               word: Word = ()) -> None:
+    """Visit the reduced words below `word` up to length max_len in DFS
+    order, outermost letter first.  Each word w goes to step(w, state of
+    w's parent), which returns w's own state, or None to skip w's subtree."""
+    if len(word) == max_len:
+        return
+    for letter in letters:
+        if word and letter == _inverse_letter(word[0]):
+            continue
+        new_word = (letter,) + word
+        new_state = step(new_word, state)
+        if new_state is not None:
+            walk_words(letters, max_len, step, new_state, new_word)
+
+
 # -- certificate lines ---------------------------------------------------
 # A node of the tree carries a (lines, 3, d+1) int64 array of the mod-p
 # restrictions of its raw composed triple to the lines of modp.CERT_LINES.
@@ -145,26 +161,37 @@ def _lines_from_components(comps: Components):
     return np.array(lines, dtype=np.int64), d
 
 
-def _mat_modp(rows: Mat3):
-    return np.array([[c % modp.P for c in row] for row in rows], dtype=np.int64)
+def _letter_mats(gen: GeneratorData, sign: int):
+    """The letter's (outer, inner) matrices mod p, as a (2, 3, 3) array."""
+    return np.array([[[c % modp.P for c in row] for row in rows]
+                     for rows in gen.letter_matrices(sign)], dtype=np.int64)
 
 
-def _letter_step(gen: GeneratorData, sign: int, lines, d: int):
-    """The letter composed onto the line restrictions: those of the new raw
-    triple, of degree 2d, with no verdict on them."""
-    a_rows, b_rows = gen.letter_matrices(sign)
-    t = _mat_modp(b_rows) @ lines % modp.P
-    s = np.empty((len(modp.CERT_LINES), 3, 2 * d + 1), dtype=np.int64)
-    for li, (t0, t1, t2) in enumerate(t):
-        s[li, 0] = np.convolve(t1, t2)
-        s[li, 1] = np.convolve(t0, t2)
-        s[li, 2] = np.convolve(t0, t1)
-    return _mat_modp(a_rows) @ (s % modp.P) % modp.P
+def _letter_step(mats, lines):
+    """Letters composed onto line restrictions, lane by lane: those of the
+    new raw triples, of degree 2d, with no verdict on them.  `lines` is a
+    (lanes, 3, d+1) residue array; `mats` is one `_letter_mats` array for
+    every lane, or a (lanes, 2, 3, 3) stack of them."""
+    t = mats[..., 1, :, :] @ lines % modp.P
+    w = t.shape[2]
+    # window j of a row v zero-padded by w-1 on each side holds
+    # v[j-w+1 .. j], so slot j of u*v is that window times u reversed;
+    # t1 and t2 alone need windows, a strided view made here because
+    # numpy's sliding_window_view raised peak memory round by round
+    padded = np.zeros((len(t), 2, 3 * w - 2), dtype=np.int64)
+    padded[:, :, w - 1:2 * w - 1] = t[:, 1:]
+    windows = np.ndarray((len(t), 2, 2 * w - 1, w), np.int64, padded, 0,
+                         padded.strides + padded.strides[2:])
+    rev = t[:, :2, ::-1, None]
+    s = np.stack([(windows[:, v] @ rev[:, u])[..., 0]
+                  for u, v in ((1, 1), (0, 1), (0, 0))], axis=1)
+    s %= modp.P
+    return mats[..., 0, :, :] @ s % modp.P
 
 
 def _modp_step(gen: GeneratorData, sign: int, lines, d):
     """Fast certified step on the line restrictions; None means no verdict."""
-    new_lines = _letter_step(gen, sign, lines, d)
+    new_lines = _letter_step(_letter_mats(gen, sign), lines)
     if not any(modp.coprime(rs) for rs in new_lines.tolist()):
         return None  # no line certifies the raw triple coprime
     return new_lines, 2 * d
@@ -202,10 +229,22 @@ def _adjudicate(gens, word: Word, class_degree: Optional[int],
     return WordCheck(word, expected, poly_degree, class_degree, reason)
 
 
-# -- deferred leaves ------------------------------------------------------
+def _push_letter(cache: OperatorCache, letter: Letter, push: WeilClass):
+    """The class side of prepending a letter: (pushed class, its line
+    coefficient, None), or (None, None, the transport failure)."""
+    try:
+        # prepending the letter pushes the class forward once more;
+        # pushforward is pullback by the opposite sign
+        new_push = cache.get(letter[0], -letter[1]).pullback(push)
+    except DegenerateConfiguration as exc:
+        return None, None, str(exc)
+    return new_push, new_push.line_coeff, None
+
+
+# -- batched leaves -------------------------------------------------------
 # A leaf whose class side passes waits in a queue as
-# (seq, word, parent lines, parent degree); a flush judges the whole
-# queue on the first certificate line in numpy lanes.
+# (word, parent lines, parent degree); a flush judges the whole queue on
+# the first certificate line in numpy lanes.
 
 # Leaves per flush.  Lane temporaries grow with it; BENCH_certify_lanes.json
 # records the sizing against time and peak resident set.
@@ -215,29 +254,19 @@ LEAF_BATCH = 81
 def _leaf_verdicts(gens, queue) -> List[bool]:
     """`modp.coprime` on the first certificate line of every queued leaf,
     whose restrictions come from its parent's in one batched letter step."""
-    mats = {letter: [_mat_modp(rows) for rows in
-                     gens[letter[0]].letter_matrices(letter[1])]
-            for letter in {item[1][0] for item in queue}}
-    t = np.array([mats[item[1][0]][1] for item in queue]) \
-        @ np.array([item[2][0] for item in queue])
-    t %= modp.P
-    # the products t1*t2, t0*t2, t0*t1, by shift and add
-    width = t.shape[2]
-    s = np.zeros((len(t), 3, 2 * width - 1), dtype=np.int64)
-    for out, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
-        for k in range(width):
-            s[:, out, k:k + width] += t[:, i, k:k + 1] * t[:, j]
-    s %= modp.P
-    s = np.array([mats[item[1][0]][0] for item in queue]) @ s
-    s %= modp.P
-    return modp.coprime_lanes(s)
+    mats = {letter: _letter_mats(gens[letter[0]], letter[1])
+            for letter in {word[0] for word, _lines, _d in queue}}
+    lanes = _letter_step(np.array([mats[word[0]] for word, _l, _d in queue]),
+                         np.array([lines[0] for _w, lines, _d in queue]))
+    return modp.coprime_lanes(lanes)
 
 
 # -- the certification tree ---------------------------------------------
 
 
-class _GiveUp(Exception):
-    """The leaves-only pass met a failure: the per-word tree traces it."""
+class _Stop(Exception):
+    """Ends a pass over the tree: the leaves-only pass met a failure, or
+    the per-word tree reached its failure cap."""
 
 
 def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
@@ -249,12 +278,17 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     distinct_ok = len(set(pts)) == 6 * len(gens)
     # one cache for both passes: its memoised images stay exact
     cache = OperatorCache(tuple(gens), PointRegistry("exact"))
+    root = (*_lines_from_components(IDENTITY_COMPONENTS),
+            WeilClass.line_class())
     try:
-        checked, failures, truncated = _tree(gens, cache, max_len,
-                                             failure_cap, leaves_only=True)
-    except _GiveUp:
-        checked, failures, truncated = _tree(gens, cache, max_len,
-                                             failure_cap, leaves_only=False)
+        if failure_cap < 1:
+            raise _Stop  # the per-word tree stops before its first word
+        _leaf_pass(gens, cache, max_len, root)
+        checked, failures, truncated = \
+            reduced_word_count(len(gens), max_len), (), False
+    except _Stop:
+        checked, failures, truncated = _word_pass(gens, cache, max_len,
+                                                  failure_cap, root)
     return GenericityReport(
         max_len=max_len,
         generator_count=len(gens),
@@ -265,94 +299,65 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     )
 
 
-def _tree(gens, cache: OperatorCache, max_len: int, failure_cap: int,
-          leaves_only: bool):
-    """One DFS over the reduced words: (words checked, failures, truncated).
-
-    With `leaves_only`, inner words carry their line restrictions with no
-    polynomial verdict, and the first failure raises `_GiveUp`."""
-    letters = all_letters(len(gens))
-    failures: List[Tuple[int, WordCheck]] = []  # (seq, check), by seq
+def _leaf_pass(gens, cache: OperatorCache, max_len: int, root) -> None:
+    """The tree with a polynomial verdict on the leaves alone: inner words
+    carry their line restrictions, and any failure raises `_Stop`."""
     queue = []
-    checked = 0
-    truncated = False
-
-    def fail(seq: int, check: WordCheck) -> None:
-        if leaves_only:
-            raise _GiveUp
-        insort(failures, (seq, check), key=itemgetter(0))
 
     def flush() -> None:
-        verdicts = _leaf_verdicts(gens, queue)
-        for (seq, word, lines, d), ok in zip(queue, verdicts):
-            if ok:
-                continue
-            if bisect_left(failures, seq, key=itemgetter(0)) >= failure_cap:
-                break  # this leaf and the rest lie past the cap
-            if _modp_step(gens[word[0][0]], word[0][1], lines, d) is None:
+        for (word, lines, d), ok in zip(queue, _leaf_verdicts(gens, queue)):
+            if not ok and _modp_step(gens[word[0][0]], word[0][1],
+                                     lines, d) is None:
                 verdict = _adjudicate(gens, word, 2 ** len(word), None)
                 if isinstance(verdict, WordCheck):
-                    fail(seq, verdict)
+                    raise _Stop
         queue.clear()
 
-    def visit(word: Word, lines, d: int, push: WeilClass) -> None:
-        nonlocal checked, truncated
-        leaf = len(word) + 1 == max_len
-        for letter in letters:
-            if word and letter == _inverse_letter(word[0]):
-                continue
-            if len(failures) >= failure_cap:
-                truncated = True
-                return
-            new_word = (letter,) + word
-            expected = 2 ** len(new_word)
-            checked += 1
-            transport_fail = None
-            class_degree = None
-            new_push = None
-            try:
-                # prepending the letter pushes the class forward once
-                # more; pushforward is pullback by the opposite sign
-                new_push = cache.get(letter[0], -letter[1]).pullback(push)
-                class_degree = new_push.line_coeff
-            except DegenerateConfiguration as exc:
-                transport_fail = str(exc)
-            class_ok = transport_fail is None and class_degree == expected
-            if leaves_only and not class_ok:
-                raise _GiveUp  # before any exact decision
-            if leaf and class_ok:
-                queue.append((checked, new_word, lines, d))
-                if len(queue) >= LEAF_BATCH:
-                    flush()
-                continue
-            gen = gens[letter[0]]
-            if leaves_only:
-                fast = _letter_step(gen, letter[1], lines, d), 2 * d
-            else:
-                fast = _modp_step(gen, letter[1], lines, d) \
-                    if class_ok else None
-            if fast is None:
-                # a leaf gets here only with a failing class side, which
-                # the exact decision always reports
-                verdict = _adjudicate(gens, new_word, class_degree,
-                                      transport_fail)
-                if isinstance(verdict, WordCheck):
-                    fail(checked, verdict)
-                    continue
-                fast = _lines_from_components(verdict)
-            visit(new_word, *fast, new_push)
+    def step(word: Word, node):
+        lines, d, push = node
+        push, class_degree, _ = _push_letter(cache, word[0], push)
+        if class_degree != 2 ** len(word):
+            raise _Stop  # before any exact decision
+        if len(word) < max_len:
+            return (_letter_step(_letter_mats(gens[word[0][0]], word[0][1]),
+                                 lines), 2 * d, push)
+        queue.append((word, lines, d))
+        if len(queue) >= LEAF_BATCH:
+            flush()
+        return None
+
+    walk_words(all_letters(len(gens)), max_len, step, root)
+    if queue:
+        flush()
+
+
+def _word_pass(gens, cache: OperatorCache, max_len: int, failure_cap: int,
+               root):
+    """The tree judging every word as it visits it: (words checked,
+    failures in DFS order, truncated)."""
+    failures: List[WordCheck] = []
+    checked = 0
+
+    def step(word: Word, node):
+        nonlocal checked
+        if len(failures) >= failure_cap:
+            raise _Stop  # this word and any after it stay unchecked
+        checked += 1
+        lines, d, push = node
+        push, class_degree, transport_fail = _push_letter(cache, word[0],
+                                                          push)
+        fast = _modp_step(gens[word[0][0]], word[0][1], lines, d) \
+            if class_degree == 2 ** len(word) else None
+        if fast is None:
+            verdict = _adjudicate(gens, word, class_degree, transport_fail)
+            if isinstance(verdict, WordCheck):
+                failures.append(verdict)
+                return None
+            fast = _lines_from_components(verdict)
+        return (*fast, push)
 
     try:
-        visit((), *_lines_from_components(IDENTITY_COMPONENTS),
-              WeilClass.line_class())
-        if queue:
-            flush()
-    finally:
-        del visit  # the closure refers to itself: free the tree state now
-    # replay in DFS order: the tree as the scalar walk would have cut it
-    if 0 < failure_cap <= len(failures):
-        cut = failures[failure_cap - 1][0]
-        truncated = truncated or checked > cut
-        checked = cut
-        del failures[failure_cap:]
-    return checked, tuple(check for _seq, check in failures), truncated
+        walk_words(all_letters(len(gens)), max_len, step, root)
+    except _Stop:
+        return checked, tuple(failures), True
+    return checked, tuple(failures), False

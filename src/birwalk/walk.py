@@ -288,8 +288,10 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
     """DFS over reduced words verifying the class calculus word by word;
     returns (words checked per check name, failure records in DFS order).
 
-    The walk state carries the pullback class; popping by the formal
-    inverse restores it bit-exactly, so one state serves the whole tree.
+    The tree is `genericity.walk_words`'s: words, failure records' too,
+    put the outermost (newest) letter first.  One walk state carries the
+    pullback class; each word's step first pops it back to the word's
+    parent, and popping by the formal inverse restores it bit-exactly.
     Each word checks: polynomial degree vs class degree on both the
     pullback and forward tracks, unit self-intersection, the one-letter
     degree recursion against the forward image's multiplicities at the
@@ -310,88 +312,79 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
     probe = WeilClass.exceptional_class(cache.get(0, 1).base_ids[0])
     checked = 0  # every check runs once on each word that reaches them
     failures: List[dict] = []
-    letters = all_letters(len(gens))
 
     def fail(word, check, detail):
         failures.append({"word": [list(l) for l in word], "check": check,
                          "detail": detail})
 
-    def visit(word: Word, lines, d: int, pushed: WeilClass,
-              push_line: WeilClass, ancestors):
+    def step(word: Word, node):
         nonlocal checked
-        if len(word) >= max_len or len(failures) >= failure_cap:
-            return
-        for letter in letters:
-            if word and letter == _inverse_letter(word[-1]):
-                continue
-            new_word = word + (letter,)
-            prev_line = state.pull_class.line_coeff
-            depth_before = len(state.stack)
-            try:
-                op = cache.get(letter[0], letter[1])
-                # the degree recursion consumes the multiplicities the
-                # forward image class carries at the new letter's own
-                # indeterminacy points
-                base_mult = sum(push_line.point_part.get(pid, 0)
-                                for pid in op.base_ids)
-                state.step(letter)
-            except DegenerateConfiguration as exc:
-                fail(new_word, "degree", f"degenerate: {exc}")
-                if len(state.stack) > depth_before:
-                    state.step(_inverse_letter(letter))
-                continue
-            cls = state.pull_class
-            try:
-                inv = cache.get(letter[0], -letter[1])
-                new_pushed = inv.pullback(pushed)
-                new_push_line = inv.pullback(push_line)
-            except DegenerateConfiguration as exc:
-                fail(new_word, "adjoint", f"probe transport degenerate: {exc}")
-                state.step(_inverse_letter(letter))
-                continue
-            # with no verdict, compose exactly: the newest letter acts
-            # outermost, so it leads the word the composition reads
-            node = genericity._modp_step(gens[letter[0]], letter[1], lines, d) \
-                or genericity._lines_from_components(
-                    genericity._exact_word_components(gens, new_word[::-1]))
-            poly_degree = node[1]
-            checked += 1
-            if poly_degree != cls.line_coeff \
-                    or poly_degree != new_push_line.line_coeff \
-                    or poly_degree != 2 ** len(new_word):
-                fail(new_word, "degree",
-                     f"poly {poly_degree} vs class {cls.line_coeff} "
-                     f"vs forward class {new_push_line.line_coeff} "
-                     f"vs expected {2 ** len(new_word)}")
-            if cls.self_intersection() != 1:
-                fail(new_word, "isometry",
-                     f"self-intersection {cls.self_intersection()}")
-            if cls.line_coeff != 2 * prev_line - base_mult:
-                fail(new_word, "noether",
-                     f"degree recursion broken: {cls.line_coeff} != "
-                     f"2*{prev_line} - {base_mult}")
-            # <w*[L], E_q> = <[L], w_* E_q>: pullback multiplicity at the
-            # probe point vs line coefficient of the pushed probe
-            left = cls.intersect(probe)
-            right = new_pushed.line_coeff
-            if left != right:
-                fail(new_word, "adjoint",
-                     f"<w*L, E> = {left} but <L, w_*E> = {right}")
-            for anc_len, anc_class in ancestors:
-                middle = len(new_word) - anc_len
-                if cls.intersect(anc_class) != 2 ** middle:
-                    fail(new_word, "gram",
-                         f"pairing with length-{anc_len} ancestor is "
-                         f"{cls.intersect(anc_class)}, expected 2^{middle}")
-            visit(new_word, *node, new_pushed, new_push_line,
-                  ancestors + [(len(new_word), cls)])
-            state.step(_inverse_letter(letter))
+        lines, d, pushed, push_line, ancestors = node
+        letter = word[0]
+        while len(state.stack) >= len(word):  # back to the word's parent
+            state.step(_inverse_letter(state.stack[-1].letter))
+        prev_line = state.pull_class.line_coeff
+        try:
+            op = cache.get(letter[0], letter[1])
+            # the degree recursion consumes the multiplicities the forward
+            # image class carries at the new letter's own indeterminacy
+            # points
+            base_mult = sum(push_line.point_part.get(pid, 0)
+                            for pid in op.base_ids)
+            state.step(letter)
+        except DegenerateConfiguration as exc:
+            fail(word, "degree", f"degenerate: {exc}")
+            return None
+        cls = state.pull_class
+        try:
+            inv = cache.get(letter[0], -letter[1])
+            new_pushed = inv.pullback(pushed)
+            new_push_line = inv.pullback(push_line)
+        except DegenerateConfiguration as exc:
+            fail(word, "adjoint", f"probe transport degenerate: {exc}")
+            return None
+        # with no verdict, compose exactly
+        node = genericity._modp_step(gens[letter[0]], letter[1], lines, d) \
+            or genericity._lines_from_components(
+                genericity._exact_word_components(gens, word))
+        poly_degree = node[1]
+        checked += 1
+        if poly_degree != cls.line_coeff \
+                or poly_degree != new_push_line.line_coeff \
+                or poly_degree != 2 ** len(word):
+            fail(word, "degree",
+                 f"poly {poly_degree} vs class {cls.line_coeff} "
+                 f"vs forward class {new_push_line.line_coeff} "
+                 f"vs expected {2 ** len(word)}")
+        if cls.self_intersection() != 1:
+            fail(word, "isometry",
+                 f"self-intersection {cls.self_intersection()}")
+        if cls.line_coeff != 2 * prev_line - base_mult:
+            fail(word, "noether",
+                 f"degree recursion broken: {cls.line_coeff} != "
+                 f"2*{prev_line} - {base_mult}")
+        # <w*[L], E_q> = <[L], w_* E_q>: pullback multiplicity at the
+        # probe point vs line coefficient of the pushed probe
+        left = cls.intersect(probe)
+        right = new_pushed.line_coeff
+        if left != right:
+            fail(word, "adjoint",
+                 f"<w*L, E> = {left} but <L, w_*E> = {right}")
+        for anc_len, anc_class in ancestors:
+            middle = len(word) - anc_len
+            if cls.intersect(anc_class) != 2 ** middle:
+                fail(word, "gram",
+                     f"pairing with length-{anc_len} ancestor is "
+                     f"{cls.intersect(anc_class)}, expected 2^{middle}")
+        if len(failures) >= failure_cap:
+            return None
+        return (*node, new_pushed, new_push_line,
+                ancestors + [(len(word), cls)])
 
-    try:
-        visit((), *genericity._lines_from_components(IDENTITY_COMPONENTS),
-              probe, WeilClass.line_class(), [(0, WeilClass.line_class())])
-    finally:
-        del visit  # the closure refers to itself: free the walk state now
+    root = (*genericity._lines_from_components(IDENTITY_COMPONENTS),
+            probe, WeilClass.line_class(), [(0, WeilClass.line_class())])
+    if failure_cap > 0:
+        genericity.walk_words(all_letters(len(gens)), max_len, step, root)
     names = ("degree", "isometry", "noether", "adjoint", "gram")
     return dict.fromkeys(names, checked), failures
 
@@ -415,7 +408,7 @@ class WalkReport:
     mode: str
     seed: Optional[int]
     steps_requested: int
-    steps_done: int
+    steps_done: int  # completed steps, aborted_at - 1 after an abort
     checkpoint_every: int
     generator_count: int
     track_classes: bool
@@ -590,7 +583,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         mode=mode,
         seed=seed,
         steps_requested=steps,
-        steps_done=state.n,
+        steps_done=rows[-1].n,
         checkpoint_every=checkpoint_every,
         generator_count=len(gens),
         track_classes=track_classes,

@@ -1,5 +1,7 @@
 """Free-growth certification over the reduced-word tree."""
 
+import importlib
+import importlib.util
 import json
 import random
 import signal
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import birwalk.genericity as genericity
-from birwalk import modp, poly
+from birwalk import modp, poly, walk
 from birwalk.genericity import (
     GenericityReport,
     all_letters,
@@ -23,6 +25,7 @@ from birwalk.maps import (
     sample_generators,
 )
 from birwalk.poly import HomPoly, triple_gcd
+from birwalk.walk import crosscheck_words
 
 from form_oracles import sympy_gcd
 
@@ -351,8 +354,9 @@ def test_inner_polynomial_failure_gives_up_the_leaves_only_pass(
     def raw_lines(word):
         lines, d = genericity._lines_from_components(IDENTITY_COMPONENTS)
         for letter in reversed(word):
-            lines, d = genericity._letter_step(gens[letter[0]], letter[1],
-                                               lines, d), 2 * d
+            lines, d = genericity._letter_step(
+                genericity._letter_mats(gens[letter[0]], letter[1]),
+                lines), 2 * d
         return lines.tobytes()
 
     stalled = {raw_lines(w) for w in [u] + leaves}
@@ -361,12 +365,13 @@ def test_inner_polynomial_failure_gives_up_the_leaves_only_pass(
     calls = []
 
     def no_verdict(gen, sign, lines, d):
-        if genericity._letter_step(gen, sign, lines, d).tobytes() in stalled:
+        if genericity._letter_step(genericity._letter_mats(gen, sign),
+                                   lines).tobytes() in stalled:
             return None
         return modp_step(gen, sign, lines, d)
 
     def leaf_lanes(gens, queue):
-        return [ok and item[1] not in leaves
+        return [ok and item[0] not in leaves
                 for item, ok in zip(queue, leaf_verdicts(gens, queue))]
 
     def failing_exact(gens, word):
@@ -386,3 +391,111 @@ def test_inner_polynomial_failure_gives_up_the_leaves_only_pass(
     assert not report.truncated
     # the first pass stops at u's first leaf; the rerun decides u itself
     assert calls == [leaves[0], u]
+
+
+# -- the one word tree ----------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_walk_words_visits_the_reduced_words_in_dfs_order(r):
+    seen = []
+
+    def step(word, parent):
+        assert parent == word[1:]  # the state the parent's step returned
+        seen.append(word)
+        return word
+
+    genericity.walk_words(all_letters(r), 4, step, ())
+    assert seen == list(_dfs_words(r, 4))
+    assert len(seen) == reduced_word_count(r, 4)
+
+
+@pytest.mark.parametrize("skipped", [((0, 1),), ((1, -1), (0, 1)),
+                                     ((0, -1), (1, 1), (1, 1)),
+                                     ((1, 1), (0, 1), (0, 1), (1, 1))])
+def test_walk_words_skips_exactly_the_subtree_of_a_none_step(skipped):
+    seen = []
+
+    def step(word, parent):
+        seen.append(word)
+        return None if word == skipped else word
+
+    genericity.walk_words(all_letters(2), 4, step, ())
+    assert seen == [w for w in _dfs_words(2, 4)
+                    if w == skipped or w[-len(skipped):] != skipped]
+
+
+def _convolved_step(mats, lines):
+    """The letter step line by line with np.convolve, as an oracle."""
+    a, b = mats
+    t = b @ lines % modp.P
+    s = np.array([[np.convolve(t1, t2), np.convolve(t0, t2),
+                   np.convolve(t0, t1)] for t0, t1, t2 in t])
+    return a @ (s % modp.P) % modp.P
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
+def test_batched_letter_step_equals_single_node_steps(certified_tuple, d):
+    gens = certified_tuple
+    rng = np.random.default_rng(d)
+    letters = all_letters(len(gens))
+    picks = [letters[i] for i in rng.integers(0, len(letters), size=9)]
+    mats = np.array([genericity._letter_mats(gens[i], s) for i, s in picks])
+    lines = rng.integers(0, modp.P, size=(9, 3, d + 1), dtype=np.int64)
+    lines[0] = 0
+    lines[1, :, -1] = 0  # a lane whose forms lose their top coefficient
+    lanes = genericity._letter_step(mats, lines)
+    assert lanes.dtype == np.int64 and lanes.shape == (9, 3, 2 * d + 1)
+    for lane, m, node in zip(lanes, mats, lines):
+        single = genericity._letter_step(m, node[None])
+        assert single.tobytes() == lane[None].tobytes()
+        assert np.array_equal(single, _convolved_step(m, node[None]))
+    # one node's six certificate lines share the letter's matrices
+    node = lines[:6]
+    assert np.array_equal(genericity._letter_step(mats[0], node),
+                          _convolved_step(mats[0], node))
+
+
+def test_crosscheck_failures_use_the_certificate_word_order():
+    pair = (generator_from_matrices(0, I3, I3), generator_from_matrices(1, I3, I3))
+    _counts, failures = crosscheck_words(pair, 2)
+    words = [tuple(tuple(letter) for letter in f["word"]) for f in failures]
+    assert len(words) == 12
+    assert words == [f.word for f in check_genericity(pair, 2).failures]
+
+
+# -- what perfbench's traced mode patches ----------------------------------
+
+
+def _perfbench_tracer():
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_spans_resolve_in_birwalk():
+    tracer = _perfbench_tracer()
+    assert tracer.SPANS
+    for mod_name, attr, _span, _home_only in tracer.SPANS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod_name, attr)
+
+
+def test_crosscheck_calls_the_exact_composition_through_the_module(
+        monkeypatch):
+    # the traced run counts exact decisions by replacing this module global
+    calls = []
+    exact = genericity._exact_word_components
+
+    def spy(gens, word):
+        calls.append(word)
+        return exact(gens, word)
+
+    monkeypatch.setattr(genericity, "_exact_word_components", spy)
+    crosscheck_words(sample_generators(2, 1, random.Random(38)), 2)
+    assert calls
+    assert "_exact_word_components" not in vars(walk)

@@ -489,7 +489,7 @@ def test_walk_stops_at_an_abort_and_records_it(mode):
     # the sigma pair's second letter undoes the first, which the degree
     # check catches once the step is done
     report = run_walk(_sigma_pair(), 200, seed=2, mode=mode)
-    assert report.aborted_at == report.steps_done == 2
+    assert report.aborted_at == report.steps_done + 1 == 2
     assert [row.n for row in report.rows] == [0, 1]
     assert report.aborted.startswith("degree invariant broken at step 2")
 
@@ -561,9 +561,9 @@ def _exact_crosscheck(gens, max_len, failure_cap=50):
         if len(word) >= max_len or len(failures) >= failure_cap:
             return
         for letter in letters:
-            if word and letter == (word[-1][0], -word[-1][1]):
+            if word and letter == (word[0][0], -word[0][1]):
                 continue
-            new_word = word + (letter,)
+            new_word = (letter,) + word
             undo = (letter[0], -letter[1])
             prev_line = state.pull_class.line_coeff
             depth_before = len(state.stack)
@@ -678,4 +678,4 @@ def test_crosscheck_words_match_exact_composition(name, gens, monkeypatch):
     # first
     assert bool(exact_words) == (name != "certified")
     for at, word in exact_words:
-        assert tuple(reversed(word)) == degrees[at][0]
+        assert word == degrees[at][0]
