@@ -16,15 +16,27 @@ the inverse letter everywhere else.  Transport refuses, by raising
 evaluating map contracts, because the honest image of such a point is not
 a point of the plane at all.
 
-The exact registry keys each point by its residue fingerprint mod a
-prime below 2^30 (``projective.fingerprint``), which needs no content
-gcd and does not change when the triple is scaled.  A fingerprint hit
-counts only after the exact cross-product test ``same_point``; distinct
-points that share a fingerprint fall back to a small dict keyed by the
+The exact registry keys each point by its residue fingerprint mod
+``projective.FINGERPRINT_P``, a prime below 2^30, which needs no content
+gcd and does not change when the triple is scaled.  A point comes in as
+an integer triple or as a ``ResidueChain``: a class walk's chain end,
+its residues mod that prime and its recipe, the base point id and the
+operators it hopped through.  Residues decide only what reduction
+proves.  A fingerprint no entry holds is a new point, registered with
+its recipe and no integers; an entry with an equal recipe is the same
+integer triple, because transport is deterministic and operators
+compare by identity.  Everything else goes to the integers: a chain end
+whose fingerprint another point holds, or whose residues all vanish, is
+built by exact transport along its recipe, and a fingerprint hit counts
+only after the exact cross-product test ``same_point``.  Distinct points
+that share a fingerprint fall back to a small dict keyed by the
 canonical form, and a triple whose residues all vanish is canonicalised
 before it is keyed.  The registry keeps the first integer representative
-it sees, which transport chains read and extend, and hands out the
-canonical form on read, so everything printed or written is canonical.
+registered for a point, building a recipe's integers on its first read
+and keeping them, so a representative is the triple an all-integer walk
+would have stored.  Transport chains read and extend it, and the
+canonical form is handed out on read, so everything printed or written
+is canonical.
 
 Exact transport takes one inner product ``v = inner * x`` per hop and
 reads every verdict off its zeros: one zero puts the point on a
@@ -36,6 +48,18 @@ the image, where a full content gcd is quadratic; a prime outside D
 divides an image only where the source point meets a table point mod
 that prime, so the representatives stay within a few percent of the
 canonical bit length.
+
+A class walk hops its exact chains on residues: ``transport`` with a
+``modulus`` is the same kernel reduced mod that prime, and the walk
+passes q = ``FINGERPRINT_P``.  The residue triple is the integer
+triple's residues times a product of powers of the strip gcds the
+integer hops divide by: a unit mod q while q divides none of them, and
+once it does, every residue is 0.  So a hop with no zero mod q has no
+zero over the integers, and any zero mod q, a table point, a contracted
+line or a false zero, sends the walk back to rerun the chain on
+integers from its base, which decides and words it exactly as before.
+Nothing else takes the residue path: ``pullback``, the genericity
+certificate and the curve layer transport integers.
 
 In ``modp`` mode a point is its fingerprint mod ``MODP_P`` = 2^61 - 1:
 the residue triple with first nonzero entry 1 is at once its key, its
@@ -70,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import frexp, gcd, ldexp, sqrt
 from sys import float_info
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateConfiguration, TablePointHit
 from .maps import GeneratorData, Mat3, det3, matvec
@@ -84,6 +108,15 @@ MODP_NOTE = " (found mod p = 2^61 - 1; may be a false {} of the reduction)"
 # -- point registry -----------------------------------------------------
 
 
+class ResidueChain(NamedTuple):
+    """An exact point known by its residues mod ``FINGERPRINT_P`` and how
+    to build its integers: transport of point ``base`` through ``hops``."""
+
+    residues: tuple
+    base: int
+    hops: tuple
+
+
 class PointRegistry:
     """Issues stable integer ids for plane points in one arithmetic mode."""
 
@@ -93,7 +126,8 @@ class PointRegistry:
         self.mode = mode
         # the prime that point identity and transport reduce by, if any
         self.modulus = MODP_P if mode == "modp" else None
-        self._points: List[tuple] = []
+        self._points: List[Optional[tuple]] = []  # None: not yet built
+        self._recipes: Dict[int, tuple] = {}  # pid -> (base, hops)
         self._by_fingerprint: Dict[tuple, int] = {}
         self._clashes: Dict[tuple, int] = {}
 
@@ -105,19 +139,40 @@ class PointRegistry:
         residue triple mod p with first nonzero entry 1 in modp mode."""
         if self.modulus:
             return self._points[pid]
-        return normalize_exact(self._points[pid])
+        return normalize_exact(self.representative(pid))
 
     def representative(self, pid: int) -> tuple:
         """The stored coordinates, which transport reads; internal to the class walk.
 
         In exact mode this is the first integer triple registered for the
-        point, a multiple of its normal form by any nonzero scalar; in
-        modp mode it is the normal form.
+        point, a multiple of its normal form by any nonzero scalar, built
+        from its recipe on first read; in modp mode it is the normal form.
         """
-        return self._points[pid]
+        coords = self._points[pid]
+        if coords is None:
+            coords = self._points[pid] = self._build(*self._recipes[pid])
+        return coords
+
+    def _build(self, base: int, hops: tuple) -> tuple:
+        coords = self.representative(base)
+        for op in hops:
+            coords = op.transport(coords)
+        return coords
 
     def register(self, coords) -> int:
-        if type(coords) is not tuple or not all(type(c) is int for c in coords):
+        if type(coords) is ResidueChain:
+            recipe = coords.base, coords.hops
+            key = fingerprint(coords.residues)
+            pid = self._by_fingerprint.get(key)
+            if key is not None and pid is None:  # a new point
+                self._by_fingerprint[key] = pid = self._append(None)
+                self._recipes[pid] = recipe
+                return pid
+            if pid is not None and self._recipes.get(pid) == recipe:
+                return pid
+            coords = self._build(*recipe)
+        elif type(coords) is not tuple \
+                or not all(type(c) is int for c in coords):
             coords = normalize_exact(coords)
         if self.modulus:
             key = fingerprint(coords, self.modulus)
@@ -137,7 +192,7 @@ class PointRegistry:
         if pid is None:
             self._by_fingerprint[key] = pid = self._append(coords)
             return pid
-        if same_point(coords, self._points[pid]):
+        if same_point(coords, self.representative(pid)):
             return pid
         # a distinct point with the same residues: identify it exactly
         canon = normalize_exact(coords)
@@ -234,7 +289,7 @@ def coefficient_l2_diff(c1: WeilClass, scale1: int,
 _COMPLEMENT = ((1, 2), (0, 2), (0, 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class LetterOperator:
     """Pullback action of one letter over a shared registry.
 
@@ -283,7 +338,7 @@ class LetterOperator:
 
     # transport of a single carried point by the inverse letter
 
-    def transport(self, coords):
+    def transport(self, coords, modulus: Optional[int] = None):
         """Image of a carried point under the inverse letter, guarded.
 
         Raises DegenerateConfiguration when the point sits on a curve the
@@ -291,11 +346,12 @@ class LetterOperator:
         to the class of a plane point), and ``TablePointHit`` with its
         index at a table point.  In exact mode an image is the integer
         triple outer * sigma(inner * coords) divided by its gcd with
-        ``content_bound``, never by its full content; in modp mode v and
-        the image are reduced mod p, and the image is not normalised.
+        ``content_bound``, never by its full content.  In modp mode, or
+        with a ``modulus`` (an exact walk's residue hop), v and the image
+        are reduced mod that prime, and the image is not normalised.
         """
         outer, inner = self.eval_matrices
-        p = self.registry.modulus
+        p = modulus or self.registry.modulus
         x, y, z = coords
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = inner
         v0 = a0 * x + a1 * y + a2 * z
@@ -310,7 +366,8 @@ class LetterOperator:
                 raise TablePointHit(0 if v0 else 1 if v1 else 2)
             raise DegenerateConfiguration(
                 "carried point lies on a contracted line of the evaluating "
-                "letter" + (MODP_NOTE.format("zero") if p else ""))
+                "letter" + (MODP_NOTE.format("zero")
+                            if self.registry.modulus else ""))
         s0, s1, s2 = v1 * v2, v0 * v2, v0 * v1
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = outer
         x = a0 * s0 + a1 * s1 + a2 * s2

@@ -12,6 +12,12 @@ product.  Canonical forms are made when a point is read out for
 printing or for a document, and whenever a plain list, a ``Fraction``
 or a parsed document comes in.
 
+``FINGERPRINT_P`` is also the residue space of an exact class walk's
+chains: a chain hops on residues mod this prime and its end is keyed by
+their fingerprint, with the integers built only where the residues
+cannot decide (``picard``).  ``fingerprint`` reads the prime when it is
+called, so the walk and the registry always agree on it.
+
 The same ``fingerprint`` taken mod a larger prime is the whole identity
 of a point in the prime-field walk (``picard``): there the residue
 triple with its first nonzero entry 1 is the point.
@@ -58,14 +64,17 @@ def normalize_exact(coords) -> ExactCoords:
 FINGERPRINT_P = 1073741789  # the largest prime below 2^30
 
 
-def fingerprint(coords, p: int = FINGERPRINT_P) -> Optional[ExactCoords]:
+def fingerprint(coords, p: Optional[int] = None) -> Optional[ExactCoords]:
     """Scale-free key of an integer triple: its residues mod the prime p,
-    divided by the first nonzero residue.
+    by default ``FINGERPRINT_P`` as it stands at the call, divided by the
+    first nonzero residue.
 
     A triple and its multiples by a scalar prime to p share the key;
     distinct points may share it too, so in the exact registry a hit is
     only a candidate for ``same_point``.  None when every residue is 0.
     """
+    if p is None:
+        p = FINGERPRINT_P
     x, y, z = coords
     x %= p
     y %= p

@@ -14,10 +14,14 @@ inverse of the newest stacked letter pops it instead of pushing, and
 the pullback class is rolled back by inverting the linear update.  Each
 stack entry keeps the three chained classes its push subtracted, so the
 rollback adds back exactly those classes, with no transport at all.  The
-pop also files those classes, under the popped letter, with the entry
+pop also files the popped entry itself, under its letter, with the entry
 below it (or a root slot under an empty stack), and pushing that letter
-onto that entry again reuses them instead of transporting anything: the
-chains depend only on the letter and the stack below.
+onto that entry again pushes the filed entry back instead of
+transporting anything: the chains depend only on the letter and the
+stack below.  The entry keeps what was filed under it in turn, so after
+pushes a, b and pops b, a, pushing a and then b transports nothing.
+Each filed entry was made by one push, so the filed entries are bounded
+by the pushes made.
 
 One append step with letter f on composite w (reduced stack bottom to
 top f_1 .. f_n) updates c by
@@ -35,8 +39,15 @@ A hop is one call of the letter's transport kernel, which reports a
 table point by raising ``TablePointHit``.
 
 Two arithmetic modes share all of this.  In ``exact`` mode points are
-integer triples, whose bits about double per reduced letter, so class
-walks are held to ``exact_len_cap`` (default 16).  In ``modp`` mode
+integer triples, whose bits about double per reduced letter.  A chain
+hops on residues mod ``projective.FINGERPRINT_P`` and registers its end
+with the recipe that builds its integers (``picard``); a hop that meets
+a zero mod that prime reruns the chain on integers from its base, so a
+table point, a contracted line or a false zero is decided and reported
+as by an all-integer walk.  The walk itself then builds no deep integer,
+but its documents and the curve layer read every point, and a zero deep
+in a long chain would build integers of 2^depth bits, so exact class
+walks are still held to ``exact_len_cap`` (default 16).  In ``modp`` mode
 points are residue triples mod p = 2^61 - 1 (``picard``), a hop costs
 the same at any depth, and a 2000-step walk reaches reduced length
 about 1000.  Its class coefficients are still exact integers; only
@@ -66,7 +77,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import genericity
+from . import genericity, projective
 from .config import WALK_ARTIFACT_VERSION
 from .errors import DegenerateConfiguration, ExactLengthCap, TablePointHit
 from .genericity import Letter, Word, _inverse_letter, all_letters
@@ -78,6 +89,7 @@ from .picard import (
     LetterOperator,
     OperatorCache,
     PointRegistry,
+    ResidueChain,
     WeilClass,
     class_to_jsonable,
     coefficient_l2_diff,
@@ -133,8 +145,8 @@ class _StackEntry:
     pull_op: Optional[LetterOperator]
     # the chained base classes the push subtracted; the pop adds them back
     chained: Optional[List[WeilClass]]
-    # letter -> chained classes of each letter popped off this entry
-    popped: Optional[Dict[Letter, List[WeilClass]]] = None
+    # letter -> the entry popped off this one, with its own filings
+    popped: Optional[Dict[Letter, "_StackEntry"]] = None
 
 
 class WalkState:
@@ -162,7 +174,7 @@ class WalkState:
             self.registry = None
             self.cache = None
         self.stack: List[_StackEntry] = []
-        self._root_popped: Dict[Letter, List[WeilClass]] = {}
+        self._root_popped: Dict[Letter, _StackEntry] = {}
         self.n = 0
         self.pull_class = WeilClass.line_class() if track_classes else None
         self.push_class = WeilClass.line_class() if track_pushforward else None
@@ -174,20 +186,33 @@ class WalkState:
 
     # a single carried point moved through a run of operators (newest first)
 
-    def _chain_point(self, ops: Sequence[LetterOperator], coords) -> WeilClass:
-        for depth in range(len(ops) - 1, -1, -1):
-            op = ops[depth]
+    def _chain_point(self, hops: Tuple[LetterOperator, ...],
+                     base: int) -> WeilClass:
+        reg = self.registry
+        coords = reg.representative(base)
+        if not reg.modulus:
+            # hop on residues; only a zero mod q needs the integers
+            q = projective.FINGERPRINT_P
+            r = (coords[0] % q, coords[1] % q, coords[2] % q)
+            try:
+                for op in hops:
+                    r = op.transport(r, q)
+            except DegenerateConfiguration:
+                pass
+            else:
+                return WeilClass(0, {reg.register(
+                    ResidueChain(r, base, hops)): -1})
+        for i, op in enumerate(hops):
             try:
                 coords = op.transport(coords)
             except TablePointHit as hit:
                 j, k = _COMPLEMENT[hit.index]
                 break
         else:
-            pid = self.registry.register(coords)
-            return WeilClass(0, {pid: -1})
+            return WeilClass(0, {reg.register(coords): -1})
         cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
-        for d2 in range(depth - 1, -1, -1):
-            cls = ops[d2].pullback(cls)
+        for op in hops[i + 1:]:
+            cls = op.pullback(cls)
         return cls
 
     def _assemble(self, base: WeilClass, chained: List[WeilClass]) -> WeilClass:
@@ -224,12 +249,11 @@ class WalkState:
         return WeilClass(line // 2, half)
 
     def _chained_base_classes(self, op: LetterOperator) -> List[WeilClass]:
-        pull_ops = [e.pull_op for e in self.stack]
-        return [self._chain_point(pull_ops, self.registry.representative(pid))
-                for pid in op.base_ids]
+        hops = tuple(e.pull_op for e in reversed(self.stack))
+        return [self._chain_point(hops, pid) for pid in op.base_ids]
 
-    def _popped_here(self) -> Dict[Letter, List[WeilClass]]:
-        """Chained classes of the letters popped off the current stack top."""
+    def _popped_here(self) -> Dict[Letter, _StackEntry]:
+        """The entries popped off the current stack top, by letter."""
         if not self.stack:
             return self._root_popped
         top = self.stack[-1]
@@ -252,16 +276,17 @@ class WalkState:
             if self.track_classes:
                 self.pull_class = self._disassemble(self.pull_class,
                                                     entry.chained)
-                self._popped_here()[entry.letter] = entry.chained
-        else:
-            pull_op = chained = None
-            if self.track_classes:
+                self._popped_here()[entry.letter] = entry
+        elif self.track_classes:
+            entry = self._popped_here().get(letter)
+            if entry is None:
                 pull_op = self.cache.get(letter[0], letter[1])
-                chained = self._popped_here().get(letter)
-                if chained is None:
-                    chained = self._chained_base_classes(pull_op)
-                self.pull_class = self._assemble(self.pull_class, chained)
-            self.stack.append(_StackEntry(letter, pull_op, chained))
+                entry = _StackEntry(letter, pull_op,
+                                    self._chained_base_classes(pull_op))
+            self.pull_class = self._assemble(self.pull_class, entry.chained)
+            self.stack.append(entry)
+        else:
+            self.stack.append(_StackEntry(letter, None, None))
         if self.track_pushforward:
             # the new letter acts outermost on the pushforward track, and a
             # cancelling letter's operator undoes its partner exactly

@@ -531,3 +531,30 @@ def test_modp_walk_and_compare(tmp_path, generators_file, capsys):
     exact = _walk_artifact(tmp_path, generators_file, "E", 1)
     assert main(["compare", str(arts[0]), str(exact)]) == EXIT_INVARIANT
     assert "different modes" in capsys.readouterr().err
+
+
+# sha256 of artifact.json from `walk --trials 8` on the certified pair: the
+# exact coordinates of every point in every trial's checkpoint classes
+_WALK_DIGESTS = {
+    (1, 10): "8e9aafe743ebd57b6137dac52e846b85805000eb49e25aed1efcbaa9240a1df5",
+    (2, 10): "f1cbd7c7c1fd3beb311f9ce5d07f2283abbadd36e195dac90bfc1b22a79c9d9a",
+    (1, 16): "6646cf887b95042c425e29b69a42c338e76c56a569e5eea8c1a1182b5e7e9828",
+}
+_COMPARE_DIGEST = \
+    "1eebcb068023d12ef74b560dd5a87006fb8e3fbf77300f8693120d80236c96a2"
+
+
+def test_exact_walk_documents_are_frozen(tmp_path, generators_file, capsys):
+    arts = {}
+    for seed, steps in _WALK_DIGESTS:
+        out = tmp_path / f"s{seed}_{steps}"
+        assert main(["walk", "--generators", str(generators_file),
+                     "--seed", str(seed), "--steps", str(steps),
+                     "--trials", "8", "--out-dir", str(out)]) == EXIT_OK
+        arts[seed, steps] = out / "artifact.json"
+        digest = hashlib.sha256(arts[seed, steps].read_bytes()).hexdigest()
+        assert digest == _WALK_DIGESTS[seed, steps], (seed, steps)
+    capsys.readouterr()
+    assert main(["compare", str(arts[1, 10]), str(arts[2, 10])]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == _COMPARE_DIGEST

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birwalk import genericity
+from birwalk import genericity, projective
 from birwalk.config import dumps_json
 from birwalk.errors import DegenerateConfiguration, ExactLengthCap
 from birwalk.genericity import _exact_word_components
@@ -127,9 +127,9 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
     transports = []
     transport = LetterOperator.transport
 
-    def counted(self, coords):
+    def counted(self, coords, modulus=None):
         transports.append(coords)
-        return transport(self, coords)
+        return transport(self, coords, modulus)
 
     monkeypatch.setattr(LetterOperator, "transport", counted)
     state = WalkState(gens, mode=mode)
@@ -153,6 +153,23 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
     state.step(genericity._inverse_letter(top))
     seen = len(transports)
     state.step(top)
+    assert len(transports) == seen
+    assert state.pull_class == after_push
+    # push a, push b, pop b, pop a, push a: the second push of b reuses
+    # the entry filed under a, which came back with a
+    a, b = (0, 1), (1, 1)
+    state = WalkState(gens, mode=mode)
+    state.step(a)
+    seen = len(transports)
+    state.step(b)
+    assert len(transports) > seen
+    after_push = state.pull_class
+    seen = len(transports)
+    for letter in (genericity._inverse_letter(b),
+                   genericity._inverse_letter(a), a):
+        state.step(letter)
+    assert len(transports) == seen  # pops, and a comes back filed
+    state.step(b)
     assert len(transports) == seen
     assert state.pull_class == after_push
 
@@ -420,6 +437,53 @@ def test_modp_classes_are_the_exact_classes_reduced(gens):
                 for p, c in cm.point_part.items()} == \
             {fingerprint(exact.registry.coords_of(p), MODP_P): c
              for p, c in ce.point_part.items()}
+
+
+def _exact_walks_read_out(gens, seeds):
+    """Per seed: what an exact 16-step walk decides (ids included) and
+    what is read out of it, and how many integer hops the walks took
+    before anything was read."""
+    integer_hops = []
+    transport = LetterOperator.transport
+
+    def counted(self, coords, modulus=None):
+        if modulus is None:
+            integer_hops.append(coords)
+        return transport(self, coords, modulus)
+
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LetterOperator, "transport", counted)
+        for seed in seeds:
+            reports.append(run_walk(gens, 16, seed=seed, mode="exact",
+                                    checkpoint_every=4, keep_classes=True))
+    walked = len(integer_hops)
+    out = []
+    for r in reports:
+        assert r.aborted is None
+        cps = r.checkpoint_classes
+        out.append((r.final_reduced_len, r.registry_points,
+                    [(n, ln, c.line_coeff, c.point_part)
+                     for n, ln, c, _e in cps],
+                    [class_to_jsonable(c, r.registry) for _n, _l, c, _e in cps],
+                    r.top_coefficients()))
+    return out, walked
+
+
+def test_exact_walks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
+    # exact chains hop on residues mod projective.FINGERPRINT_P and go back
+    # to the integers at any zero; at a small prime zeros and fingerprint
+    # clashes are common, and every decision and every read-out stays put
+    seeds = range(1, 129)
+    want, walked = _exact_walks_read_out(gens, seeds)
+    # no hop of these walks meets a zero mod the prime, so they build no
+    # integers beyond the letters' own points until a coordinate is read
+    assert walked == 0
+    for prime in (101, 1009):
+        monkeypatch.setattr(projective, "FINGERPRINT_P", prime)
+        got, walked = _exact_walks_read_out(gens, seeds)
+        assert walked > 0  # chains went back to the integers
+        assert got == want
 
 
 def test_modp_report_labels_its_residues(gens):
