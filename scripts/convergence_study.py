@@ -19,7 +19,7 @@ import random
 import sys
 
 from birwalk.maps import sample_generators
-from birwalk.picard import OperatorCache, PointRegistry
+from birwalk.picard import PointRegistry
 from birwalk.walk import (
     boundary_compare,
     fit_geometric_rate,
@@ -65,12 +65,11 @@ def main(argv=None):
     # two independent walks over one registry: distinct limits show up as
     # a cross pairing far above both coincidence controls
     registry = PointRegistry("modp")
-    cache = OperatorCache(gens, registry)
     walk_a = run_walk(gens, args.steps, seed=args.first_seed, mode="modp",
                       checkpoint_every=1, keep_classes=True,
-                      track_pushforward=True, registry=registry, cache=cache)
+                      track_pushforward=True, registry=registry)
     walk_b = run_walk(gens, args.steps, seed=args.first_seed + 1, mode="modp",
-                      registry=registry, cache=cache)
+                      registry=registry)
     if walk_a.aborted or walk_b.aborted:
         print("pairing skipped: one of the reference walks aborted")
         return 1

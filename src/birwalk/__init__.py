@@ -67,7 +67,6 @@ from .maps import (
 )
 from .picard import (
     LetterOperator,
-    OperatorCache,
     PointRegistry,
     WeilClass,
 )

@@ -43,7 +43,7 @@ from .errors import (
     SamplingExhausted,
 )
 from .genericity import check_genericity
-from .picard import MODES, OperatorCache, PointRegistry
+from .picard import MODES, PointRegistry
 from .walk import (
     boundary_compare,
     crosscheck_words,
@@ -55,6 +55,28 @@ from .walk import (
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
 EXIT_INVARIANT = 2
+
+
+class MalformedDocument(Exception):
+    """A malformed input document: ``main`` prints it and exits 2."""
+
+
+def _read_json(path) -> dict:
+    try:
+        doc = load_json(path)
+    except ValueError as exc:
+        raise MalformedDocument(f"{path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"{path} is not a JSON object")
+    return doc
+
+
+def _read_generators(path):
+    try:
+        return generators_from_jsonable(_read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(
+            f"{path} is not a valid generator document: {exc}") from None
 
 
 def _config_from_args(args) -> RunConfig:
@@ -110,7 +132,7 @@ def cmd_sample(args) -> int:
 
 def cmd_walk(args) -> int:
     config = _config_from_args(args)
-    gens = generators_from_jsonable(load_json(args.generators))
+    gens = _read_generators(args.generators)
     out = _out_dir(config)
     artifact = stamp("birwalk-artifact")
     artifact["version"] = WALK_ARTIFACT_VERSION
@@ -151,7 +173,7 @@ def cmd_walk(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     config = _config_from_args(args)
-    gens = generators_from_jsonable(load_json(args.generators))
+    gens = _read_generators(args.generators)
     counts, failures = crosscheck_words(gens, config.max_len)
     doc = stamp("birwalk-crosscheck")
     doc["max_len"] = config.max_len
@@ -177,7 +199,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_equidist(args) -> int:
     config = _config_from_args(args)
-    gens = generators_from_jsonable(load_json(args.generators))
+    gens = _read_generators(args.generators)
     try:
         curve = PlaneCurve.parse(config.curve)
     except ValueError as exc:
@@ -235,8 +257,8 @@ def _trial_zero(artifact: dict) -> dict:
 
 
 def cmd_compare(args) -> int:
-    doc_a = load_json(args.artifact_a)
-    doc_b = load_json(args.artifact_b)
+    doc_a = _read_json(args.artifact_a)
+    doc_b = _read_json(args.artifact_b)
     for doc, name in ((doc_a, args.artifact_a), (doc_b, args.artifact_b)):
         if doc.get("format") != "birwalk-artifact":
             print(f"{name} is not a walk artifact", file=sys.stderr)
@@ -257,19 +279,22 @@ def cmd_compare(args) -> int:
         if not (trial_a["track_classes"] and trial_b["track_classes"]):
             raise IncompatibleArtifacts(
                 "comparison needs class tracking in both artifacts")
+        itineraries = [tuple((i, s) for i, s in trial["itinerary"])
+                       for trial in (trial_a, trial_b)]
+        gens = generators_from_jsonable(doc_a["generators"])
     except IncompatibleArtifacts as exc:
         print(f"incompatible artifacts: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    gens = generators_from_jsonable(doc_a["generators"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(
+            f"malformed walk artifact: missing or invalid field {exc}") from None
     mode = trial_a["mode"]
     registry = PointRegistry(mode)
-    cache = OperatorCache(gens, registry)
     reports = []
-    for trial in (trial_a, trial_b):
-        itinerary = tuple((i, s) for i, s in trial["itinerary"])
+    for itinerary in itineraries:
         report = run_walk(gens, len(itinerary), itinerary=itinerary,
                           mode=mode, keep_classes=True,
-                          registry=registry, cache=cache)
+                          registry=registry)
         if report.aborted is not None:
             print(f"replay aborted at step {report.aborted_at}: "
                   f"{report.aborted}", file=sys.stderr)
@@ -345,7 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MalformedDocument as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

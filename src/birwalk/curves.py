@@ -43,12 +43,7 @@ from .errors import (CurveContracted, DegenerateConfiguration, DegreeCapExceeded
 from .genericity import Word
 from .maps import (IDENTITY_COMPONENTS, canonical_components, compose_letter,
                    substitute_map)
-from .picard import (
-    OperatorCache,
-    PointRegistry,
-    WeilClass,
-    coefficient_l2_diff,
-)
+from .picard import PointRegistry, WeilClass, coefficient_l2_diff
 from .poly import (
     HomPoly,
     div_exact,
@@ -131,9 +126,7 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
                 f"pullback degree {bound} exceeds the cap {degree_cap}")
     word_degree = stages.word_degree
     # class state of the word as a composite: last letter applied first
-    registry = PointRegistry("exact")
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)),
-                      registry=registry, cache=OperatorCache(gens, registry))
+    state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)))
     for letter in reversed(word):
         state.step(letter)
     # the stage candidates are exactly the contracted curves only when the
@@ -146,7 +139,7 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
     strict, stripped = stages.strict_of(curve)
     pts = []
     for pid, m in sorted(state.pull_class.point_part.items()):
-        coords = registry.coords_of(pid)
+        coords = state.registry.coords_of(pid)
         pts.append((coords, m, multiplicity_at(strict, coords)))
     return PullbackCurveReport(
         word=tuple(word),
@@ -185,12 +178,11 @@ def lelong_crosscheck(gens, word: Word, curve: PlaneCurve, *,
     if report.word != tuple(word):
         raise ValueError("report is for a different word")
     registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
     rows = []
     for coords, m, nu_poly in report.base_points:
         v = WeilClass.exceptional_class(registry.register(coords))
-        for letter in reversed(word):
-            v = cache.get(letter[0], -letter[1]).pullback(v)
+        for gen, sign in reversed(word):
+            v = registry.operator(gens[gen], -sign).pullback(v)
         nu_class = curve.degree * v.line_coeff - sum(
             coeff * curve.multiplicity_at(registry.coords_of(p))
             for p, coeff in v.point_part.items())
@@ -331,7 +323,6 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     kept = {n: (ln, c) for n, ln, c, _e in walk.checkpoint_classes}
     ref_len, ref_class = kept[max_len]
     registry = walk.registry
-    cache = OperatorCache(gens, registry)
     # the freely reduced prefix, newest (outermost) letter last, and the
     # pushforward w_*L of the line class under each of its prefixes
     letters: List[Tuple[int, int]] = []
@@ -346,7 +337,8 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
                 pushes.pop()
             else:
                 letters.append((gen, sign))
-                pushes.append(cache.get(gen, -sign).pullback(pushes[-1]))
+                pushes.append(registry.operator(gens[gen], -sign)
+                              .pullback(pushes[-1]))
         red_len, c_k = kept[k]
         raw_degree = curve.degree << red_len
         if raw_degree > degree_cap:
@@ -365,7 +357,7 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
                 continue
             e = WeilClass.exceptional_class(p)
             for gen, sign in reversed(letters):
-                e = cache.get(gen, sign).pullback(e)
+                e = registry.operator(gens[gen], sign).pullback(e)
             line -= m_p * e.line_coeff
             for q, v in e.point_part.items():
                 part[q] = part.get(q, 0) - m_p * v

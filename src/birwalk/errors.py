@@ -43,11 +43,13 @@ class TablePointHit(DegenerateConfiguration):
 
     Transport raises it so that a class walk can fan the point out
     through the letter's table; anywhere else it is a degenerate hit.
+    ``PointRegistry.carry`` sets ``hop``, the position of that letter.
     """
 
     def __init__(self, index: int):
         super().__init__(f"carried point is table point {index}")
         self.index = index
+        self.hop = None
 
 
 class CurveContracted(BirwalkError):

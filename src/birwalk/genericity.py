@@ -53,8 +53,8 @@ subtree from the restrictions of its exact triple.  Class transport
 degeneracies and degree drops on either side are recorded in the report
 in DFS order; the rerun prunes the tree below a failing word but keeps
 checking sibling branches, and stops at the `failure_cap`-th failure.
-Both passes share one operator cache, whose memoised point images (the
-`picard` docstring) spare the rerun the class side's transports.
+Both passes share one registry, whose operators' memoised point images
+(the `picard` docstring) spare the rerun the class side's transports.
 
 Both passes, and `walk.crosscheck_words`, go through the one DFS of
 `walk_words`, which hands each word the state its step made for the
@@ -76,7 +76,7 @@ import numpy as np
 from . import modp
 from .errors import DegenerateComposition, DegenerateConfiguration
 from .maps import Components, GeneratorData, IDENTITY_COMPONENTS, compose_letter
-from .picard import OperatorCache, PointRegistry, WeilClass
+from .picard import PointRegistry, WeilClass
 
 Letter = Tuple[int, int]  # (generator index, sign)
 # outermost letter first; itineraries are in time order
@@ -229,13 +229,13 @@ def _adjudicate(gens, word: Word, class_degree: Optional[int],
     return WordCheck(word, expected, poly_degree, class_degree, reason)
 
 
-def _push_letter(cache: OperatorCache, letter: Letter, push: WeilClass):
+def _push_letter(gens, registry, letter: Letter, push: WeilClass):
     """The class side of prepending a letter: (pushed class, its line
     coefficient, None), or (None, None, the transport failure)."""
     try:
         # prepending the letter pushes the class forward once more;
         # pushforward is pullback by the opposite sign
-        new_push = cache.get(letter[0], -letter[1]).pullback(push)
+        new_push = registry.operator(gens[letter[0]], -letter[1]).pullback(push)
     except DegenerateConfiguration as exc:
         return None, None, str(exc)
     return new_push, new_push.line_coeff, None
@@ -276,18 +276,18 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
         raise ValueError("max_len must be at least 1")
     pts = [p for g in gens for p in g.base_pts + g.inv_base_pts]
     distinct_ok = len(set(pts)) == 6 * len(gens)
-    # one cache for both passes: its memoised images stay exact
-    cache = OperatorCache(tuple(gens), PointRegistry("exact"))
+    # one registry for both passes: its operators' memoised images stay exact
+    registry = PointRegistry("exact")
     root = (*_lines_from_components(IDENTITY_COMPONENTS),
             WeilClass.line_class())
     try:
         if failure_cap < 1:
             raise _Stop  # the per-word tree stops before its first word
-        _leaf_pass(gens, cache, max_len, root)
+        _leaf_pass(gens, registry, max_len, root)
         checked, failures, truncated = \
             reduced_word_count(len(gens), max_len), (), False
     except _Stop:
-        checked, failures, truncated = _word_pass(gens, cache, max_len,
+        checked, failures, truncated = _word_pass(gens, registry, max_len,
                                                   failure_cap, root)
     return GenericityReport(
         max_len=max_len,
@@ -299,7 +299,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     )
 
 
-def _leaf_pass(gens, cache: OperatorCache, max_len: int, root) -> None:
+def _leaf_pass(gens, registry: PointRegistry, max_len: int, root) -> None:
     """The tree with a polynomial verdict on the leaves alone: inner words
     carry their line restrictions, and any failure raises `_Stop`."""
     queue = []
@@ -315,7 +315,7 @@ def _leaf_pass(gens, cache: OperatorCache, max_len: int, root) -> None:
 
     def step(word: Word, node):
         lines, d, push = node
-        push, class_degree, _ = _push_letter(cache, word[0], push)
+        push, class_degree, _ = _push_letter(gens, registry, word[0], push)
         if class_degree != 2 ** len(word):
             raise _Stop  # before any exact decision
         if len(word) < max_len:
@@ -331,8 +331,8 @@ def _leaf_pass(gens, cache: OperatorCache, max_len: int, root) -> None:
         flush()
 
 
-def _word_pass(gens, cache: OperatorCache, max_len: int, failure_cap: int,
-               root):
+def _word_pass(gens, registry: PointRegistry, max_len: int,
+               failure_cap: int, root):
     """The tree judging every word as it visits it: (words checked,
     failures in DFS order, truncated)."""
     failures: List[WordCheck] = []
@@ -344,8 +344,8 @@ def _word_pass(gens, cache: OperatorCache, max_len: int, failure_cap: int,
             raise _Stop  # this word and any after it stay unchecked
         checked += 1
         lines, d, push = node
-        push, class_degree, transport_fail = _push_letter(cache, word[0],
-                                                          push)
+        push, class_degree, transport_fail = _push_letter(gens, registry,
+                                                          word[0], push)
         fast = _modp_step(gens[word[0][0]], word[0][1], lines, d) \
             if class_degree == 2 ** len(word) else None
         if fast is None:

@@ -16,27 +16,34 @@ the inverse letter everywhere else.  Transport refuses, by raising
 evaluating map contracts, because the honest image of such a point is not
 a point of the plane at all.
 
-The exact registry keys each point by its residue fingerprint mod
+One ``PointRegistry`` owns a computation's class space: it issues point
+ids, makes each letter operator once per generator object and sign
+(``operator``), and moves every point through a run of operators
+(``carry``), a walk's chains and each pullback alike.  An operator holds
+its registry weakly, so a registry, its operators and the recipes that
+name them are freed as soon as the caller drops the registry.
+
+An exact point is keyed by its residue fingerprint mod
 ``projective.FINGERPRINT_P``, a prime below 2^30, which needs no content
-gcd and does not change when the triple is scaled.  A point comes in as
-an integer triple or as a ``ResidueChain``: a class walk's chain end,
-its residues mod that prime and its recipe, the base point id and the
-operators it hopped through.  Residues decide only what reduction
-proves.  A fingerprint no entry holds is a new point, registered with
-its recipe and no integers; an entry with an equal recipe is the same
-integer triple, because transport is deterministic and operators
-compare by identity.  Everything else goes to the integers: a chain end
-whose fingerprint another point holds, or whose residues all vanish, is
-built by exact transport along its recipe, and a fingerprint hit counts
-only after the exact cross-product test ``same_point``.  Distinct points
-that share a fingerprint fall back to a small dict keyed by the
-canonical form, and a triple whose residues all vanish is canonicalised
-before it is keyed.  The registry keeps the first integer representative
-registered for a point, building a recipe's integers on its first read
-and keeping them, so a representative is the triple an all-integer walk
-would have stored.  Transport chains read and extend it, and the
-canonical form is handed out on read, so everything printed or written
-is canonical.
+gcd and does not change when the triple is scaled.  ``carry`` hops from
+that key mod the prime, so a point is never built just to be moved.  The
+residue triple is the integer triple's residues times a product of
+powers of the strip gcds the integer hops divide by: a unit mod q while
+q divides none of them, and once it does, every residue is 0.  So a hop
+with no zero mod q has no zero over the integers, and any zero mod q, a
+table point, a contracted line or a false zero, reruns the hops on the
+integers, which decide it exactly.  A chain end is registered with its
+recipe, the source id and the hops.  A fingerprint no entry holds is a
+new point, kept with its recipe and no integers; an entry with an equal
+recipe is the same integer triple, because transport is deterministic
+and operators compare by identity.  Any other hit, or a chain end whose
+residues all vanish, is built along its recipe and counts only after
+the exact cross-product test ``same_point``; distinct points that share
+a fingerprint fall back to a dict keyed by the canonical form.  The
+registry keeps the first integer representative registered for a point,
+building a recipe's integers on first read, so a representative is the
+triple an all-integer walk would have stored; the canonical form is
+handed out on read.
 
 Exact transport takes one inner product ``v = inner * x`` per hop and
 reads every verdict off its zeros: one zero puts the point on a
@@ -49,25 +56,12 @@ divides an image only where the source point meets a table point mod
 that prime, so the representatives stay within a few percent of the
 canonical bit length.
 
-A class walk hops its exact chains on residues: ``transport`` with a
-``modulus`` is the same kernel reduced mod that prime, and the walk
-passes q = ``FINGERPRINT_P``.  The residue triple is the integer
-triple's residues times a product of powers of the strip gcds the
-integer hops divide by: a unit mod q while q divides none of them, and
-once it does, every residue is 0.  So a hop with no zero mod q has no
-zero over the integers, and any zero mod q, a table point, a contracted
-line or a false zero, sends the walk back to rerun the chain on
-integers from its base, which decides and words it exactly as before.
-Nothing else takes the residue path: ``pullback``, the genericity
-certificate and the curve layer transport integers.
-
 In ``modp`` mode a point is its fingerprint mod ``MODP_P`` = 2^61 - 1:
 the residue triple with first nonzero entry 1 is at once its key, its
-stored representative and what is read out.  A hop is the exact kernel
-reduced mod p, with the same three verdicts; its image is left
-unnormalised, and ``register`` normalises where a chain ends.  A true
-zero of v is always a zero mod p, so no contracted line or table point
-is missed.  Two errors are possible, both rare:
+stored representative and what is read out.  ``carry`` runs the same
+hops mod p and ``register`` normalises the chain end.  A true zero of v
+is always a zero mod p, so no contracted line or table point is missed.
+Two errors are possible, both rare:
 
 * a collision, two plane points with one residue triple, which share
   an id.  Over N registered points its chance is about N^2 / 2^62,
@@ -80,24 +74,23 @@ is missed.  Two errors are possible, both rare:
 A triple whose residues all vanish has no point mod p, and ``register``
 refuses it with a ``DegenerateConfiguration`` that says so.
 
-Each operator memoises its point images: a dict from source point id to
-image point id, filled by every transport that succeeds.  The memo is
-exact.  A point id's stored representative never changes, transport of
-the same triple is deterministic, and the registry returns the same id
-for the same point (or residue triple), so a repeat would register the
-very id stored.  A transport that raises stores nothing, so a point on a
-contracted line raises again every time.
+Each operator memoises its point images, source id to image id, for
+every pullback transport that succeeds.  The memo is exact: a stored
+representative never changes and transport is deterministic, so a
+repeat would register the very id stored.  A transport that raises
+stores nothing, so a point on a contracted line raises again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from math import frexp, gcd, ldexp, sqrt
 from sys import float_info
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from . import projective
 from .errors import DegenerateConfiguration, TablePointHit
-from .maps import GeneratorData, Mat3, det3, matvec
+from .maps import GeneratorData, det3, matvec
 from .projective import fingerprint, normalize_exact, same_point
 
 MODES = ("exact", "modp")
@@ -108,17 +101,9 @@ MODP_NOTE = " (found mod p = 2^61 - 1; may be a false {} of the reduction)"
 # -- point registry -----------------------------------------------------
 
 
-class ResidueChain(NamedTuple):
-    """An exact point known by its residues mod ``FINGERPRINT_P`` and how
-    to build its integers: transport of point ``base`` through ``hops``."""
-
-    residues: tuple
-    base: int
-    hops: tuple
-
-
 class PointRegistry:
-    """Issues stable integer ids for plane points in one arithmetic mode."""
+    """Issues stable integer ids for plane points in one arithmetic mode,
+    carries them through letters and owns the letter operators."""
 
     def __init__(self, mode: str = "exact"):
         if mode not in MODES:
@@ -127,12 +112,23 @@ class PointRegistry:
         # the prime that point identity and transport reduce by, if any
         self.modulus = MODP_P if mode == "modp" else None
         self._points: List[Optional[tuple]] = []  # None: not yet built
+        self._keys: List[tuple] = []  # pid -> fingerprint, where carry starts
         self._recipes: Dict[int, tuple] = {}  # pid -> (base, hops)
         self._by_fingerprint: Dict[tuple, int] = {}
         self._clashes: Dict[tuple, int] = {}
+        self._operators: Dict[Tuple[int, int], "LetterOperator"] = {}
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def operator(self, gen: GeneratorData, sign: int) -> "LetterOperator":
+        """The pullback operator of the letter (gen, sign) over this
+        registry, made on first use and kept for the registry's life."""
+        key = id(gen), sign  # the operator keeps gen, so its id stays put
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = LetterOperator(gen, sign, self)
+        return op
 
     def coords_of(self, pid: int) -> tuple:
         """The point's normal form: canonical integers in exact mode, the
@@ -142,30 +138,49 @@ class PointRegistry:
         return normalize_exact(self.representative(pid))
 
     def representative(self, pid: int) -> tuple:
-        """The stored coordinates, which transport reads; internal to the class walk.
-
-        In exact mode this is the first integer triple registered for the
-        point, a multiple of its normal form by any nonzero scalar, built
-        from its recipe on first read; in modp mode it is the normal form.
-        """
+        """The stored coordinates, which the integer hops read: in exact
+        mode the first integer triple registered for the point, built from
+        its recipe on first read; in modp mode the normal form."""
         coords = self._points[pid]
         if coords is None:
             coords = self._points[pid] = self._build(*self._recipes[pid])
         return coords
 
     def _build(self, base: int, hops: tuple) -> tuple:
-        coords = self.representative(base)
-        for op in hops:
-            coords = op.transport(coords)
-        return coords
+        return _hop_all(self.representative(base), hops)
 
-    def register(self, coords) -> int:
-        if type(coords) is ResidueChain:
-            recipe = coords.base, coords.hops
-            key = fingerprint(coords.residues)
+    def carry(self, pid: int, hops: tuple) -> int:
+        """The id of point ``pid`` transported through ``hops`` in turn.
+
+        Raises ``DegenerateConfiguration`` at a contracted line, and
+        ``TablePointHit`` with ``hop`` set to the position of the hop that
+        met a table point.  Exact hops run from the point's key mod
+        ``FINGERPRINT_P``, and on the integers only after a zero there.
+        """
+        if not hops:
+            return pid
+        if self.modulus:
+            return self.register(_hop_all(self._keys[pid], hops))
+        try:
+            residues = _hop_all(self._keys[pid], hops, projective.FINGERPRINT_P)
+        except DegenerateConfiguration:
+            pass  # a zero mod q, true or false
+        else:
+            return self.register(residues, (pid, hops))
+        return self.register(_hop_all(self.representative(pid), hops))
+
+    def register(self, coords, recipe: Optional[tuple] = None) -> int:
+        """The id of the point ``coords``, issued on its first registration.
+
+        ``coords`` is any nonzero triple of the point, normalised where
+        needed; with ``carry``'s ``recipe`` (base id, hops), the residues
+        mod ``FINGERPRINT_P`` of the base carried through the hops.
+        """
+        if recipe is not None:
+            key = fingerprint(coords)
             pid = self._by_fingerprint.get(key)
             if key is not None and pid is None:  # a new point
-                self._by_fingerprint[key] = pid = self._append(None)
+                self._by_fingerprint[key] = pid = self._append(None, key)
                 self._recipes[pid] = recipe
                 return pid
             if pid is not None and self._recipes.get(pid) == recipe:
@@ -182,7 +197,7 @@ class PointRegistry:
                     "leaves no point to register")
             pid = self._by_fingerprint.get(key)
             if pid is None:
-                self._by_fingerprint[key] = pid = self._append(key)
+                self._by_fingerprint[key] = pid = self._append(key, key)
             return pid
         key = fingerprint(coords)
         if key is None:  # a multiple of the prime: its normal form has a key
@@ -190,7 +205,7 @@ class PointRegistry:
             key = fingerprint(coords)
         pid = self._by_fingerprint.get(key)
         if pid is None:
-            self._by_fingerprint[key] = pid = self._append(coords)
+            self._by_fingerprint[key] = pid = self._append(coords, key)
             return pid
         if same_point(coords, self.representative(pid)):
             return pid
@@ -198,12 +213,24 @@ class PointRegistry:
         canon = normalize_exact(coords)
         pid = self._clashes.get(canon)
         if pid is None:
-            self._clashes[canon] = pid = self._append(coords)
+            self._clashes[canon] = pid = self._append(coords, key)
         return pid
 
-    def _append(self, coords) -> int:
+    def _append(self, coords, key) -> int:
         self._points.append(coords)
+        self._keys.append(key)
         return len(self._points) - 1
+
+
+def _hop_all(coords, hops, modulus: Optional[int] = None):
+    """``coords`` carried through ``hops``; a table hit leaves tagged."""
+    for i, op in enumerate(hops):
+        try:
+            coords = op.transport(coords, modulus)
+        except TablePointHit as hit:
+            hit.hop = i
+            raise
+    return coords
 
 
 # -- class vectors ------------------------------------------------------
@@ -289,44 +316,38 @@ def coefficient_l2_diff(c1: WeilClass, scale1: int,
 _COMPLEMENT = ((1, 2), (0, 2), (0, 1))
 
 
-@dataclass(eq=False)
 class LetterOperator:
-    """Pullback action of one letter over a shared registry.
+    """Pullback action of one letter over a registry, which it holds weakly.
 
     Pushforward by the same letter is pullback by the opposite sign, so a
-    walk keeps one operator per (generator, sign) pair and never needs a
-    separate pushforward object.
+    registry keeps one operator per (generator, sign) pair, made by
+    ``PointRegistry.operator``, and never needs a pushforward object.
     """
 
-    gen: GeneratorData
-    sign: int
-    registry: PointRegistry
-    base_ids: Tuple[int, int, int] = field(init=False)
-    table_ids: Tuple[int, int, int] = field(init=False)
-    table_points: Tuple[tuple, tuple, tuple] = field(init=False)
-    eval_matrices: Tuple[Mat3, Mat3] = field(init=False)
-    # exact mode: D = det(inner)^2 * |det(outer)|, the letter's content bound
-    content_bound: Optional[int] = field(init=False, repr=False)
-    # source pid -> image pid of every transport that succeeded
-    images: Dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, gen: GeneratorData, sign: int, registry: PointRegistry):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        reg = self.registry
-        p = reg.modulus
-        self.images = {}
-        own = self.gen.letter_base_pts(self.sign)
-        table = self.gen.letter_base_pts(-self.sign)
-        self.base_ids = tuple(reg.register(q) for q in own)
-        self.table_ids = tuple(reg.register(q) for q in table)
+        self.gen = gen
+        self.sign = sign
+        # weak: the registry keeps its operators and its recipes name them
+        self._registry = weakref.ref(registry)
+        # modp mode: the prime each hop reduces by, read without the weakref
+        self.modulus = p = registry.modulus
+        # source pid -> image pid of every pullback transport that succeeded
+        self.images: Dict[int, int] = {}
+        own = gen.letter_base_pts(sign)
+        table = gen.letter_base_pts(-sign)
+        self.base_ids = tuple(registry.register(q) for q in own)
+        self.table_ids = tuple(registry.register(q) for q in table)
         # a self-inverse letter may share the two triples wholesale; what the
         # table algebra cannot survive is a collapse inside either triple
         if len(set(self.base_ids)) != 3 or len(set(self.table_ids)) != 3:
             raise DegenerateConfiguration(
                 "a letter's indeterminacy triple collapsed in the registry")
-        self.table_points = tuple(reg.coords_of(tid) for tid in self.table_ids)
-        self.eval_matrices = outer, inner = self.gen.letter_matrices(-self.sign)
+        self.table_points = tuple(registry.coords_of(tid)
+                                  for tid in self.table_ids)
+        self.eval_matrices = outer, inner = gen.letter_matrices(-sign)
+        # exact mode: D = det(inner)^2 * |det(outer)|, the letter's content bound
         self.content_bound = None if p else det3(inner) ** 2 * abs(det3(outer))
         # transport names a table hit by the one nonzero of inner * x, and a
         # contracted line by a single zero
@@ -347,11 +368,11 @@ class LetterOperator:
         index at a table point.  In exact mode an image is the integer
         triple outer * sigma(inner * coords) divided by its gcd with
         ``content_bound``, never by its full content.  In modp mode, or
-        with a ``modulus`` (an exact walk's residue hop), v and the image
+        with a ``modulus`` (an exact ``carry``'s residue hop), v and the image
         are reduced mod that prime, and the image is not normalised.
         """
         outer, inner = self.eval_matrices
-        p = modulus or self.registry.modulus
+        p = modulus or self.modulus
         x, y, z = coords
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = inner
         v0 = a0 * x + a1 * y + a2 * z
@@ -367,7 +388,7 @@ class LetterOperator:
             raise DegenerateConfiguration(
                 "carried point lies on a contracted line of the evaluating "
                 "letter" + (MODP_NOTE.format("zero")
-                            if self.registry.modulus else ""))
+                            if self.modulus else ""))
         s0, s1, s2 = v1 * v2, v0 * v2, v0 * v1
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = outer
         x = a0 * s0 + a1 * s1 + a2 * s2
@@ -390,35 +411,17 @@ class LetterOperator:
             coeff = cls.line_coeff - t[j] - t[k]
             if coeff != 0:
                 out[self.base_ids[i]] = coeff
-        reg, images = self.registry, self.images
+        reg, images = self._registry(), self.images
         for pid, coeff in entries.items():
             new_pid = images.get(pid)
             if new_pid is None:
-                new_pid = images[pid] = reg.register(
-                    self.transport(reg.representative(pid)))
+                new_pid = images[pid] = reg.carry(pid, (self,))
             if new_pid in out:
                 raise DegenerateConfiguration(
                     "transported point collides with another carried point"
                     + (MODP_NOTE.format("collision") if reg.modulus else ""))
             out[new_pid] = coeff
         return WeilClass(new_line, out)
-
-
-class OperatorCache:
-    """Lazily built (generator, sign) -> LetterOperator map over one registry."""
-
-    def __init__(self, gens: Tuple[GeneratorData, ...], registry: PointRegistry):
-        self.gens = gens
-        self.registry = registry
-        self._ops: Dict[Tuple[int, int], LetterOperator] = {}
-
-    def get(self, gen_index: int, sign: int) -> LetterOperator:
-        key = (gen_index, sign)
-        op = self._ops.get(key)
-        if op is None:
-            op = LetterOperator(self.gens[gen_index], sign, self.registry)
-            self._ops[key] = op
-        return op
 
 
 # -- serialisation ------------------------------------------------------

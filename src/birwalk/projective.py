@@ -12,11 +12,10 @@ product.  Canonical forms are made when a point is read out for
 printing or for a document, and whenever a plain list, a ``Fraction``
 or a parsed document comes in.
 
-``FINGERPRINT_P`` is also the residue space of an exact class walk's
-chains: a chain hops on residues mod this prime and its end is keyed by
-their fingerprint, with the integers built only where the residues
-cannot decide (``picard``).  ``fingerprint`` reads the prime when it is
-called, so the walk and the registry always agree on it.
+``FINGERPRINT_P`` is also the prime the exact point registry
+(``picard``) carries points by: it hops on residues mod this prime and
+keys a point by their fingerprint.  ``fingerprint`` reads the prime
+when it is called, as the registry does, so the two always agree.
 
 The same ``fingerprint`` taken mod a larger prime is the whole identity
 of a point in the prime-field walk (``picard``): there the residue

@@ -32,29 +32,27 @@ over the three indeterminacy points p_i of f, because the pullback of
 the line class under f is twice the line class minus those three
 exceptionals, and pullback along the composite applies letter by
 letter, newest letter first.  Each w^*[exc] starts as a single carried
-point and is moved down the stack by plain point transport until it
-either survives to the bottom (one new exceptional class) or hits a
-stacked letter's table and fans out through the finite table action.
-A hop is one call of the letter's transport kernel, which reports a
-table point by raising ``TablePointHit``.
+point and is moved down the stack by one ``PointRegistry.carry`` until
+it either survives to the bottom (one new exceptional class) or hits a
+stacked letter's table (``carry`` raises ``TablePointHit`` naming the
+hop) and fans out through the finite table action.  Walks over one
+registry share its letter operators.
 
-Two arithmetic modes share all of this.  In ``exact`` mode points are
-integer triples, whose bits about double per reduced letter.  A chain
-hops on residues mod ``projective.FINGERPRINT_P`` and registers its end
-with the recipe that builds its integers (``picard``); a hop that meets
-a zero mod that prime reruns the chain on integers from its base, so a
-table point, a contracted line or a false zero is decided and reported
-as by an all-integer walk.  The walk itself then builds no deep integer,
-but its documents and the curve layer read every point, and a zero deep
-in a long chain would build integers of 2^depth bits, so exact class
-walks are still held to ``exact_len_cap`` (default 16).  In ``modp`` mode
-points are residue triples mod p = 2^61 - 1 (``picard``), a hop costs
-the same at any depth, and a 2000-step walk reaches reduced length
-about 1000.  Its class coefficients are still exact integers; only
-point identity is reduced.  Two points share an id with a chance of
-about N^2 / 2^62 over N points, and a false zero of a hop, about 3/p
-per hop, aborts loudly.  On walk seeds 1-40 at 16 steps the final
-classes of the two modes agree once the exact points are reduced.
+Two arithmetic modes share all of this, and the registry (``picard``)
+holds what differs.  In ``exact`` mode points are integer triples, whose
+bits about double per reduced letter.  ``carry`` hops on residues and
+builds integers only where a zero needs them, so a table point, a
+contracted line or a false zero is decided and reported as by an
+all-integer walk.  The walk itself then builds no deep integer, but its
+documents and the curve layer read every point, and a zero deep in a
+long chain would build integers of 2^depth bits, so exact class walks
+are still held to ``exact_len_cap`` (default 16).  In ``modp`` mode
+points are residue triples mod p = 2^61 - 1, a hop costs the same at
+any depth, and a 2000-step walk reaches reduced length about 1000.  Its
+class coefficients are still exact integers; only point identity is
+reduced, with the rare errors ``picard`` bounds.  On walk seeds 1-40 at
+16 steps the final classes of the two modes agree once the exact points
+are reduced.
 
 The pushforward track needs no chains at all: the new letter acts
 outermost, so e' is one application of the letter's pushforward
@@ -77,7 +75,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import genericity, projective
+from . import genericity
 from .config import WALK_ARTIFACT_VERSION
 from .errors import DegenerateConfiguration, ExactLengthCap, TablePointHit
 from .genericity import Letter, Word, _inverse_letter, all_letters
@@ -87,9 +85,7 @@ from .picard import (
     MODP_NOTE,
     MODP_P,
     LetterOperator,
-    OperatorCache,
     PointRegistry,
-    ResidueChain,
     WeilClass,
     class_to_jsonable,
     coefficient_l2_diff,
@@ -150,14 +146,13 @@ class _StackEntry:
 
 
 class WalkState:
-    """Mutable walk state over a shared registry and operator cache."""
+    """Mutable walk state over a registry, which may be shared."""
 
     def __init__(self, gens: Tuple[GeneratorData, ...], mode: str = "exact",
                  exact_len_cap: int = 16,
                  track_classes: bool = True,
                  track_pushforward: bool = False,
-                 registry: Optional[PointRegistry] = None,
-                 cache: Optional[OperatorCache] = None):
+                 registry: Optional[PointRegistry] = None):
         self.gens = gens
         self.mode = mode
         self.exact_len_cap = exact_len_cap
@@ -168,11 +163,8 @@ class WalkState:
                 else PointRegistry(mode)
             if self.registry.mode != mode:
                 raise ValueError("registry mode does not match walk mode")
-            self.cache = cache if cache is not None \
-                else OperatorCache(gens, self.registry)
         else:
             self.registry = None
-            self.cache = None
         self.stack: List[_StackEntry] = []
         self._root_popped: Dict[Letter, _StackEntry] = {}
         self.n = 0
@@ -184,32 +176,18 @@ class WalkState:
     def reduced_len(self) -> int:
         return len(self.stack)
 
+    def _op(self, letter: Letter) -> LetterOperator:
+        return self.registry.operator(self.gens[letter[0]], letter[1])
+
     # a single carried point moved through a run of operators (newest first)
 
     def _chain_point(self, hops: Tuple[LetterOperator, ...],
                      base: int) -> WeilClass:
-        reg = self.registry
-        coords = reg.representative(base)
-        if not reg.modulus:
-            # hop on residues; only a zero mod q needs the integers
-            q = projective.FINGERPRINT_P
-            r = (coords[0] % q, coords[1] % q, coords[2] % q)
-            try:
-                for op in hops:
-                    r = op.transport(r, q)
-            except DegenerateConfiguration:
-                pass
-            else:
-                return WeilClass(0, {reg.register(
-                    ResidueChain(r, base, hops)): -1})
-        for i, op in enumerate(hops):
-            try:
-                coords = op.transport(coords)
-            except TablePointHit as hit:
-                j, k = _COMPLEMENT[hit.index]
-                break
-        else:
-            return WeilClass(0, {reg.register(coords): -1})
+        try:
+            return WeilClass(0, {self.registry.carry(base, hops): -1})
+        except TablePointHit as hit:
+            i, (j, k) = hit.hop, _COMPLEMENT[hit.index]
+        op = hops[i]
         cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
         for op in hops[i + 1:]:
             cls = op.pullback(cls)
@@ -280,7 +258,7 @@ class WalkState:
         elif self.track_classes:
             entry = self._popped_here().get(letter)
             if entry is None:
-                pull_op = self.cache.get(letter[0], letter[1])
+                pull_op = self._op(letter)
                 entry = _StackEntry(letter, pull_op,
                                     self._chained_base_classes(pull_op))
             self.pull_class = self._assemble(self.pull_class, entry.chained)
@@ -290,7 +268,7 @@ class WalkState:
         if self.track_pushforward:
             # the new letter acts outermost on the pushforward track, and a
             # cancelling letter's operator undoes its partner exactly
-            fwd = self.cache.get(letter[0], -letter[1])
+            fwd = self._op(_inverse_letter(letter))
             self.push_class = fwd.pullback(self.push_class)
         self.n += 1
         # a mismatch here means overlapping indeterminacy collapsed the
@@ -330,11 +308,9 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
     certifies is composed exactly; its stripped triple gives the degree
     and reseeds the subtree.
     """
-    registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
     state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
-                      track_classes=True, registry=registry, cache=cache)
-    probe = WeilClass.exceptional_class(cache.get(0, 1).base_ids[0])
+                      track_classes=True)
+    probe = WeilClass.exceptional_class(state._op((0, 1)).base_ids[0])
     checked = 0  # every check runs once on each word that reaches them
     failures: List[dict] = []
 
@@ -350,7 +326,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
             state.step(_inverse_letter(state.stack[-1].letter))
         prev_line = state.pull_class.line_coeff
         try:
-            op = cache.get(letter[0], letter[1])
+            op = state._op(letter)
             # the degree recursion consumes the multiplicities the forward
             # image class carries at the new letter's own indeterminacy
             # points
@@ -362,7 +338,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
             return None
         cls = state.pull_class
         try:
-            inv = cache.get(letter[0], -letter[1])
+            inv = state._op(_inverse_letter(letter))
             new_pushed = inv.pullback(pushed)
             new_push_line = inv.pullback(push_line)
         except DegenerateConfiguration as exc:
@@ -538,8 +514,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
              track_classes: bool = True,
              track_pushforward: bool = False,
              keep_classes: bool = False,
-             registry: Optional[PointRegistry] = None,
-             cache: Optional[OperatorCache] = None) -> WalkReport:
+             registry: Optional[PointRegistry] = None) -> WalkReport:
     """Drive a walk for the requested number of steps and collect records.
 
     A row is recorded at every step (plus the starting state); Cauchy
@@ -560,7 +535,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
     state = WalkState(gens, mode=mode, exact_len_cap=exact_len_cap,
                       track_classes=track_classes,
                       track_pushforward=track_pushforward,
-                      registry=registry, cache=cache)
+                      registry=registry)
     rows: List[StepRow] = []
     kept: List[Tuple[int, int, WeilClass, Optional[WeilClass]]] = []
     prev_cp: Optional[Tuple[WeilClass, int]] = None

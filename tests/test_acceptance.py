@@ -33,7 +33,7 @@ from birwalk.maps import (
     has_only_proper_base_points,
     sigma_map,
 )
-from birwalk.picard import OperatorCache, PointRegistry, WeilClass
+from birwalk.picard import PointRegistry, WeilClass
 from birwalk.poly import HomPoly, is_squarefree, jacobian_det, parse_poly
 from birwalk.walk import (
     WalkState,
@@ -81,7 +81,7 @@ def test_criterion_01_involution_acts_exactly_and_fast():
     assert compose_letter(*gen.letter_matrices(1),
                           sigma.components) == IDENTITY_COMPONENTS
     registry = PointRegistry("exact")
-    op = OperatorCache((gen,), registry).get(0, 1)
+    op = registry.operator(gen, 1)
     e0, e1, e2 = op.base_ids
     # line class: degree doubles and all three coordinate points appear
     assert op.pullback(WeilClass.line_class()) == WeilClass(2, {e0: 1, e1: 1, e2: 1})
@@ -105,7 +105,6 @@ def test_criterion_02_frozen_pair_certified_free_to_depth_six(certified_tuple):
 def test_criterion_03_operators_preserve_and_adjoin_the_pairing(certified_tuple):
     rng = random.Random(7)
     registry = PointRegistry("exact")
-    cache = OperatorCache(certified_tuple, registry)
     pids = []
     while len(pids) < 12:
         coords = (rng.randrange(-9, 10), rng.randrange(-9, 10),
@@ -125,8 +124,8 @@ def test_criterion_03_operators_preserve_and_adjoin_the_pairing(certified_tuple)
     for gi in range(len(certified_tuple)):
         for k in range(1000):
             sign = 1 if k % 2 == 0 else -1
-            op = cache.get(gi, sign)
-            adj = cache.get(gi, -sign)
+            op = registry.operator(certified_tuple[gi], sign)
+            adj = registry.operator(certified_tuple[gi], -sign)
             c1, c2, d = rand_class(), rand_class(), rand_class()
             assert op.pullback(c1).intersect(op.pullback(c2)) == c1.intersect(c2)
             assert op.pullback(c1).intersect(d) == c1.intersect(adj.pullback(d))
@@ -136,10 +135,7 @@ def test_criterion_03_operators_preserve_and_adjoin_the_pairing(certified_tuple)
 
 def test_criterion_04_every_short_word_class_satisfies_the_two_identities(
         certified_tuple):
-    registry = PointRegistry("exact")
-    cache = OperatorCache(certified_tuple, registry)
-    state = WalkState(certified_tuple, mode="exact", exact_len_cap=8,
-                      registry=registry, cache=cache)
+    state = WalkState(certified_tuple, mode="exact", exact_len_cap=8)
     letters = all_letters(len(certified_tuple))
     prefix = []
     seen = 0
@@ -253,13 +249,11 @@ def test_criterion_08_independent_walks_reach_distinct_boundaries(
     walk_a = None
     for k in range(20):
         registry = PointRegistry("modp")
-        cache = OperatorCache(certified_tuple, registry)
         walk_a = run_walk(certified_tuple, 26, seed=100 + 2 * k, mode="modp",
                           checkpoint_every=1, keep_classes=True,
-                          track_pushforward=True, registry=registry,
-                          cache=cache)
+                          track_pushforward=True, registry=registry)
         walk_b = run_walk(certified_tuple, 26, seed=101 + 2 * k, mode="modp",
-                          registry=registry, cache=cache)
+                          registry=registry)
         assert walk_a.aborted is None and walk_b.aborted is None
         result = boundary_compare(walk_a, walk_b)
         # a pairing an order of magnitude above both coincidence controls
@@ -289,9 +283,8 @@ def deep_modp_walks(certified_tuple):
     """Walk seeds 1-3 at 600 steps in modp mode over one registry: reduced
     lengths 306, 280 and 320, about 0.7 s each."""
     registry = PointRegistry("modp")
-    cache = OperatorCache(certified_tuple, registry)
     return [run_walk(certified_tuple, 600, seed=seed, mode="modp",
-                     checkpoint_every=1, registry=registry, cache=cache)
+                     checkpoint_every=1, registry=registry)
             for seed in (1, 2, 3)]
 
 
@@ -418,7 +411,7 @@ def test_criterion_12_degenerate_inputs_are_rejected():
 
     # transporting a point that sits on a contracted line must refuse
     registry = PointRegistry("exact")
-    op = OperatorCache((sig0,), registry).get(0, 1)
+    op = registry.operator(sig0, 1)
     with pytest.raises(DegenerateConfiguration):
         op.transport((0, 1, 1))
 

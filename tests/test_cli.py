@@ -454,6 +454,41 @@ def test_compare_rejects_non_artifact(tmp_path, generators_file, capsys):
     assert "not a walk artifact" in capsys.readouterr().err
 
 
+def _one_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return err
+
+
+def test_compare_rejects_a_malformed_artifact(tmp_path, capsys):
+    # the format tag alone: no generators, no trials
+    bare = tmp_path / "a.json"
+    dump_json(bare, {"format": "birwalk-artifact"})
+    assert main(["compare", str(bare), str(bare)]) == EXIT_INVARIANT
+    assert "malformed walk artifact" in _one_stderr_line(capsys)
+
+
+@pytest.mark.parametrize("doc", [{"format": "birwalk-artifact"},
+                                 {"format": "birwalk-generators"},
+                                 [1, 2, 3]])
+@pytest.mark.parametrize("command", ["walk", "crosscheck", "equidist"])
+def test_a_non_generator_document_exits_invariant(tmp_path, capsys, doc,
+                                                  command):
+    path = tmp_path / "not_generators.json"
+    dump_json(path, doc)
+    code = main([command, "--generators", str(path), "--max-len", "2",
+                 "--steps", "2", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert str(path) in _one_stderr_line(capsys)
+
+
+def test_a_generators_file_that_is_not_json_exits_invariant(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format": ')
+    assert main(["walk", "--generators", str(path)]) == EXIT_INVARIANT
+    assert "is not JSON" in _one_stderr_line(capsys)
+
+
 def test_compare_needs_class_tracking(tmp_path, generators_file, capsys):
     out = tmp_path / "light"
     assert main(["walk", "--generators", str(generators_file),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from birwalk.curves import (
 from birwalk.errors import (CurveContracted, DegenerateConfiguration,
                             DegreeCapExceeded)
 from birwalk.maps import generator_from_matrices, sample_generators
-from birwalk.picard import WeilClass, coefficient_l2_diff
+from birwalk.picard import PointRegistry, WeilClass, coefficient_l2_diff
 from birwalk.poly import HomPoly, parse_poly
 from birwalk.walk import WalkState, random_itinerary, run_walk
 
@@ -437,15 +438,17 @@ def test_equidist_cancelling_letter_reuses_the_stored_push(monkeypatch, gens,
                                                           line):
     # pushing a letter and its inverse composes to the identity on classes,
     # so only the operator calls show whether a cancellation popped the
-    # stacks or grew them
+    # stacks or grew them.  The walk asks the same registry for its own
+    # operators, so only the calls made from equidist's frame count
     calls = []
+    operator = PointRegistry.operator
 
-    class CountingCache(curves_mod.OperatorCache):
-        def get(self, gen_index, sign):
-            calls.append((gen_index, sign))
-            return super().get(gen_index, sign)
+    def counting(registry, gen, sign):
+        if sys._getframe(1).f_code is equidist_diagnostic.__code__:
+            calls.append((gen.index, sign))
+        return operator(registry, gen, sign)
 
-    monkeypatch.setattr(curves_mod, "OperatorCache", CountingCache)
+    monkeypatch.setattr(PointRegistry, "operator", counting)
     itinerary = random_itinerary(2, 5, random.Random(9))
     assert itinerary == ((1, -1), (1, 1), (1, 1), (0, -1), (0, -1))
     rows = equidist_diagnostic(gens, itinerary, line, max_len=5)

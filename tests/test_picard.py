@@ -23,7 +23,6 @@ from birwalk.maps import (
 )
 from birwalk.picard import (
     LetterOperator,
-    OperatorCache,
     PointRegistry,
     WeilClass,
     class_from_jsonable,
@@ -77,7 +76,9 @@ def test_walk_path_takes_no_content_gcd(certified_tuple, monkeypatch):
     def scoped(name, fn):
         def wrapper(self, *args, **kwargs):
             # a hop given a modulus is a residue hop, which strips nothing
-            key = name if len(args) + len(kwargs) == 1 else name + " mod q"
+            modulus = args[1] if name == "transport" and len(args) > 1 \
+                else kwargs.get("modulus")
+            key = name if modulus is None else name + " mod q"
             calls[key] = calls.get(key, 0) + 1
             scopes.append((name, self))
             try:
@@ -395,7 +396,7 @@ _BIG_SCALARS = (3 ** 200, -(2 ** 127 - 1), P, -7 * P, P * P)
 @pytest.mark.parametrize("letter", [(0, 1), (0, -1), (1, 1), (1, -1)])
 def test_transport_does_not_depend_on_scale(certified_tuple, letter):
     reg = PointRegistry("exact")
-    op = OperatorCache(certified_tuple, reg).get(*letter)
+    op = reg.operator(certified_tuple[letter[0]], letter[1])
     for p in ((3, 7, 11), (2, -5, 13), (17, 1, -6), (1, 0, 0)):
         image = reg.register(op.transport(p))
         for k in _BIG_SCALARS:
@@ -449,7 +450,7 @@ def test_kernel_agrees_with_cross_product_transport(certified_tuple, letter):
     # None is the standard involution, whose table is the coordinate axes
     reg = PointRegistry("exact")
     op = LetterOperator(sigma_generator(), 1, reg) if letter is None \
-        else OperatorCache(certified_tuple, reg).get(*letter)
+        else reg.operator(certified_tuple[letter[0]], letter[1])
     outer, inner = op.eval_matrices
     assert op.content_bound == det3(inner) ** 2 * abs(det3(outer))
     seen = set()
@@ -507,9 +508,8 @@ def test_sampled_operator_is_isometry_and_adjoint_to_inverse():
     rng = random.Random(17)
     (gen,) = sample_generators(1, 5, rng)
     reg = PointRegistry("exact")
-    cache = OperatorCache((gen,), reg)
-    fwd = cache.get(0, 1)
-    bwd = cache.get(0, -1)
+    fwd = reg.operator(gen, 1)
+    bwd = reg.operator(gen, -1)
     pool = _generic_pool(rng, reg, (fwd, bwd))
     for _ in range(50):
         u = _random_class(rng, reg, pool)
@@ -523,19 +523,19 @@ def test_pullback_then_pushforward_restores_class():
     rng = random.Random(23)
     (gen,) = sample_generators(1, 5, rng)
     reg = PointRegistry("exact")
-    cache = OperatorCache((gen,), reg)
-    fwd, bwd = cache.get(0, 1), cache.get(0, -1)
+    fwd, bwd = reg.operator(gen, 1), reg.operator(gen, -1)
     pool = _generic_pool(rng, reg, (fwd, bwd), count=4)
     c = WeilClass(3, {pool[0]: 1, pool[1]: -2, pool[2]: 1})
     assert bwd.pullback(fwd.pullback(c)) == c
     assert fwd.pullback(bwd.pullback(c)) == c
 
 
-def test_operator_cache_reuses_instances():
+def test_registry_reuses_operator_instances():
     (gen,) = sample_generators(1, 5, random.Random(2))
-    cache = OperatorCache((gen,), PointRegistry("exact"))
-    assert cache.get(0, 1) is cache.get(0, 1)
-    assert cache.get(0, 1) is not cache.get(0, -1)
+    reg = PointRegistry("exact")
+    assert reg.operator(gen, 1) is reg.operator(gen, 1)
+    assert reg.operator(gen, 1) is not reg.operator(gen, -1)
+    assert reg.operator(gen, 1)._registry() is reg
 
 
 def test_modp_operator_matches_exact_on_table():
@@ -561,8 +561,8 @@ def test_modp_kernel_is_the_exact_kernel_reduced(certified_tuple, letter):
         op_e = LetterOperator(sigma_generator(), 1, reg_e)
         op_m = LetterOperator(sigma_generator(), 1, reg_m)
     else:
-        op_e = OperatorCache(certified_tuple, reg_e).get(*letter)
-        op_m = OperatorCache(certified_tuple, reg_m).get(*letter)
+        op_e = reg_e.operator(certified_tuple[letter[0]], letter[1])
+        op_m = reg_m.operator(certified_tuple[letter[0]], letter[1])
     assert op_m.table_points == tuple(projective.fingerprint(q, M)
                                       for q in op_e.table_points)
     seen = set()
@@ -640,7 +640,7 @@ def _pullback_without_memo(op, cls):
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         if cls.line_coeff - t[j] - t[k] != 0:
             out[op.base_ids[i]] = cls.line_coeff - t[j] - t[k]
-    reg = op.registry
+    reg = op._registry()
     for pid, coeff in entries.items():
         new_pid = reg.register(op.transport(reg.representative(pid)))
         if new_pid in out:
@@ -677,15 +677,19 @@ def test_certificate_transports_each_point_once_per_letter(certified_tuple,
     seen = []
     transport = LetterOperator.transport
 
-    def recording(op, coords):
-        # a point's stored representative names it: equal coordinates
-        # register to one id
-        seen.append((id(op), coords))
-        return transport(op, coords)
+    def recording(op, coords, modulus=None):
+        # a point's stored key or representative names it: equal
+        # coordinates register to one id
+        seen.append((id(op), coords, modulus))
+        return transport(op, coords, modulus)
 
     monkeypatch.setattr(LetterOperator, "transport", recording)
     assert check_genericity(certified_tuple, 6).ok
     assert seen and len(set(seen)) == len(seen)
+    # every pullback carries its point from the key mod the filter prime,
+    # so no hop needs the integers (4,356 did when pullback took them)
+    assert {modulus for _op, _coords, modulus in seen} \
+        == {projective.FINGERPRINT_P}
 
 
 def test_degenerate_transport_raises_again_on_repeat():

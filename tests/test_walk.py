@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from birwalk import genericity, projective
 from birwalk.config import dumps_json
 from birwalk.errors import DegenerateConfiguration, ExactLengthCap
-from birwalk.genericity import _exact_word_components
+from birwalk.genericity import _exact_word_components, check_genericity
 from birwalk.maps import (
     IDENTITY_COMPONENTS,
     compose_letter,
@@ -23,7 +24,6 @@ from birwalk.maps import (
 from birwalk.picard import (
     MODP_P,
     LetterOperator,
-    OperatorCache,
     PointRegistry,
     WeilClass,
     class_to_jsonable,
@@ -99,7 +99,7 @@ def test_first_step_is_degree_two_with_three_base_points(gens):
     state.step((0, 1))
     c = state.pull_class
     assert c.line_coeff == 2
-    op = state.cache.get(0, 1)
+    op = state.registry.operator(gens[0], 1)
     assert dict(c.point_part) == {pid: 1 for pid in op.base_ids}
 
 
@@ -293,13 +293,12 @@ def test_gram_identity_on_checkpoints(gens):
 
 def test_transversality_ratio_for_partner_and_for_self(gens):
     registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
     ra = run_walk(gens, 12, seed=31, mode="exact", exact_len_cap=16,
                   checkpoint_every=2, keep_classes=True,
-                  track_pushforward=True, registry=registry, cache=cache)
+                  track_pushforward=True, registry=registry)
     rb = run_walk(gens, 12, seed=32, mode="exact", exact_len_cap=16,
                   checkpoint_every=2, keep_classes=True,
-                  track_pushforward=True, registry=registry, cache=cache)
+                  track_pushforward=True, registry=registry)
     assert ra.aborted is None and rb.aborted is None
     cross = transversality_ratio_series(rb.final_class, rb.final_reduced_len, ra)
     assert all(v > 0.0 for _, v in cross)
@@ -401,9 +400,8 @@ def test_rows_past_length_537_write_an_empty_self_intersection(tmp_path):
 
 def test_boundary_compare_self_equals_control(gens):
     registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
     r = run_walk(gens, 10, seed=41, mode="exact", exact_len_cap=16,
-                 registry=registry, cache=cache)
+                 registry=registry)
     out = boundary_compare(r, r)
     assert out["pairing"] == out["control_a"] == out["control_b"]
 
@@ -439,25 +437,37 @@ def test_modp_classes_are_the_exact_classes_reduced(gens):
              for p, c in ce.point_part.items()}
 
 
-def _exact_walks_read_out(gens, seeds):
-    """Per seed: what an exact 16-step walk decides (ids included) and
-    what is read out of it, and how many integer hops the walks took
-    before anything was read."""
-    integer_hops = []
-    transport = LetterOperator.transport
+@contextmanager
+def _integer_work():
+    """Lists that fill, while the block runs, with every integer hop (a
+    transport given no modulus) and every build of a lazy point."""
+    hops, builds = [], []
+    transport, build = LetterOperator.transport, PointRegistry._build
 
-    def counted(self, coords, modulus=None):
+    def counted_hop(self, coords, modulus=None):
         if modulus is None:
-            integer_hops.append(coords)
+            hops.append(coords)
         return transport(self, coords, modulus)
 
-    reports = []
+    def counted_build(self, base, chain):
+        builds.append((base, chain))
+        return build(self, base, chain)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LetterOperator, "transport", counted)
-        for seed in seeds:
-            reports.append(run_walk(gens, 16, seed=seed, mode="exact",
-                                    checkpoint_every=4, keep_classes=True))
-    walked = len(integer_hops)
+        mp.setattr(LetterOperator, "transport", counted_hop)
+        mp.setattr(PointRegistry, "_build", counted_build)
+        yield hops, builds
+
+
+def _exact_walks_read_out(gens, seeds):
+    """Per seed: what an exact 16-step walk decides (ids included) and
+    what is read out of it, and the integer hops and builds the walks
+    took before anything was read."""
+    with _integer_work() as (hops, builds):
+        reports = [run_walk(gens, 16, seed=seed, mode="exact",
+                            checkpoint_every=4, keep_classes=True)
+                   for seed in seeds]
+        walked = len(hops), len(builds)
     out = []
     for r in reports:
         assert r.aborted is None
@@ -476,13 +486,45 @@ def test_exact_walks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
     # clashes are common, and every decision and every read-out stays put
     seeds = range(1, 129)
     want, walked = _exact_walks_read_out(gens, seeds)
-    # no hop of these walks meets a zero mod the prime, so they build no
-    # integers beyond the letters' own points until a coordinate is read
-    assert walked == 0
+    # no hop of these walks meets a zero mod the prime, and every chain
+    # starts from its point's key, so they take no integer hop and build
+    # no point until a coordinate is read (507 builds when chains started
+    # from the integers)
+    assert walked == (0, 0)
     for prime in (101, 1009):
         monkeypatch.setattr(projective, "FINGERPRINT_P", prime)
-        got, walked = _exact_walks_read_out(gens, seeds)
-        assert walked > 0  # chains went back to the integers
+        got, (hops, _builds) = _exact_walks_read_out(gens, seeds)
+        assert hops > 0  # chains went back to the integers
+        assert got == want
+
+
+def _exact_pullbacks(gens):
+    """The certificate to depth 4, the crosscheck to depth 3 and the push
+    classes of exact walks, with the integer hops they took before
+    anything was read."""
+    with _integer_work() as (hops, _builds):
+        certificate = check_genericity(gens, 4)
+        crosscheck = crosscheck_words(gens, 3)
+        walks = [run_walk(gens, 16, seed=seed, mode="exact",
+                          track_pushforward=True) for seed in range(1, 33)]
+        taken = len(hops)
+    pushes = [(r.aborted, r.final_push_class.line_coeff,
+               r.final_push_class.point_part,
+               class_to_jsonable(r.final_push_class, r.registry))
+              for r in walks]
+    return (certificate, crosscheck, pushes), taken
+
+
+def test_exact_pullbacks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
+    # a pullback carries each point from its key mod the filter prime and
+    # goes back to the integers at any zero, like a walk's chains.  At the
+    # real prime the integer hops are the builds that confirm a chain end
+    # landing on a point another route registered
+    want, taken = _exact_pullbacks(gens)
+    for prime in (101, 1009):
+        monkeypatch.setattr(projective, "FINGERPRINT_P", prime)
+        got, small_taken = _exact_pullbacks(gens)
+        assert small_taken > taken  # zeros and clashes sent hops back
         assert got == want
 
 
@@ -501,11 +543,8 @@ def test_modp_report_labels_its_residues(gens):
 
 def test_shared_registry_walks_can_be_paired(gens):
     registry = PointRegistry("modp")
-    cache = OperatorCache(gens, registry)
-    ra = run_walk(gens, 40, seed=21, mode="modp",
-                  registry=registry, cache=cache)
-    rb = run_walk(gens, 40, seed=22, mode="modp",
-                  registry=registry, cache=cache)
+    ra = run_walk(gens, 40, seed=21, mode="modp", registry=registry)
+    rb = run_walk(gens, 40, seed=22, mode="modp", registry=registry)
     assert ra.aborted is None and rb.aborted is None
     out = boundary_compare(ra, rb)
     assert out["pairing"] > 0.0
@@ -607,11 +646,11 @@ def _exact_crosscheck(gens, max_len, failure_cap=50):
     """The crosscheck tree with every node composed exactly: compose_letter
     onto the parent's stripped triple.  Returns (counts, failures, the
     (word, polynomial degree) of every word whose degree is checked)."""
-    registry = PointRegistry("exact")
-    cache = OperatorCache(gens, registry)
     state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
-                      track_classes=True, registry=registry, cache=cache)
-    probe = WeilClass.exceptional_class(cache.get(0, 1).base_ids[0])
+                      track_classes=True)
+    registry = state.registry
+    probe = WeilClass.exceptional_class(
+        registry.operator(gens[0], 1).base_ids[0])
     counts = dict.fromkeys(("degree", "isometry", "noether", "adjoint",
                             "gram"), 0)
     failures, degrees = [], []
@@ -632,7 +671,7 @@ def _exact_crosscheck(gens, max_len, failure_cap=50):
             prev_line = state.pull_class.line_coeff
             depth_before = len(state.stack)
             try:
-                op = cache.get(*letter)
+                op = registry.operator(gens[letter[0]], letter[1])
                 base_mult = sum(push_line.point_part.get(pid, 0)
                                 for pid in op.base_ids)
                 state.step(letter)
@@ -646,7 +685,7 @@ def _exact_crosscheck(gens, max_len, failure_cap=50):
                 *gens[letter[0]].letter_matrices(letter[1]), comps)
             poly_degree = next(p.degree for p in new_comps if not p.is_zero)
             try:
-                inv = cache.get(*undo)
+                inv = registry.operator(gens[undo[0]], undo[1])
                 new_pushed = inv.pullback(pushed)
                 new_push_line = inv.pullback(push_line)
             except DegenerateConfiguration as exc:
