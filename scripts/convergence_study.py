@@ -8,10 +8,10 @@ script prints the per-seed rate together with how much the increments
 shrink over five checkpoints, and then pairs the final classes of the
 first two walks over one shared registry to show their limits are
 distinct (the coincidence controls are each walk's own normalized
-self-pairing 4^-length).  Walks run in modp mode, whose class
-coefficients are exact and whose points are residues mod 2^61 - 1, so
-they go past the exact mode's reduced-length cap of 16: at the default
-600 steps they reach reduced length about 300, in under a second each.
+self-pairing 4^-length).  The walks are exact at every depth: their
+chains hop on residues and build no integers, and past the build budget
+a walk would abort rather than merge points.  At the default 600 steps
+they reach reduced length about 300, in under a second each.
 """
 
 import argparse
@@ -49,8 +49,7 @@ def main(argv=None):
     print("per-seed geometric fit of the checkpoint increment series")
     for k in range(args.walks):
         seed = args.first_seed + k
-        report = run_walk(gens, args.steps, seed=seed, mode="modp",
-                          checkpoint_every=1)
+        report = run_walk(gens, args.steps, seed=seed, checkpoint_every=1)
         if report.aborted is not None:
             print(f"seed {seed:6d}  aborted at step {report.aborted_at}: "
                   f"{report.aborted}")
@@ -64,11 +63,11 @@ def main(argv=None):
 
     # two independent walks over one registry: distinct limits show up as
     # a cross pairing far above both coincidence controls
-    registry = PointRegistry("modp")
-    walk_a = run_walk(gens, args.steps, seed=args.first_seed, mode="modp",
+    registry = PointRegistry()
+    walk_a = run_walk(gens, args.steps, seed=args.first_seed,
                       checkpoint_every=1, keep_classes=True,
                       track_pushforward=True, registry=registry)
-    walk_b = run_walk(gens, args.steps, seed=args.first_seed + 1, mode="modp",
+    walk_b = run_walk(gens, args.steps, seed=args.first_seed + 1,
                       registry=registry)
     if walk_a.aborted or walk_b.aborted:
         print("pairing skipped: one of the reference walks aborted")

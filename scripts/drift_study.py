@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Drift of the reduced word length across a batch of seeded walks.
 
-Runs modp-mode walks with class tracking off, so each walk is pure
-integer cancellation bookkeeping and thousands of steps cost nothing.
+Runs walks with class tracking off, so each walk is pure integer
+cancellation bookkeeping and thousands of steps cost nothing.
 The final drift estimates are compared with the prediction for uniform
 letters over r generators and their inverses: a fresh letter cancels
 the top of the stack with probability 1/(2r), so the reduced length
@@ -45,8 +45,7 @@ def main(argv=None):
     rows = []
     for k in range(args.walks):
         seed = args.first_seed + k
-        report = run_walk(gens, args.steps, seed=seed, mode="modp",
-                          track_classes=False)
+        report = run_walk(gens, args.steps, seed=seed, track_classes=False)
         drift = report.rows[-1].drift_estimate
         rows.append((seed, report.final_reduced_len, drift))
         print(f"seed {seed:6d}  reduced length {report.final_reduced_len:6d}  "

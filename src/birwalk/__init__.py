@@ -36,7 +36,6 @@ from .errors import (
     DegenerateComposition,
     DegenerateConfiguration,
     DegreeCapExceeded,
-    ExactLengthCap,
     HeuristicGcdFailed,
     IncompatibleArtifacts,
     IndeterminatePoint,

@@ -38,12 +38,11 @@ from .errors import (
     CurveContracted,
     DegenerateConfiguration,
     DegreeCapExceeded,
-    ExactLengthCap,
     IncompatibleArtifacts,
     SamplingExhausted,
 )
 from .genericity import check_genericity
-from .picard import MODES, PointRegistry
+from .picard import PointRegistry
 from .walk import (
     boundary_compare,
     crosscheck_words,
@@ -81,7 +80,7 @@ def _read_generators(path):
 
 def _config_from_args(args) -> RunConfig:
     overrides = {}
-    for name in ("r", "height", "seed", "mode", "steps", "trials",
+    for name in ("r", "height", "seed", "steps", "trials",
                  "checkpoint_every", "max_len", "out_dir", "curve"):
         value = getattr(args, name, None)
         if value is not None:
@@ -141,17 +140,16 @@ def cmd_walk(args) -> int:
     trials = []
     aborts = []
     for i, wseed in enumerate(config.walk_seeds()):
+        report = run_walk(gens, config.steps, seed=wseed,
+                          checkpoint_every=config.checkpoint_every,
+                          track_classes=config.track_classes,
+                          keep_classes=config.track_classes)
         try:
-            report = run_walk(
-                gens, config.steps, seed=wseed, mode=config.mode,
-                checkpoint_every=config.checkpoint_every,
-                exact_len_cap=config.exact_len_cap,
-                track_classes=config.track_classes,
-                keep_classes=config.track_classes)
-        except ExactLengthCap as exc:
-            print(f"trial {i} (seed {wseed}) stopped: {exc}", file=sys.stderr)
+            trials.append(report.to_jsonable())
+        except DegenerateConfiguration as exc:  # a read past the budget
+            print(f"trial {i} (seed {wseed}) cannot be written: {exc}",
+                  file=sys.stderr)
             return EXIT_DEGENERATE
-        trials.append(report.to_jsonable())
         write_rows_csv(report.rows, out / f"walk_trial{i:02d}_seed{wseed}.csv")
         if report.aborted is not None:
             aborts.append({"trial": i, "seed": wseed,
@@ -270,12 +268,11 @@ def cmd_compare(args) -> int:
         trial_a = _trial_zero(doc_a)
         trial_b = _trial_zero(doc_b)
         for trial in (trial_a, trial_b):
-            if trial["mode"] not in MODES:
+            if trial["mode"] != "exact":
                 raise IncompatibleArtifacts(
                     f"{trial['mode']} mode is retired and its walks cannot be "
-                    f"replayed; rerun them with --mode modp")
-        if trial_a["mode"] != trial_b["mode"]:
-            raise IncompatibleArtifacts("artifacts ran in different modes")
+                    f"replayed; rerun them with `birwalk walk`, whose exact "
+                    f"walks reach any depth")
         if not (trial_a["track_classes"] and trial_b["track_classes"]):
             raise IncompatibleArtifacts(
                 "comparison needs class tracking in both artifacts")
@@ -288,13 +285,11 @@ def cmd_compare(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(
             f"malformed walk artifact: missing or invalid field {exc}") from None
-    mode = trial_a["mode"]
-    registry = PointRegistry(mode)
+    registry = PointRegistry()
     reports = []
     for itinerary in itineraries:
         report = run_walk(gens, len(itinerary), itinerary=itinerary,
-                          mode=mode, keep_classes=True,
-                          registry=registry)
+                          keep_classes=True, registry=registry)
         if report.aborted is not None:
             print(f"replay aborted at step {report.aborted_at}: "
                   f"{report.aborted}", file=sys.stderr)
@@ -327,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--height", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--checkpoint-every", dest="checkpoint_every",

@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 
 from .genericity import GenericityReport
 from .maps import GeneratorData, generator_from_matrices, sample_generators
-from .picard import MODES
 from .poly import format_poly
 
 ARTIFACT_VERSION = 1
@@ -42,12 +41,10 @@ class RunConfig:
     height: int = 5
     seed: int = 1
     matrices: Optional[Tuple[Tuple[tuple, tuple], ...]] = None
-    mode: str = "exact"
     steps: int = 12
     trials: int = 1
     trial_seeds: Optional[Tuple[int, ...]] = None
     checkpoint_every: int = 8
-    exact_len_cap: int = 16
     degree_cap: int = 256
     max_len: int = 4
     retry_budget: int = 2000
@@ -56,8 +53,6 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.r < 1:
             raise ValueError("need at least one generator")
         if self.steps < 0 or self.trials < 0:
@@ -108,6 +103,10 @@ def embedded_config(config: RunConfig) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
+    retired = unknown & {"mode", "exact_len_cap"}
+    if retired:
+        raise ValueError(f"retired config fields {sorted(retired)}: class "
+                         f"walks are exact at every depth; delete them")
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     kwargs = dict(data)

@@ -126,7 +126,7 @@ def pullback_curve(gens, word: Word, curve: PlaneCurve, *,
                 f"pullback degree {bound} exceeds the cap {degree_cap}")
     word_degree = stages.word_degree
     # class state of the word as a composite: last letter applied first
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, len(word)))
+    state = WalkState(gens)
     for letter in reversed(word):
         state.step(letter)
     # the stage candidates are exactly the contracted curves only when the
@@ -177,7 +177,7 @@ def lelong_crosscheck(gens, word: Word, curve: PlaneCurve, *,
     """
     if report.word != tuple(word):
         raise ValueError("report is for a different word")
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     rows = []
     for coords, m, nu_poly in report.base_points:
         v = WeilClass.exceptional_class(registry.register(coords))
@@ -316,8 +316,7 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     if on_contracted not in ("raise", "truncate"):
         raise ValueError(f"unknown on_contracted {on_contracted!r}")
     walk = run_walk(gens, max_len, itinerary=tuple(itinerary[:max_len]),
-                    mode="exact", checkpoint_every=1, keep_classes=True,
-                    exact_len_cap=max(16, max_len))
+                    checkpoint_every=1, keep_classes=True)
     if walk.aborted is not None:
         raise DegenerateConfiguration(walk.aborted)
     kept = {n: (ln, c) for n, ln, c, _e in walk.checkpoint_classes}

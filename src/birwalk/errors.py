@@ -35,7 +35,8 @@ class SamplingExhausted(BirwalkError):
 
 
 class DegenerateConfiguration(BirwalkError):
-    """A point collision or contracted-curve hit that the exact model refuses."""
+    """A point collision or contracted-curve hit that the exact model
+    refuses, or an event it cannot decide within the build budget."""
 
 
 class TablePointHit(DegenerateConfiguration):
@@ -60,9 +61,6 @@ class DegreeCapExceeded(BirwalkError, ValueError):
     """A curve pullback would pass the configured polynomial degree cap."""
 
 
-class ExactLengthCap(BirwalkError):
-    """An exact-mode walk tried to grow past the configured reduced-length cap."""
-
-
 class IncompatibleArtifacts(BirwalkError):
-    """Two run artifacts cannot be compared (different generator tuples or modes)."""
+    """Two run artifacts cannot be compared (different generator tuples, a
+    retired mode, or no classes)."""

@@ -277,7 +277,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     pts = [p for g in gens for p in g.base_pts + g.inv_base_pts]
     distinct_ok = len(set(pts)) == 6 * len(gens)
     # one registry for both passes: its operators' memoised images stay exact
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     root = (*_lines_from_components(IDENTITY_COMPONENTS),
             WeilClass.line_class())
     try:

@@ -3,9 +3,8 @@
 A class is stored as ``line_coeff * [line] - sum point_part[p] * [exc_p]``
 over point ids issued by a registry.  The intersection pairing in these
 coordinates is ``line_coeff * line_coeff' - sum point_part * point_part'``
-over shared ids.  Coefficients stay integers in both arithmetic modes;
-only point identity is ever reduced mod a prime, so every pairing value
-is exact and normalisations by powers of two happen scalar-side.
+over shared ids.  Coefficients are integers, so every pairing value is
+exact and normalisations by powers of two happen scalar-side.
 
 A letter (a generator or its inverse) acts on classes by pullback.  The
 action is a finite table on the letter's own data - the line class picks
@@ -56,29 +55,25 @@ divides an image only where the source point meets a table point mod
 that prime, so the representatives stay within a few percent of the
 canonical bit length.
 
-In ``modp`` mode a point is its fingerprint mod ``MODP_P`` = 2^61 - 1:
-the residue triple with first nonzero entry 1 is at once its key, its
-stored representative and what is read out.  ``carry`` runs the same
-hops mod p and ``register`` normalises the chain end.  A true zero of v
-is always a zero mod p, so no contracted line or table point is missed.
-Two errors are possible, both rare:
-
-* a collision, two plane points with one residue triple, which share
-  an id.  Over N registered points its chance is about N^2 / 2^62,
-  about 3.5e-12 for the 4,000 points of a 2000-step walk;
-* a false zero, a coordinate of v that vanishes mod p and not over the
-  integers, about 3/p per hop.  Alone it aborts with a contracted-line
-  record that says it was found mod p and may be a false zero; a silent
-  wrong table fan-out needs it beside a second zero, true or false.
-
-A triple whose residues all vanish has no point mod p, and ``register``
-refuses it with a ``DegenerateConfiguration`` that says so.
+A chain needs integers only where a hop meets a zero mod q, where its
+end lands on a fingerprint another recipe holds, or where a point is
+read, and a point l letters deep has coordinates of about c * 2^l bits.
+So building stops once a coordinate passes ``BUILD_BITS``: it raises a
+``DegenerateConfiguration`` that says the event is undecided and names
+the event, the prime and the budget.  A walk reports it as an abort, so
+nothing merges silently at any depth.
 
 Each operator memoises its point images, source id to image id, for
-every pullback transport that succeeds.  The memo is exact: a stored
-representative never changes and transport is deterministic, so a
-repeat would register the very id stored.  A transport that raises
-stores nothing, so a point on a contracted line raises again.
+every pullback transport that succeeds, and files the way back in the
+inverse letter's operator.  The memo is exact: a stored representative
+never changes and transport is deterministic, so a repeat would register
+the very id stored.  The way back is exact too: a hop with no zero in
+``inner * x`` leaves the point off the letter's contracted lines, so the
+inverse letter's hop meets no zero either and returns the same point.
+Without it a cancelling step of the pushforward track would land on the
+old point under a new recipe and build both on the integers.  A
+transport that raises stores nothing, so a point on a contracted line
+raises again.
 """
 
 from __future__ import annotations
@@ -93,24 +88,20 @@ from .errors import DegenerateConfiguration, TablePointHit
 from .maps import GeneratorData, det3, matvec
 from .projective import fingerprint, normalize_exact, same_point
 
-MODES = ("exact", "modp")
-MODP_P = (1 << 61) - 1  # a Mersenne prime: products of residues fit 122 bits
-MODP_NOTE = " (found mod p = 2^61 - 1; may be a false {} of the reduction)"
+# the most bits a built coordinate may take.  The largest built in the
+# tests and the benchmark has 273,068 bits (walk seed 126, reduced
+# length 16), so the budget leaves a margin of 15
+BUILD_BITS = 1 << 22
 
 
 # -- point registry -----------------------------------------------------
 
 
 class PointRegistry:
-    """Issues stable integer ids for plane points in one arithmetic mode,
-    carries them through letters and owns the letter operators."""
+    """Issues stable integer ids for plane points, carries them through
+    letters and owns the letter operators."""
 
-    def __init__(self, mode: str = "exact"):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        # the prime that point identity and transport reduce by, if any
-        self.modulus = MODP_P if mode == "modp" else None
+    def __init__(self):
         self._points: List[Optional[tuple]] = []  # None: not yet built
         self._keys: List[tuple] = []  # pid -> fingerprint, where carry starts
         self._recipes: Dict[int, tuple] = {}  # pid -> (base, hops)
@@ -131,43 +122,57 @@ class PointRegistry:
         return op
 
     def coords_of(self, pid: int) -> tuple:
-        """The point's normal form: canonical integers in exact mode, the
-        residue triple mod p with first nonzero entry 1 in modp mode."""
-        if self.modulus:
-            return self._points[pid]
+        """The point's canonical integers."""
         return normalize_exact(self.representative(pid))
 
-    def representative(self, pid: int) -> tuple:
-        """The stored coordinates, which the integer hops read: in exact
-        mode the first integer triple registered for the point, built from
-        its recipe on first read; in modp mode the normal form."""
+    def residues(self, pid: int) -> tuple:
+        """The point's fingerprint mod ``FINGERPRINT_P``, as registered."""
+        return self._keys[pid]
+
+    def representative(self, pid: int,
+                       event: str = "reading a point's coordinates") -> tuple:
+        """The first integer triple registered for the point, built from
+        its recipe on first read; ``event`` names what needed it."""
         coords = self._points[pid]
         if coords is None:
-            coords = self._points[pid] = self._build(*self._recipes[pid])
+            coords = self._points[pid] = self._build(*self._recipes[pid],
+                                                     event)
         return coords
 
-    def _build(self, base: int, hops: tuple) -> tuple:
-        return _hop_all(self.representative(base), hops)
+    def _build(self, base: int, hops: tuple, event: str) -> tuple:
+        """The integers of ``base`` carried through ``hops``, refused past
+        ``BUILD_BITS``."""
+        coords = self.representative(base, event)
+        for i, op in enumerate(hops):
+            try:
+                coords = op.transport(coords)
+            except TablePointHit as hit:
+                hit.hop = i
+                raise
+            if max(map(abs, coords)).bit_length() > BUILD_BITS:
+                raise DegenerateConfiguration(
+                    f"undecided: {event} needs integers past the build "
+                    f"budget of {BUILD_BITS} bits, and residues mod p = "
+                    f"{projective.FINGERPRINT_P} do not decide it")
+        return coords
 
     def carry(self, pid: int, hops: tuple) -> int:
         """The id of point ``pid`` transported through ``hops`` in turn.
 
         Raises ``DegenerateConfiguration`` at a contracted line, and
         ``TablePointHit`` with ``hop`` set to the position of the hop that
-        met a table point.  Exact hops run from the point's key mod
+        met a table point.  Hops run from the point's key mod
         ``FINGERPRINT_P``, and on the integers only after a zero there.
         """
         if not hops:
             return pid
-        if self.modulus:
-            return self.register(_hop_all(self._keys[pid], hops))
+        residues, q = self._keys[pid], projective.FINGERPRINT_P
         try:
-            residues = _hop_all(self._keys[pid], hops, projective.FINGERPRINT_P)
-        except DegenerateConfiguration:
-            pass  # a zero mod q, true or false
-        else:
-            return self.register(residues, (pid, hops))
-        return self.register(_hop_all(self.representative(pid), hops))
+            for op in hops:
+                residues = op.transport(residues, q)
+        except DegenerateConfiguration:  # a zero mod q, true or false
+            return self.register(self._build(pid, hops, "a zero mod p"))
+        return self.register(residues, (pid, hops))
 
     def register(self, coords, recipe: Optional[tuple] = None) -> int:
         """The id of the point ``coords``, issued on its first registration.
@@ -185,20 +190,11 @@ class PointRegistry:
                 return pid
             if pid is not None and self._recipes.get(pid) == recipe:
                 return pid
-            coords = self._build(*recipe)
+            coords = self._build(*recipe, "a fingerprint hit" if key
+                                 else "a chain end whose residues all vanish")
         elif type(coords) is not tuple \
                 or not all(type(c) is int for c in coords):
             coords = normalize_exact(coords)
-        if self.modulus:
-            key = fingerprint(coords, self.modulus)
-            if key is None:
-                raise DegenerateConfiguration(
-                    "point vanishes mod p = 2^61 - 1: the reduction mod p "
-                    "leaves no point to register")
-            pid = self._by_fingerprint.get(key)
-            if pid is None:
-                self._by_fingerprint[key] = pid = self._append(key, key)
-            return pid
         key = fingerprint(coords)
         if key is None:  # a multiple of the prime: its normal form has a key
             coords = normalize_exact(coords)
@@ -207,7 +203,7 @@ class PointRegistry:
         if pid is None:
             self._by_fingerprint[key] = pid = self._append(coords, key)
             return pid
-        if same_point(coords, self.representative(pid)):
+        if same_point(coords, self.representative(pid, "a fingerprint hit")):
             return pid
         # a distinct point with the same residues: identify it exactly
         canon = normalize_exact(coords)
@@ -220,17 +216,6 @@ class PointRegistry:
         self._points.append(coords)
         self._keys.append(key)
         return len(self._points) - 1
-
-
-def _hop_all(coords, hops, modulus: Optional[int] = None):
-    """``coords`` carried through ``hops``; a table hit leaves tagged."""
-    for i, op in enumerate(hops):
-        try:
-            coords = op.transport(coords, modulus)
-        except TablePointHit as hit:
-            hit.hop = i
-            raise
-    return coords
 
 
 # -- class vectors ------------------------------------------------------
@@ -331,8 +316,6 @@ class LetterOperator:
         self.sign = sign
         # weak: the registry keeps its operators and its recipes name them
         self._registry = weakref.ref(registry)
-        # modp mode: the prime each hop reduces by, read without the weakref
-        self.modulus = p = registry.modulus
         # source pid -> image pid of every pullback transport that succeeded
         self.images: Dict[int, int] = {}
         own = gen.letter_base_pts(sign)
@@ -347,13 +330,13 @@ class LetterOperator:
         self.table_points = tuple(registry.coords_of(tid)
                                   for tid in self.table_ids)
         self.eval_matrices = outer, inner = gen.letter_matrices(-sign)
-        # exact mode: D = det(inner)^2 * |det(outer)|, the letter's content bound
-        self.content_bound = None if p else det3(inner) ** 2 * abs(det3(outer))
+        # D = det(inner)^2 * |det(outer)|, the letter's content bound
+        self.content_bound = det3(inner) ** 2 * abs(det3(outer))
         # transport names a table hit by the one nonzero of inner * x, and a
         # contracted line by a single zero
         for t, q in enumerate(self.table_points):
             v = matvec(inner, q)
-            if [a for a in range(3) if (v[a] % p if p else v[a])] != [t]:
+            if [a for a in range(3) if v[a]] != [t]:
                 raise DegenerateConfiguration(
                     "a table point misses its axis of the inner matrix")
 
@@ -365,37 +348,35 @@ class LetterOperator:
         Raises DegenerateConfiguration when the point sits on a curve the
         inverse letter contracts (the class of such a point does not move
         to the class of a plane point), and ``TablePointHit`` with its
-        index at a table point.  In exact mode an image is the integer
-        triple outer * sigma(inner * coords) divided by its gcd with
-        ``content_bound``, never by its full content.  In modp mode, or
-        with a ``modulus`` (an exact ``carry``'s residue hop), v and the image
-        are reduced mod that prime, and the image is not normalised.
+        index at a table point.  An image is the integer triple
+        outer * sigma(inner * coords) divided by its gcd with
+        ``content_bound``, never by its full content.  With a ``modulus``
+        (``carry``'s residue hop), v and the image are reduced mod that
+        prime, and the image is not normalised.
         """
         outer, inner = self.eval_matrices
-        p = modulus or self.modulus
         x, y, z = coords
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = inner
         v0 = a0 * x + a1 * y + a2 * z
         v1 = b0 * x + b1 * y + b2 * z
         v2 = c0 * x + c1 * y + c2 * z
-        if p:
-            v0 %= p
-            v1 %= p
-            v2 %= p
+        if modulus:
+            v0 %= modulus
+            v1 %= modulus
+            v2 %= modulus
         if not (v0 and v1 and v2):
             if (v0 == 0) + (v1 == 0) + (v2 == 0) == 2:
                 raise TablePointHit(0 if v0 else 1 if v1 else 2)
             raise DegenerateConfiguration(
                 "carried point lies on a contracted line of the evaluating "
-                "letter" + (MODP_NOTE.format("zero")
-                            if self.modulus else ""))
+                "letter")
         s0, s1, s2 = v1 * v2, v0 * v2, v0 * v1
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = outer
         x = a0 * s0 + a1 * s1 + a2 * s2
         y = b0 * s0 + b1 * s1 + b2 * s2
         z = c0 * s0 + c1 * s1 + c2 * s2
-        if p:
-            return (x % p, y % p, z % p)
+        if modulus:
+            return (x % modulus, y % modulus, z % modulus)
         g = gcd(self.content_bound, x, y, z)
         return (x // g, y // g, z // g)
 
@@ -416,10 +397,11 @@ class LetterOperator:
             new_pid = images.get(pid)
             if new_pid is None:
                 new_pid = images[pid] = reg.carry(pid, (self,))
+                # the inverse letter takes the image straight back
+                reg.operator(self.gen, -self.sign).images[new_pid] = pid
             if new_pid in out:
                 raise DegenerateConfiguration(
-                    "transported point collides with another carried point"
-                    + (MODP_NOTE.format("collision") if reg.modulus else ""))
+                    "transported point collides with another carried point")
             out[new_pid] = coeff
         return WeilClass(new_line, out)
 
@@ -427,18 +409,13 @@ class LetterOperator:
 # -- serialisation ------------------------------------------------------
 
 
-def class_to_jsonable(cls: WeilClass, registry: PointRegistry) -> dict:
+def class_to_jsonable(cls: WeilClass, registry: PointRegistry,
+                      residues: bool = False) -> dict:
+    """The class with each point named by its canonical integers, or with
+    ``residues`` by its fingerprint mod ``FINGERPRINT_P``."""
+    name = registry.residues if residues else registry.coords_of
     entries = []
     for pid in sorted(cls.point_part):
-        coords = registry.coords_of(pid)
-        entries.append([list(coords), cls.point_part[pid]])
+        entries.append([list(name(pid)), cls.point_part[pid]])
     entries.sort(key=lambda e: e[0])
     return {"line_coeff": cls.line_coeff, "point_entries": entries}
-
-
-def class_from_jsonable(data: dict, registry: PointRegistry) -> WeilClass:
-    part: Dict[int, int] = {}
-    for coords, coeff in data["point_entries"]:
-        pid = registry.register(tuple(coords))
-        part[pid] = part.get(pid, 0) + coeff
-    return WeilClass(data["line_coeff"], part)

@@ -12,14 +12,12 @@ product.  Canonical forms are made when a point is read out for
 printing or for a document, and whenever a plain list, a ``Fraction``
 or a parsed document comes in.
 
-``FINGERPRINT_P`` is also the prime the exact point registry
-(``picard``) carries points by: it hops on residues mod this prime and
-keys a point by their fingerprint.  ``fingerprint`` reads the prime
-when it is called, as the registry does, so the two always agree.
-
-The same ``fingerprint`` taken mod a larger prime is the whole identity
-of a point in the prime-field walk (``picard``): there the residue
-triple with its first nonzero entry 1 is the point.
+``FINGERPRINT_P`` is also the prime the point registry (``picard``)
+carries points by: it hops on residues mod this prime and keys a point
+by their fingerprint.  ``fingerprint`` reads the prime when it is
+called, as the registry does, so the two always agree.  A walk report
+deeper than reduced length 16 names its points by these keys, whose
+integers it never builds.
 """
 
 from __future__ import annotations

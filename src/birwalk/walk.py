@@ -38,25 +38,22 @@ stacked letter's table (``carry`` raises ``TablePointHit`` naming the
 hop) and fans out through the finite table action.  Walks over one
 registry share its letter operators.
 
-Two arithmetic modes share all of this, and the registry (``picard``)
-holds what differs.  In ``exact`` mode points are integer triples, whose
-bits about double per reduced letter.  ``carry`` hops on residues and
-builds integers only where a zero needs them, so a table point, a
+Points are exact plane points, whose integers about double their bits
+per reduced letter.  ``carry`` hops on residues and builds integers only
+where a zero or a fingerprint hit needs them, so a table point, a
 contracted line or a false zero is decided and reported as by an
-all-integer walk.  The walk itself then builds no deep integer, but its
-documents and the curve layer read every point, and a zero deep in a
-long chain would build integers of 2^depth bits, so exact class walks
-are still held to ``exact_len_cap`` (default 16).  In ``modp`` mode
-points are residue triples mod p = 2^61 - 1, a hop costs the same at
-any depth, and a 2000-step walk reaches reduced length about 1000.  Its
-class coefficients are still exact integers; only point identity is
-reduced, with the rare errors ``picard`` bounds.  On walk seeds 1-40 at
-16 steps the final classes of the two modes agree once the exact points
-are reduced.
+all-integer walk, and a walk runs to any depth: a 2000-step pullback
+walk reaches reduced length about 1000 with no integer built.  An event
+that would need integers past ``picard.BUILD_BITS`` aborts the walk as
+undecided.  A report names its points by their canonical integers while
+its reduced length stays at most ``INTEGER_NAMES_LEN`` (16); a deeper
+one names them by their fingerprints mod ``FINGERPRINT_P``, which it
+records as ``residue_prime``.
 
 The pushforward track needs no chains at all: the new letter acts
 outermost, so e' is one application of the letter's pushforward
-operator to e, and a cancelling letter undoes its partner exactly.
+operator to e, and a cancelling letter undoes its partner exactly,
+taking each point back by the image its partner's operator filed.
 
 The degree invariant (line coefficient equals 2^reduced-length), the
 unit self-intersection, and the nonnegativity of the point
@@ -75,15 +72,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import genericity
+from . import genericity, projective
 from .config import WALK_ARTIFACT_VERSION
-from .errors import DegenerateConfiguration, ExactLengthCap, TablePointHit
+from .errors import DegenerateConfiguration, TablePointHit
 from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData, IDENTITY_COMPONENTS
 from .picard import (
     _COMPLEMENT,
-    MODP_NOTE,
-    MODP_P,
     LetterOperator,
     PointRegistry,
     WeilClass,
@@ -92,6 +87,9 @@ from .picard import (
 )
 
 LOG2 = math.log(2.0)
+# the deepest reduced length whose reports name points by their integers,
+# which reach about 2^18 bits there
+INTEGER_NAMES_LEN = 16
 
 
 def random_itinerary(generator_count: int, steps: int,
@@ -148,21 +146,16 @@ class _StackEntry:
 class WalkState:
     """Mutable walk state over a registry, which may be shared."""
 
-    def __init__(self, gens: Tuple[GeneratorData, ...], mode: str = "exact",
-                 exact_len_cap: int = 16,
+    def __init__(self, gens: Tuple[GeneratorData, ...],
                  track_classes: bool = True,
                  track_pushforward: bool = False,
                  registry: Optional[PointRegistry] = None):
         self.gens = gens
-        self.mode = mode
-        self.exact_len_cap = exact_len_cap
         self.track_classes = track_classes
         self.track_pushforward = track_pushforward
         if track_classes or track_pushforward:
             self.registry = registry if registry is not None \
-                else PointRegistry(mode)
-            if self.registry.mode != mode:
-                raise ValueError("registry mode does not match walk mode")
+                else PointRegistry()
         else:
             self.registry = None
         self.stack: List[_StackEntry] = []
@@ -243,12 +236,6 @@ class WalkState:
         self.itinerary.append(letter)
         cancelling = bool(self.stack) and \
             letter == _inverse_letter(self.stack[-1].letter)
-        if not cancelling and self.mode == "exact" \
-                and len(self.stack) >= self.exact_len_cap \
-                and (self.track_classes or self.track_pushforward):
-            raise ExactLengthCap(
-                f"reduced length would exceed the exact-mode cap "
-                f"{self.exact_len_cap}; rerun with --mode modp or raise the cap")
         if cancelling:
             entry = self.stack.pop()
             if self.track_classes:
@@ -308,8 +295,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
     certifies is composed exactly; its stripped triple gives the degree
     and reseeds the subtree.
     """
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
-                      track_classes=True)
+    state = WalkState(gens)
     probe = WeilClass.exceptional_class(state._op((0, 1)).base_ids[0])
     checked = 0  # every check runs once on each word that reaches them
     failures: List[dict] = []
@@ -324,6 +310,8 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
         letter = word[0]
         while len(state.stack) >= len(word):  # back to the word's parent
             state.step(_inverse_letter(state.stack[-1].letter))
+            # the tree never pushes a popped word again: drop its filing
+            state._popped_here().clear()
         prev_line = state.pull_class.line_coeff
         try:
             op = state._op(letter)
@@ -406,7 +394,6 @@ class StepRow:
 
 @dataclass
 class WalkReport:
-    mode: str
     seed: Optional[int]
     steps_requested: int
     steps_done: int  # completed steps, aborted_at - 1 after an abort
@@ -428,22 +415,29 @@ class WalkReport:
     def final_support_size(self) -> int:
         return 0 if self.final_class is None else len(self.final_class.point_part)
 
+    def by_residues(self) -> bool:
+        """Whether the walk went deeper than ``INTEGER_NAMES_LEN``, so its
+        points are named by their fingerprints mod ``FINGERPRINT_P``."""
+        return max((row.reduced_len for row in self.rows),
+                   default=self.final_reduced_len) > INTEGER_NAMES_LEN
+
     def top_coefficients(self, count: int = 5) -> List[Tuple[float, tuple]]:
         """Largest normalized point multiplicities of the final class, each
-        with its point: residues mod p in modp mode."""
+        with its point, named as ``by_residues`` says."""
         if self.final_class is None:
             return []
         scale = 1 << self.final_reduced_len
         items = sorted(self.final_class.point_part.items(),
                        key=lambda kv: (-abs(kv[1]), kv[0]))
-        return [(coeff / scale, self.registry.coords_of(pid))
-                for pid, coeff in items[:count]]
+        name = self.registry.residues if self.by_residues() \
+            else self.registry.coords_of
+        return [(coeff / scale, name(pid)) for pid, coeff in items[:count]]
 
     def to_jsonable(self) -> dict:
         out = {
             "format": "birwalk-walk",
             "version": WALK_ARTIFACT_VERSION,
-            "mode": self.mode,
+            "mode": "exact",
             "seed": self.seed,
             "steps_requested": self.steps_requested,
             "steps_done": self.steps_done,
@@ -457,9 +451,10 @@ class WalkReport:
             "aborted_at": self.aborted_at,
             "registry_points": self.registry_points,
         }
-        if self.mode == "modp":
+        residues = self.final_class is not None and self.by_residues()
+        if residues:
             # every coordinate below is a residue mod this prime
-            out["residue_prime"] = MODP_P
+            out["residue_prime"] = projective.FINGERPRINT_P
         if self.final_class is not None:
             out["top_coefficients"] = [
                 [v, [str(c) for c in coords]]
@@ -468,7 +463,7 @@ class WalkReport:
         if self.checkpoint_classes is not None:
             out["checkpoint_classes"] = [
                 {"n": n, "reduced_len": ln,
-                 "class": class_to_jsonable(c, self.registry)}
+                 "class": class_to_jsonable(c, self.registry, residues)}
                 for n, ln, c, _ in self.checkpoint_classes
             ]
         return out
@@ -492,17 +487,13 @@ def write_rows_csv(rows: Sequence[StepRow], path) -> None:
             ])
 
 
-def _assert_class_health(cls: WeilClass, n: int, label: str,
-                         mode: str = "exact") -> None:
-    # class coefficients are integers in both modes, so a broken identity
-    # in modp mode can come from the registry identifying two points that
-    # agree only mod p
-    err, where = (DegenerateConfiguration, MODP_NOTE.format("collision")) \
-        if mode == "modp" else (AssertionError, "")
+def _assert_class_health(cls: WeilClass, n: int, label: str) -> None:
     if cls.self_intersection() != 1:
-        raise err(f"{label} class lost unit self-intersection at step {n}{where}")
+        raise AssertionError(
+            f"{label} class lost unit self-intersection at step {n}")
     if any(v < 0 for v in cls.point_part.values()):
-        raise err(f"{label} class grew a negative multiplicity at step {n}{where}")
+        raise AssertionError(
+            f"{label} class grew a negative multiplicity at step {n}")
 
 
 def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
@@ -510,7 +501,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
              itinerary: Optional[Word] = None,
              mode: str = "exact",
              checkpoint_every: int = 8,
-             exact_len_cap: int = 16,
              track_classes: bool = True,
              track_pushforward: bool = False,
              keep_classes: bool = False,
@@ -519,11 +509,14 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
 
     A row is recorded at every step (plus the starting state); Cauchy
     increments and retained class snapshots appear on checkpoint steps.
-    A transport degeneracy aborts the walk and is reported in the result
-    rather than raised, so a partial series stays usable; breaching the
-    exact-mode length cap raises, because that is a configuration limit
-    the caller chose.
+    A transport degeneracy, or an event past the build budget, aborts the
+    walk and is reported in the result rather than raised, so a partial
+    series stays usable.  ``mode`` accepts only "exact": the ``modp`` and
+    float walks are retired.
     """
+    if mode != "exact":
+        raise ValueError(f"{mode} mode is retired: every class walk is exact "
+                         f"at any depth")
     if keep_classes and not track_classes:
         raise ValueError("keep_classes needs track_classes")
     if itinerary is None:
@@ -532,8 +525,7 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         itinerary = random_itinerary(len(gens), steps, random.Random(seed))
     if len(itinerary) < steps:
         raise ValueError("itinerary shorter than requested steps")
-    state = WalkState(gens, mode=mode, exact_len_cap=exact_len_cap,
-                      track_classes=track_classes,
+    state = WalkState(gens, track_classes=track_classes,
                       track_pushforward=track_pushforward,
                       registry=registry)
     rows: List[StepRow] = []
@@ -551,10 +543,9 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
             if prev_cp is not None:
                 inc = coefficient_l2_diff(cls, 1 << ln,
                                           prev_cp[0], 1 << prev_cp[1])
-            _assert_class_health(cls, state.n, "pullback", mode)
+            _assert_class_health(cls, state.n, "pullback")
             if state.push_class is not None:
-                _assert_class_health(state.push_class, state.n,
-                                     "pushforward", mode)
+                _assert_class_health(state.push_class, state.n, "pushforward")
             prev_cp = (cls, ln)
             if keep_classes:
                 kept.append((state.n, ln, cls, state.push_class))
@@ -580,7 +571,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
 
     reg = state.registry
     return WalkReport(
-        mode=mode,
         seed=seed,
         steps_requested=steps,
         steps_done=rows[-1].n,

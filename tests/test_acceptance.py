@@ -45,6 +45,8 @@ from birwalk.walk import (
     transversality_ratio_series,
 )
 
+from spies import integer_work
+
 IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 HALF_LOG2 = 0.5 * math.log(2.0)
 
@@ -80,7 +82,7 @@ def test_criterion_01_involution_acts_exactly_and_fast():
     gen = generator_from_matrices(0, IDENTITY_ROWS, IDENTITY_ROWS)
     assert compose_letter(*gen.letter_matrices(1),
                           sigma.components) == IDENTITY_COMPONENTS
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     op = registry.operator(gen, 1)
     e0, e1, e2 = op.base_ids
     # line class: degree doubles and all three coordinate points appear
@@ -104,7 +106,7 @@ def test_criterion_02_frozen_pair_certified_free_to_depth_six(certified_tuple):
 
 def test_criterion_03_operators_preserve_and_adjoin_the_pairing(certified_tuple):
     rng = random.Random(7)
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     pids = []
     while len(pids) < 12:
         coords = (rng.randrange(-9, 10), rng.randrange(-9, 10),
@@ -135,7 +137,7 @@ def test_criterion_03_operators_preserve_and_adjoin_the_pairing(certified_tuple)
 
 def test_criterion_04_every_short_word_class_satisfies_the_two_identities(
         certified_tuple):
-    state = WalkState(certified_tuple, mode="exact", exact_len_cap=8)
+    state = WalkState(certified_tuple)
     letters = all_letters(len(certified_tuple))
     prefix = []
     seen = 0
@@ -167,9 +169,8 @@ def test_criterion_05_checkpoint_pairings_are_exact_powers_of_two(
         certified_tuple):
     pairs = 0
     for seed in range(1, 6):
-        report = run_walk(certified_tuple, 16, seed=seed, mode="exact",
-                          checkpoint_every=1, exact_len_cap=32,
-                          keep_classes=True)
+        report = run_walk(certified_tuple, 16, seed=seed,
+                          checkpoint_every=1, keep_classes=True)
         assert report.aborted is None
         kept = report.checkpoint_classes
         assert len(kept) == 17
@@ -187,7 +188,7 @@ def test_criterion_06_drift_matches_the_free_group_statistic(certified_tuple):
     started = time.monotonic()
     drifts = []
     for seed in range(1, 11):
-        report = run_walk(certified_tuple, 2000, seed=seed, mode="modp",
+        report = run_walk(certified_tuple, 2000, seed=seed,
                           track_classes=False)
         assert report.aborted is None and report.steps_done == 2000
         # integer-only replica of the itinerary and its cancellation stack:
@@ -218,8 +219,7 @@ def test_criterion_07_approximants_contract_and_norms_decay_exactly(
     # sits at 0.523 after a late cancellation burst) and eight suffice
     passing = 0
     for seed in range(1, 11):
-        report = run_walk(certified_tuple, 32, seed=seed, mode="modp",
-                          checkpoint_every=1)
+        report = run_walk(certified_tuple, 32, seed=seed, checkpoint_every=1)
         assert report.aborted is None
         series = [(r.n, r.cauchy_increment) for r in report.rows
                   if r.cauchy_increment is not None]
@@ -228,11 +228,10 @@ def test_criterion_07_approximants_contract_and_norms_decay_exactly(
             passing += 1
     assert passing >= 8
 
-    # exact mode: the normalized class norm is exactly 4^-(reduced length)
+    # the normalized class norm is exactly 4^-(reduced length)
     for seed in (1, 2, 3):
-        report = run_walk(certified_tuple, 16, seed=seed, mode="exact",
-                          checkpoint_every=1, exact_len_cap=32,
-                          keep_classes=True)
+        report = run_walk(certified_tuple, 16, seed=seed,
+                          checkpoint_every=1, keep_classes=True)
         assert report.aborted is None
         by_n = {row.n: row for row in report.rows}
         for n, ln, cls, _push in report.checkpoint_classes:
@@ -248,11 +247,11 @@ def test_criterion_08_independent_walks_reach_distinct_boundaries(
     floors = []
     walk_a = None
     for k in range(20):
-        registry = PointRegistry("modp")
-        walk_a = run_walk(certified_tuple, 26, seed=100 + 2 * k, mode="modp",
+        registry = PointRegistry()
+        walk_a = run_walk(certified_tuple, 26, seed=100 + 2 * k,
                           checkpoint_every=1, keep_classes=True,
                           track_pushforward=True, registry=registry)
-        walk_b = run_walk(certified_tuple, 26, seed=101 + 2 * k, mode="modp",
+        walk_b = run_walk(certified_tuple, 26, seed=101 + 2 * k,
                           registry=registry)
         assert walk_a.aborted is None and walk_b.aborted is None
         result = boundary_compare(walk_a, walk_b)
@@ -279,19 +278,22 @@ def test_criterion_08_independent_walks_reach_distinct_boundaries(
 
 
 @pytest.fixture(scope="module")
-def deep_modp_walks(certified_tuple):
-    """Walk seeds 1-3 at 600 steps in modp mode over one registry: reduced
-    lengths 306, 280 and 320, about 0.7 s each."""
-    registry = PointRegistry("modp")
-    return [run_walk(certified_tuple, 600, seed=seed, mode="modp",
-                     checkpoint_every=1, registry=registry)
-            for seed in (1, 2, 3)]
+def deep_walks(certified_tuple):
+    """Walk seeds 1-3 at 600 steps over one registry: reduced lengths 306,
+    280 and 320, about 0.5 s each, with no integer hop and no build."""
+    registry = PointRegistry()
+    with integer_work() as (hops, builds):
+        walks = [run_walk(certified_tuple, 600, seed=seed,
+                          checkpoint_every=1, registry=registry)
+                 for seed in (1, 2, 3)]
+    assert (hops, builds) == ([], [])
+    return walks
 
 
-def test_depth_modp_walks_keep_the_degree_invariant(deep_modp_walks):
+def test_depth_walks_keep_the_degree_invariant(deep_walks):
     # the walk checks the degree invariant at every step and aborts when
-    # it breaks; past the exact cap the classes still obey it exactly
-    for report in deep_modp_walks:
+    # it breaks; far past reduced length 16 the classes still obey it
+    for report in deep_walks:
         assert report.aborted is None and report.steps_done == 600
         assert report.final_reduced_len >= 280
         stack = []
@@ -309,12 +311,12 @@ def test_depth_modp_walks_keep_the_degree_invariant(deep_modp_walks):
             4.0 ** -report.final_reduced_len
 
 
-def test_depth_approximants_contract_at_the_predicted_rate(deep_modp_walks):
+def test_depth_approximants_contract_at_the_predicted_rate(deep_walks):
     # increments shrink like 2^-(reduced length), which grows half a letter
     # per step: rho^5 near 2^-2.5 = 0.177.  Frozen seeds 1-3 fit 0.166,
     # 0.200 and 0.160; each clears criterion 07's bar of 0.5 and lies
     # within a factor sqrt(2) of the prediction
-    for report in deep_modp_walks:
+    for report in deep_walks:
         series = [(r.n, r.cauchy_increment) for r in report.rows
                   if r.cauchy_increment is not None]
         assert len(series) == 600 and all(v > 0.0 for _n, v in series)
@@ -322,12 +324,12 @@ def test_depth_approximants_contract_at_the_predicted_rate(deep_modp_walks):
         assert 2 ** -3 <= rho ** 5 <= 2 ** -2 <= 0.5
 
 
-def test_depth_walks_reach_distinct_boundaries(deep_modp_walks):
+def test_depth_walks_reach_distinct_boundaries(deep_walks):
     # criterion 08's bar is ten times the larger control; every pair of
     # frozen seeds pairs at exactly 1.0, 3.8e168 times its larger control
     # 4^-280 or more
-    for i, walk_a in enumerate(deep_modp_walks):
-        for walk_b in deep_modp_walks[i + 1:]:
+    for i, walk_a in enumerate(deep_walks):
+        for walk_b in deep_walks[i + 1:]:
             result = boundary_compare(walk_a, walk_b)
             assert result["pairing"] > 10.0 * max(result["control_a"],
                                                   result["control_b"])
@@ -410,7 +412,7 @@ def test_criterion_12_degenerate_inputs_are_rejected():
     assert report.failures
 
     # transporting a point that sits on a contracted line must refuse
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     op = registry.operator(sig0, 1)
     with pytest.raises(DegenerateConfiguration):
         op.transport((0, 1, 1))

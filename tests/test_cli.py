@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from birwalk import picard, projective
 from birwalk.cli import EXIT_DEGENERATE, EXIT_INVARIANT, EXIT_OK, main
 from birwalk.config import (
     ARTIFACT_VERSION,
@@ -104,7 +105,7 @@ def test_sample_reports_exhausted_sampler(tmp_path, capsys):
 def test_walk_writes_artifact_and_csvs(tmp_path, generators_file):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(generators_file),
-                 "--mode", "exact", "--steps", "8", "--trials", "2",
+                 "--steps", "8", "--trials", "2",
                  "--checkpoint-every", "4", "--out-dir", str(out)])
     assert code == EXIT_OK
     artifact = load_json(out / "artifact.json")
@@ -132,31 +133,17 @@ def test_walk_zero_trials_writes_empty_artifact(tmp_path, generators_file):
 def test_walk_abort_sets_degenerate_exit(tmp_path, sigma_pair_file, capsys):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(sigma_pair_file),
-                 "--mode", "exact", "--steps", "4", "--out-dir", str(out)])
+                 "--steps", "4", "--out-dir", str(out)])
     assert code == EXIT_DEGENERATE
     artifact = load_json(out / "artifact.json")
     assert len(artifact["aborts"]) == 1
     assert "aborted" in capsys.readouterr().err
 
 
-def test_walk_exact_length_cap_exits_degenerate(tmp_path, generators_file,
-                                               capsys):
-    config = tmp_path / "config.json"
-    dump_json(config, {"exact_len_cap": 3})
-    code = main(["walk", "--config", str(config),
-                 "--generators", str(generators_file), "--mode", "exact",
-                 "--steps", "12", "--out-dir", str(tmp_path / "run")])
-    assert code == EXIT_DEGENERATE
-    err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1
-    assert err[0].startswith("trial 0 (seed 1000) stopped:")
-    assert "cap 3" in err[0]
-
-
-def test_walk_no_classes_runs_long_modp(tmp_path, generators_file):
+def test_walk_no_classes_runs_long(tmp_path, generators_file):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(generators_file),
-                 "--mode", "modp", "--steps", "300", "--no-classes",
+                 "--steps", "300", "--no-classes",
                  "--out-dir", str(out)])
     assert code == EXIT_OK
     trial = load_json(out / "artifact.json")["trials"][0]
@@ -395,7 +382,7 @@ def test_every_document_carries_one_version_key(tmp_path, generators_file):
 def _walk_artifact(tmp_path, generators_file, name, seed):
     out = tmp_path / name
     assert main(["walk", "--generators", str(generators_file),
-                 "--mode", "exact", "--steps", "6", "--seed", str(seed),
+                 "--steps", "6", "--seed", str(seed),
                  "--out-dir", str(out)]) == EXIT_OK
     return out / "artifact.json"
 
@@ -492,7 +479,7 @@ def test_a_generators_file_that_is_not_json_exits_invariant(tmp_path, capsys):
 def test_compare_needs_class_tracking(tmp_path, generators_file, capsys):
     out = tmp_path / "light"
     assert main(["walk", "--generators", str(generators_file),
-                 "--mode", "modp", "--steps", "20", "--no-classes",
+                 "--steps", "20", "--no-classes",
                  "--out-dir", str(out)]) == EXIT_OK
     art = out / "artifact.json"
     code = main(["compare", str(art), str(art)])
@@ -533,47 +520,87 @@ def test_compare_reads_older_exact_artifacts(tmp_path, generators_file,
     assert capsys.readouterr().out == want
 
 
-def test_compare_refuses_a_float_mode_artifact(tmp_path, generators_file,
-                                               capsys):
+@pytest.mark.parametrize("mode", ["float", "modp"])
+def test_compare_refuses_a_retired_mode_artifact(tmp_path, generators_file,
+                                                 capsys, mode):
     art = _walk_artifact(tmp_path, generators_file, "A", 1)
     old = _as_older_version(art, tmp_path, 2)
     doc = load_json(old)
-    doc["trials"][0]["mode"] = "float"
+    doc["trials"][0]["mode"] = mode
     dump_json(old, doc)
     capsys.readouterr()
     for pair in ((old, old), (art, old)):
         assert main(["compare", *map(str, pair)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
-        assert "float mode is retired" in err and "--mode modp" in err
+        assert f"{mode} mode is retired" in err and "rerun" in err
 
 
-def test_modp_walk_and_compare(tmp_path, generators_file, capsys):
+def test_deep_walk_and_compare(tmp_path, generators_file, capsys):
     arts = []
     for name, seed in (("A", 1), ("B", 2)):
         out = tmp_path / name
         assert main(["walk", "--generators", str(generators_file),
-                     "--mode", "modp", "--steps", "40", "--seed", str(seed),
+                     "--steps", "40", "--seed", str(seed),
                      "--out-dir", str(out)]) == EXIT_OK
         arts.append(out / "artifact.json")
         trial = load_json(arts[-1])["trials"][0]
-        assert trial["mode"] == "modp"
-        assert trial["residue_prime"] == 2 ** 61 - 1
-        assert trial["final_reduced_len"] > 16  # past the exact cap
+        assert trial["mode"] == "exact"
+        # past reduced length 16 points are named by their residues
+        assert trial["residue_prime"] == projective.FINGERPRINT_P
+        assert trial["final_reduced_len"] > 16
     capsys.readouterr()
     assert main(["compare", *map(str, arts)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["pairing"] > 10.0 * max(doc["control_a"], doc["control_b"])
-    exact = _walk_artifact(tmp_path, generators_file, "E", 1)
-    assert main(["compare", str(arts[0]), str(exact)]) == EXIT_INVARIANT
-    assert "different modes" in capsys.readouterr().err
+
+
+def test_deep_walk_documents_are_byte_stable(tmp_path, generators_file):
+    docs = []
+    for name in ("A", "B"):
+        out = tmp_path / name
+        assert main(["walk", "--generators", str(generators_file),
+                     "--steps", "40", "--trials", "2",
+                     "--out-dir", str(out)]) == EXIT_OK
+        docs.append((out / "artifact.json").read_bytes())
+    assert docs[0] == docs[1]
+    trials = json.loads(docs[0])["trials"]
+    assert max(t["final_reduced_len"] for t in trials) > 16
+
+
+@pytest.mark.parametrize("prime", [101, None])
+def test_walk_past_the_build_budget_exits_degenerate(
+        tmp_path, generators_file, capsys, monkeypatch, prime):
+    # under a budget of 1,000 bits a trial that reaches reduced length 16
+    # cannot be decided at the prime 101, where its hops meet zeros, and
+    # at the real prime cannot be written, since its document reads
+    # integers of 273,068 bits; either way the command says so
+    if prime:
+        monkeypatch.setattr(projective, "FINGERPRINT_P", prime)
+    monkeypatch.setattr(picard, "BUILD_BITS", 1000)
+    out = tmp_path / "run"
+    assert main(["walk", "--generators", str(generators_file),
+                 "--steps", "16", "--trials", "8",
+                 "--out-dir", str(out)]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert "undecided: " in err and "budget of 1000 bits" in err
+    assert ("a zero mod p" in err) == bool(prime)
+    assert ("cannot be written: undecided: reading" in err) != bool(prime)
+
+
+def test_mode_flag_is_gone(generators_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["walk", "--generators", str(generators_file),
+              "--mode", "exact"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 # sha256 of artifact.json from `walk --trials 8` on the certified pair: the
 # exact coordinates of every point in every trial's checkpoint classes
 _WALK_DIGESTS = {
-    (1, 10): "8e9aafe743ebd57b6137dac52e846b85805000eb49e25aed1efcbaa9240a1df5",
-    (2, 10): "f1cbd7c7c1fd3beb311f9ce5d07f2283abbadd36e195dac90bfc1b22a79c9d9a",
-    (1, 16): "6646cf887b95042c425e29b69a42c338e76c56a569e5eea8c1a1182b5e7e9828",
+    (1, 10): "817431a3fa4cda7dbea7954cd0b78072edbfc8608884dcfef51f03d4fac9c5b9",
+    (2, 10): "9b1db4d0f933f6ec6ddc7c47834ff0a5d296a424cab63e422818eed09e55ea36",
+    (1, 16): "6c6ffc21728de1ffccdd7e43c7476b69a330448c6be7ef4752d1fcae9c038ba4",
 }
 _COMPARE_DIGEST = \
     "1eebcb068023d12ef74b560dd5a87006fb8e3fbf77300f8693120d80236c96a2"

@@ -18,6 +18,7 @@ from birwalk.config import (
     config_to_dict,
     dump_json,
     dumps_json,
+    embedded_config,
     generators_from_jsonable,
     generators_to_jsonable,
     load_config,
@@ -36,10 +37,18 @@ def test_config_roundtrip_defaults():
 
 def test_config_roundtrip_with_matrices_and_seeds():
     config = RunConfig(seed=7, trials=2, trial_seeds=(11, 12, 13),
-                       matrices=((IDENTITY_ROWS, IDENTITY_ROWS),),
-                       mode="modp", exact_len_cap=12)
+                       matrices=((IDENTITY_ROWS, IDENTITY_ROWS),))
     data = json.loads(json.dumps(config_to_dict(config)))
     assert config_from_dict(data) == config
+
+
+def test_embedded_config_has_no_retired_fields():
+    # documents embed every config field but the output directory; the
+    # retired mode and exact length cap are gone from them
+    assert set(embedded_config(RunConfig())) == {
+        "r", "height", "seed", "matrices", "steps", "trials", "trial_seeds",
+        "checkpoint_every", "degree_cap", "max_len", "retry_budget",
+        "track_classes", "curve"}
 
 
 def test_config_rejects_unknown_fields():
@@ -47,13 +56,20 @@ def test_config_rejects_unknown_fields():
         config_from_dict({"stepz": 3})
 
 
+@pytest.mark.parametrize("data", [{"mode": "exact"}, {"mode": "modp"},
+                                  {"exact_len_cap": 16, "steps": 3}])
+def test_config_names_retired_fields(data):
+    # configs embedded by earlier versions carry these two fields
+    with pytest.raises(ValueError, match="retired config fields.*exact at "
+                                         "every depth"):
+        config_from_dict(data)
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"mode": "symbolic"},
     {"r": 0},
     {"steps": -1},
     {"trials": -2},
     {"max_len": -1},
-    {"mode": "float"},  # retired
     {"trials": 3, "trial_seeds": (1, 2)},
 ])
 def test_config_validation(kwargs):
@@ -73,8 +89,8 @@ def test_walk_seeds_explicit_list_truncated():
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "config.json"
     dump_json(path, config_to_dict(RunConfig(seed=5, steps=30)))
-    config = load_config(path, {"steps": 7, "mode": "modp"})
-    assert (config.seed, config.steps, config.mode) == (5, 7, "modp")
+    config = load_config(path, {"steps": 7, "checkpoint_every": 2})
+    assert (config.seed, config.steps, config.checkpoint_every) == (5, 7, 2)
     assert load_config(None, None) == RunConfig()
 
 

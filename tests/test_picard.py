@@ -1,6 +1,5 @@
 """Registry, class vectors, and letter actions on them."""
 
-import json
 import random
 from fractions import Fraction
 from math import sqrt
@@ -25,7 +24,6 @@ from birwalk.picard import (
     LetterOperator,
     PointRegistry,
     WeilClass,
-    class_from_jsonable,
     class_to_jsonable,
     coefficient_l2_diff,
 )
@@ -44,7 +42,7 @@ def sigma_generator():
 
 
 def test_exact_registry_identifies_rescalings():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     a = reg.register((2, 4, 6))
     b = reg.register((-1, -2, -3))
     c = reg.register((1, 2, 4))
@@ -93,7 +91,7 @@ def test_walk_path_takes_no_content_gcd(certified_tuple, monkeypatch):
                       (PointRegistry, "register"),
                       (PointRegistry, "coords_of")):
         monkeypatch.setattr(cls, name, scoped(name, getattr(cls, name)))
-    report = run_walk(certified_tuple, 16, seed=126, mode="exact",
+    report = run_walk(certified_tuple, 16, seed=126,
                       keep_classes=True)
     assert report.final_reduced_len == 16
     assert min(calls[n] for n in ("transport mod q", "register")) > 0
@@ -122,12 +120,12 @@ def test_stripped_representatives_stay_near_canonical(certified_tuple):
     # canonical 273,068 bits (383,735 unstripped), and over walk seeds
     # 1-32 the representatives carry 1.02% more bits than the normal
     # forms (1.22% over seeds 1-128, 28% unstripped); the bound is 2%
-    reg = run_walk(certified_tuple, 16, seed=126, mode="exact").registry
+    reg = run_walk(certified_tuple, 16, seed=126).registry
     assert max(max(abs(c).bit_length() for c in reg.representative(p))
                for p in range(len(reg))) == 273068
     held = canonical = 0
     for seed in range(1, 33):
-        reg = run_walk(certified_tuple, 16, seed=seed, mode="exact").registry
+        reg = run_walk(certified_tuple, 16, seed=seed).registry
         for pid in range(len(reg)):
             held += _bits(reg.representative(pid))
             canonical += _bits(reg.coords_of(pid))
@@ -139,7 +137,7 @@ P = projective.FINGERPRINT_P
 
 def test_fingerprint_clash_keeps_points_apart():
     # (1, 0, 0) and (1, P, 0) have equal residues but are distinct points
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     a = reg.register((1, 0, 0))
     b = reg.register((1, P, 0))
     assert projective.fingerprint((1, 0, 0)) == projective.fingerprint((1, P, 0))
@@ -153,20 +151,20 @@ def test_fingerprint_clash_keeps_points_apart():
 
 def test_multiples_of_the_prime_are_canonicalised_first():
     # every residue of (P, 2P, 3P) is 0, so only its normal form has a key
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     pid = reg.register((1, 2, 3))
     assert reg.register((P, 2 * P, 3 * P)) == pid
     assert reg.register((-1, -2, -3)) == pid
     assert reg.register((-P * P, -2 * P * P, -3 * P * P)) == pid
     assert reg.coords_of(pid) == (1, 2, 3)
-    fresh = PointRegistry("exact")
+    fresh = PointRegistry()
     first = fresh.register((P, 2 * P, 3 * P))
     assert fresh.register((1, 2, 3)) == first
     assert fresh.coords_of(first) == (1, 2, 3)
 
 
 def test_zero_triple_is_refused():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     with pytest.raises(IndeterminatePoint):
         reg.register((0, 0, 0))
     with pytest.raises(IndeterminatePoint):
@@ -192,7 +190,7 @@ _SCALAR = st.one_of(
 @given(st.lists(st.tuples(_TRIPLE, _SCALAR), min_size=1, max_size=12))
 @settings(max_examples=150, deadline=None)
 def test_exact_registry_ids_match_normal_forms(scaled):
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     ids, forms = [], []
     for pt, k in scaled:
         for q in (pt, tuple(k * c for c in pt)):
@@ -205,36 +203,11 @@ def test_exact_registry_ids_match_normal_forms(scaled):
     assert len(reg) == len(set(forms))
 
 
-M = picard.MODP_P
-
-
-def test_modp_registry_keys_points_by_residues():
-    reg = PointRegistry("modp")
-    a = reg.register((1, 2, 2))
-    assert reg.register((-3, -6, -6)) == a
-    assert reg.register([2, 4, 4]) == a
-    ids = {reg.register(q) for q in [(1, 0, 0), (0, 1, 0), (1, 1, 1),
-                                     (1, -1, 2)]}
-    assert len(ids) == 4 and a not in ids
-    assert reg.coords_of(reg.register((0, 3, -6))) == (0, 1, M - 2)
-    # the registry sees residues only: (1, M, 0) is (1, 0, 0) mod p
-    assert reg.register((1, M, 0)) == reg.register((1, 0, 0))
-    assert reg.representative(a) == reg.coords_of(a) == (1, 2, 2)
-
-
-def test_modp_registry_refuses_a_triple_that_vanishes_mod_p():
-    reg = PointRegistry("modp")
-    for q in ((M, 2 * M, 3 * M), (0, 0, 0)):
-        with pytest.raises(DegenerateConfiguration, match="vanishes mod p"):
-            reg.register(q)
-    assert len(reg) == 0
-
-
 # -- class vectors ------------------------------------------------------
 
 
 def test_basis_intersections():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     p = reg.register((1, 1, 1))
     q = reg.register((1, 2, 3))
     L = WeilClass.line_class()
@@ -247,7 +220,7 @@ def test_basis_intersections():
 
 
 def test_worked_class_identities():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     ids = [reg.register(p) for p in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     L = WeilClass.line_class()
     c = WeilClass(2, {i: 1 for i in ids})  # 2[line] - three exceptionals
@@ -326,7 +299,7 @@ def test_zero_coefficients_dropped():
 
 
 def test_involution_pullback_of_line():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     c = op.pullback(WeilClass.line_class())
     assert c.line_coeff == 2
@@ -336,7 +309,7 @@ def test_involution_pullback_of_line():
 
 
 def test_involution_pullback_squares_to_identity():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     L = WeilClass.line_class()
     assert op.pullback(op.pullback(L)) == L
@@ -346,7 +319,7 @@ def test_involution_pullback_squares_to_identity():
 
 
 def test_involution_table_row():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     row = op.pullback(WeilClass.exceptional_class(op.table_ids[0]))
     assert row.line_coeff == 1
@@ -354,7 +327,7 @@ def test_involution_table_row():
 
 
 def test_involution_moves_generic_point():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     x = reg.register((2, 1, 1))
     moved = op.pullback(WeilClass.exceptional_class(x))
@@ -365,7 +338,7 @@ def test_involution_moves_generic_point():
 
 
 def test_involution_rejects_point_on_contracted_line():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     x = reg.register((0, 1, 1))
     with pytest.raises(DegenerateConfiguration):
@@ -382,7 +355,7 @@ def _kernel_verdict(op, x):
 
 
 def test_transport_and_table_lookup():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     assert op.transport((2, 1, 1)) == (1, 2, 2)
     assert _kernel_verdict(op, (0, 1, 0)) == ("table", 1)
@@ -395,7 +368,7 @@ _BIG_SCALARS = (3 ** 200, -(2 ** 127 - 1), P, -7 * P, P * P)
 
 @pytest.mark.parametrize("letter", [(0, 1), (0, -1), (1, 1), (1, -1)])
 def test_transport_does_not_depend_on_scale(certified_tuple, letter):
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = reg.operator(certified_tuple[letter[0]], letter[1])
     for p in ((3, 7, 11), (2, -5, 13), (17, 1, -6), (1, 0, 0)):
         image = reg.register(op.transport(p))
@@ -448,7 +421,7 @@ def _kernel_test_points(op, rng):
 @pytest.mark.parametrize("letter", [None, (0, 1), (0, -1), (1, 1), (1, -1)])
 def test_kernel_agrees_with_cross_product_transport(certified_tuple, letter):
     # None is the standard involution, whose table is the coordinate axes
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg) if letter is None \
         else reg.operator(certified_tuple[letter[0]], letter[1])
     outer, inner = op.eval_matrices
@@ -470,11 +443,10 @@ def test_kernel_agrees_with_cross_product_transport(certified_tuple, letter):
     assert seen == {"table", "line", "image"}
 
 
-@pytest.mark.parametrize("mode", ["exact", "modp"])
-def test_chained_table_hit_fans_out(mode):
+def test_chained_table_hit_fans_out():
     # pushing the standard involution onto itself carries each of its base
     # points onto its own table: the fan-out gives 2(2L - E) - (3L - 2E) = L
-    state = WalkState((sigma_generator(),), mode=mode)
+    state = WalkState((sigma_generator(),))
     state.step((0, 1))
     with pytest.raises(DegenerateConfiguration,
                        match="line coefficient 1 vs reduced length 2"):
@@ -507,7 +479,7 @@ def _generic_pool(rng, reg, ops, count=6):
 def test_sampled_operator_is_isometry_and_adjoint_to_inverse():
     rng = random.Random(17)
     (gen,) = sample_generators(1, 5, rng)
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     fwd = reg.operator(gen, 1)
     bwd = reg.operator(gen, -1)
     pool = _generic_pool(rng, reg, (fwd, bwd))
@@ -522,7 +494,7 @@ def test_sampled_operator_is_isometry_and_adjoint_to_inverse():
 def test_pullback_then_pushforward_restores_class():
     rng = random.Random(23)
     (gen,) = sample_generators(1, 5, rng)
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     fwd, bwd = reg.operator(gen, 1), reg.operator(gen, -1)
     pool = _generic_pool(rng, reg, (fwd, bwd), count=4)
     c = WeilClass(3, {pool[0]: 1, pool[1]: -2, pool[2]: 1})
@@ -532,97 +504,16 @@ def test_pullback_then_pushforward_restores_class():
 
 def test_registry_reuses_operator_instances():
     (gen,) = sample_generators(1, 5, random.Random(2))
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     assert reg.operator(gen, 1) is reg.operator(gen, 1)
     assert reg.operator(gen, 1) is not reg.operator(gen, -1)
     assert reg.operator(gen, 1)._registry() is reg
 
 
-def test_modp_operator_matches_exact_on_table():
-    (gen,) = sample_generators(1, 5, random.Random(31))
-    reg_e = PointRegistry("exact")
-    reg_m = PointRegistry("modp")
-    op_e = LetterOperator(gen, 1, reg_e)
-    op_m = LetterOperator(gen, 1, reg_m)
-    L = WeilClass.line_class()
-    ce = op_e.pullback(op_e.pullback(L))
-    cm = op_m.pullback(op_m.pullback(L))
-    assert ce.line_coeff == cm.line_coeff == 4
-    assert {projective.fingerprint(reg_e.coords_of(p), M): c
-            for p, c in ce.point_part.items()} == \
-        {reg_m.coords_of(p): c for p, c in cm.point_part.items()}
-    assert ce.self_intersection() == cm.self_intersection() == 1
-
-
-@pytest.mark.parametrize("letter", [None, (0, 1), (0, -1), (1, 1), (1, -1)])
-def test_modp_kernel_is_the_exact_kernel_reduced(certified_tuple, letter):
-    reg_e, reg_m = PointRegistry("exact"), PointRegistry("modp")
-    if letter is None:
-        op_e = LetterOperator(sigma_generator(), 1, reg_e)
-        op_m = LetterOperator(sigma_generator(), 1, reg_m)
-    else:
-        op_e = reg_e.operator(certified_tuple[letter[0]], letter[1])
-        op_m = reg_m.operator(certified_tuple[letter[0]], letter[1])
-    assert op_m.table_points == tuple(projective.fingerprint(q, M)
-                                      for q in op_e.table_points)
-    seen = set()
-    for x in _kernel_test_points(op_e, random.Random(3)):
-        kind, got = _kernel_verdict(op_e, x)
-        kind_m, got_m = _kernel_verdict(op_m, projective.fingerprint(x, M))
-        assert kind_m == kind, x
-        seen.add(kind)
-        if kind == "table":
-            assert got_m == got
-        elif kind == "image":
-            # a hop reduces and leaves normalising to the registry
-            assert all(0 <= c < M for c in got_m)
-            assert projective.fingerprint(got_m, M) == \
-                projective.fingerprint(got, M)
-    assert seen == {"table", "line", "image"}
-
-
-def test_modp_contracted_line_names_the_reduction():
-    reg = PointRegistry("modp")
-    op = LetterOperator(sigma_generator(), 1, reg)
-    x = reg.register((0, 1, 1))
-    with pytest.raises(DegenerateConfiguration,
-                       match="contracted line.*found mod p.*may be a false zero"):
-        op.pullback(WeilClass.exceptional_class(x))
-    with pytest.raises(TablePointHit):
-        op.transport((0, 1, 0))
-
-
-# -- serialisation ------------------------------------------------------
-
-
-def test_class_json_round_trip():
-    reg = PointRegistry("exact")
-    ids = [reg.register(p) for p in [(1, 2, 3), (4, 5, 6), (1, 0, 0)]]
-    c = WeilClass(7, {ids[0]: 2, ids[1]: -1, ids[2]: 3})
-    data = class_to_jsonable(c, reg)
-    reg2 = PointRegistry("exact")
-    c2 = class_from_jsonable(data, reg2)
-    assert c2.line_coeff == 7
-    assert sorted(c2.point_part.values()) == sorted(c.point_part.values())
-    assert class_to_jsonable(c2, reg2) == data
-
-
-def test_class_from_jsonable_merges_non_canonical_coordinates():
-    data = json.loads('{"line_coeff": 5, "point_entries": '
-                      '[[[2, 4, 6], 1], [[-1, -2, -3], 2], [[0, 3, 0], 4]]}')
-    reg = PointRegistry("exact")
-    c = class_from_jsonable(data, reg)
-    assert len(reg) == 2
-    assert c.point_part == {reg.register((1, 2, 3)): 3,
-                            reg.register((0, 1, 0)): 4}
-    assert class_to_jsonable(c, reg) == {
-        "line_coeff": 5, "point_entries": [[[0, 1, 0], 4], [[1, 2, 3], 3]]}
-
-
 @given(st.integers(-5, 5), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_intersection_symmetric(line_coeff, coeffs):
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     ids = [reg.register(p) for p in [(1, 1, 1), (1, 2, 3), (2, 1, 5)]]
     u = WeilClass(line_coeff, dict(zip(ids, coeffs)))
     v = WeilClass(2, {ids[0]: 1, ids[2]: -2})
@@ -653,9 +544,8 @@ def _pullback_without_memo(op, cls):
 def _class_results(gens):
     walks = []
     for seed in range(1, 33):
-        report = run_walk(gens, 16, seed=seed, mode="exact", exact_len_cap=16,
-                          checkpoint_every=4, keep_classes=True,
-                          track_pushforward=True)
+        report = run_walk(gens, 16, seed=seed, checkpoint_every=4,
+                          keep_classes=True, track_pushforward=True)
         push = report.final_push_class
         walks.append((report.to_jsonable(), report.rows,
                       None if push is None
@@ -693,7 +583,7 @@ def test_certificate_transports_each_point_once_per_letter(certified_tuple,
 
 
 def test_degenerate_transport_raises_again_on_repeat():
-    reg = PointRegistry("exact")
+    reg = PointRegistry()
     op = LetterOperator(sigma_generator(), 1, reg)
     x = reg.register((0, 1, 1))  # on a contracted line of sigma
     y = reg.register((2, 1, 1))
@@ -702,3 +592,85 @@ def test_degenerate_transport_raises_again_on_repeat():
             op.pullback(WeilClass(0, {y: -1, x: -1}))
     # the transport that succeeded beside it is kept, the failed one is not
     assert op.images == {y: reg.register((1, 2, 2))}
+
+
+def test_pullback_files_each_image_in_the_inverse_operator(certified_tuple,
+                                                           monkeypatch):
+    # pulling back by a letter and then by its inverse returns every point
+    # by the filed image: the way back carries nothing
+    reg = PointRegistry()
+    state = WalkState(certified_tuple, registry=reg)
+    for letter in ((0, 1), (1, 1), (0, -1), (1, 1)):
+        state.step(letter)
+    cls = state.pull_class
+    op = reg.operator(certified_tuple[1], -1)
+    back = reg.operator(certified_tuple[1], 1)
+    image = op.pullback(cls)
+    moved = {pid: op.images[pid] for pid in cls.point_part
+             if pid not in op.table_ids}
+    assert moved and all(back.images[new] == pid
+                         for pid, new in moved.items())
+    carried = []
+    carry = PointRegistry.carry
+
+    def counted(self, pid, hops):
+        carried.append(pid)
+        return carry(self, pid, hops)
+
+    monkeypatch.setattr(PointRegistry, "carry", counted)
+    assert back.pullback(image) == cls
+    assert carried == []
+
+
+def test_residue_names_are_the_fingerprints_of_the_integers(certified_tuple):
+    # a deep report names a point by the key the registry stored; wherever
+    # the integers exist too, that key is their fingerprint
+    report = run_walk(certified_tuple, 16, seed=126)
+    reg = report.registry
+    assert all(reg.residues(pid) == projective.fingerprint(reg.coords_of(pid))
+               for pid in range(len(reg)))
+
+
+@pytest.mark.parametrize("event", ["a zero mod p", "a fingerprint hit",
+                                   "reading a point's coordinates"])
+def test_builds_past_the_budget_are_undecided(certified_tuple, monkeypatch,
+                                              event):
+    # seed 126 reaches reduced length 16 with 273,068-bit coordinates; a
+    # budget of 1,000 bits refuses each event that would build them
+    report = run_walk(certified_tuple, 16, seed=126)
+    reg = report.registry
+    deep = max((pid for pid in range(len(reg)) if reg._points[pid] is None),
+               key=lambda pid: len(reg._recipes[pid][1]))
+    monkeypatch.setattr(picard, "BUILD_BITS", 1000)
+    with pytest.raises(DegenerateConfiguration) as refused:
+        if event == "a zero mod p":
+            # at this prime some hop of the walk meets a zero, which is
+            # decided on the integers
+            monkeypatch.setattr(projective, "FINGERPRINT_P", 101)
+            reg = PointRegistry()
+            for seed in range(1, 33):
+                aborted = run_walk(certified_tuple, 16, seed=seed,
+                                   registry=reg).aborted
+                if aborted:
+                    raise DegenerateConfiguration(aborted)
+        elif event == "a fingerprint hit":
+            # a small point with the deep point's residues
+            reg.register(reg.residues(deep))
+        else:
+            reg.coords_of(deep)
+    assert str(refused.value) == (
+        f"undecided: {event} needs integers past the build budget of 1000 "
+        f"bits, and residues mod p = {projective.FINGERPRINT_P} do not "
+        f"decide it")
+
+
+def test_build_budget_leaves_a_margin_over_the_deepest_frozen_build(
+        certified_tuple):
+    # the largest coordinate any frozen walk of the tests and the benchmark
+    # builds is seed 126's at reduced length 16; the budget is 8 times
+    # that or more, and one letter deeper roughly doubles it
+    reg = run_walk(certified_tuple, 16, seed=126).registry
+    deepest = max(max(abs(c) for c in reg.representative(pid)).bit_length()
+                  for pid in range(len(reg)))
+    assert deepest == 273068
+    assert picard.BUILD_BITS >= 8 * deepest

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from birwalk.errors import IndeterminatePoint
-from birwalk.picard import MODP_P
 from birwalk.projective import (
     FINGERPRINT_P,
     fingerprint,
@@ -98,7 +97,8 @@ def test_fingerprint_is_scale_free_and_same_point_is_exact(pt, k, i):
         (normalize_exact(pt) == normalize_exact(shifted))
 
 
-@pytest.mark.parametrize("p", [FINGERPRINT_P, MODP_P])
+# any prime works; the second is the Mersenne prime 2^61 - 1
+@pytest.mark.parametrize("p", [FINGERPRINT_P, (1 << 61) - 1])
 def test_fingerprint_is_the_residue_triple_led_by_one(p):
     assert fingerprint((2, 4, 6), p) == (1, 2, 3)
     assert fingerprint((0, -3, 6), p) == (0, 1, p - 2)
@@ -110,8 +110,8 @@ def test_fingerprint_is_the_residue_triple_led_by_one(p):
 
 
 @given(st.tuples(_BIG, _BIG, _BIG).filter(lambda t: any(t)),
-       st.integers(-(2 ** 300), 2 ** 300).filter(lambda k: k % MODP_P))
+       st.integers(-(2 ** 300), 2 ** 300).filter(lambda k: k % FINGERPRINT_P))
 def test_fingerprint_mod_the_walk_prime_is_scale_free(pt, k):
-    key = fingerprint(pt, MODP_P)
-    assert fingerprint(tuple(k * c for c in pt), MODP_P) == key
-    assert key is None or all(0 <= c < MODP_P for c in key)
+    key = fingerprint(pt)
+    assert fingerprint(tuple(k * c for c in pt)) == key
+    assert key is None or all(0 <= c < FINGERPRINT_P for c in key)

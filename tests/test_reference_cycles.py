@@ -87,7 +87,7 @@ def _registries_alive_after(run, monkeypatch):
 
 def test_exact_walk_registry_dies_with_its_report(certified_tuple):
     with _collector_off():
-        report = run_walk(certified_tuple, 16, seed=126, mode="exact",
+        report = run_walk(certified_tuple, 16, seed=126,
                           keep_classes=True, track_pushforward=True)
         assert report.final_reduced_len == 16
         ref = weakref.ref(report.registry)

@@ -4,16 +4,16 @@ import hashlib
 import json
 import math
 import random
-from contextlib import contextmanager
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birwalk import genericity, projective
+from birwalk import genericity, picard, projective
 from birwalk.config import dumps_json
-from birwalk.errors import DegenerateConfiguration, ExactLengthCap
+from birwalk.errors import DegenerateConfiguration
 from birwalk.genericity import _exact_word_components, check_genericity
 from birwalk.maps import (
     IDENTITY_COMPONENTS,
@@ -22,13 +22,11 @@ from birwalk.maps import (
     sample_generators,
 )
 from birwalk.picard import (
-    MODP_P,
     LetterOperator,
     PointRegistry,
     WeilClass,
     class_to_jsonable,
 )
-from birwalk.projective import fingerprint
 from birwalk.walk import (
     LOG2,
     StepRow,
@@ -45,6 +43,8 @@ from birwalk.walk import (
     run_walk,
     write_rows_csv,
 )
+
+from spies import integer_work
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_middle_length_orientation_free():
 
 
 def test_first_step_is_degree_two_with_three_base_points(gens):
-    state = WalkState(gens, mode="exact")
+    state = WalkState(gens)
     state.step((0, 1))
     c = state.pull_class
     assert c.line_coeff == 2
@@ -104,7 +104,7 @@ def test_first_step_is_degree_two_with_three_base_points(gens):
 
 
 def test_cancellation_restores_exact_class(gens):
-    state = WalkState(gens, mode="exact", track_pushforward=True)
+    state = WalkState(gens, track_pushforward=True)
     state.step((0, 1))
     c1, e1 = state.pull_class, state.push_class
     state.step((1, 1))
@@ -118,8 +118,7 @@ def test_cancellation_restores_exact_class(gens):
     assert state.push_class == WeilClass.line_class()
 
 
-@pytest.mark.parametrize("mode", ["exact", "modp"])
-def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
+def test_cancelling_step_reuses_its_push(gens, monkeypatch):
     # a pop adds back the chained classes its push kept: on the pullback
     # track only pushing steps transport points, and each pop restores
     # the class from before its push.  Every hop of a chain is one call
@@ -132,7 +131,7 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
         return transport(self, coords, modulus)
 
     monkeypatch.setattr(LetterOperator, "transport", counted)
-    state = WalkState(gens, mode=mode)
+    state = WalkState(gens)
     before_push = []
     pushed = popped = 0
     for letter in random_itinerary(2, 30, random.Random(5)):
@@ -158,7 +157,7 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch, mode):
     # push a, push b, pop b, pop a, push a: the second push of b reuses
     # the entry filed under a, which came back with a
     a, b = (0, 1), (1, 1)
-    state = WalkState(gens, mode=mode)
+    state = WalkState(gens)
     state.step(a)
     seen = len(transports)
     state.step(b)
@@ -183,8 +182,7 @@ _BACKTRACKING = (
 )
 
 
-@pytest.mark.parametrize("mode", ["exact", "modp"])
-def test_replayed_reduced_word_gives_same_class(gens, monkeypatch, mode):
+def test_replayed_reduced_word_gives_same_class(gens, monkeypatch):
     # walked-with-cancellations state must equal the state of its reduced
     # word, also where a push reuses the chains a pop left behind
     chains = []
@@ -197,19 +195,18 @@ def test_replayed_reduced_word_gives_same_class(gens, monkeypatch, mode):
     monkeypatch.setattr(WalkState, "_chained_base_classes", counted)
     for it in (random_itinerary(2, 30, random.Random(5)), *_BACKTRACKING):
         chains.clear()
-        report = run_walk(gens, len(it), itinerary=it, mode=mode,
-                          exact_len_cap=16, checkpoint_every=0)
+        report = run_walk(gens, len(it), itinerary=it, checkpoint_every=0)
         assert report.aborted is None
         lengths = _stack_lengths(it)
         pushes = sum(1 for a, b in zip(lengths, [0, *lengths]) if a > b)
         assert len(chains) < pushes
-        state = WalkState(gens, mode=mode)
+        state = WalkState(gens)
         for letter in it:
             state.step(letter)
         reduced = tuple(e.letter for e in state.stack)
         assert len(reduced) == report.final_reduced_len
-        fresh = run_walk(gens, len(reduced), itinerary=reduced, mode=mode,
-                         exact_len_cap=16, checkpoint_every=0)
+        fresh = run_walk(gens, len(reduced), itinerary=reduced,
+                         checkpoint_every=0)
         a = class_to_jsonable(report.final_class, report.registry)
         b = class_to_jsonable(fresh.final_class, fresh.registry)
         assert a == b
@@ -219,7 +216,7 @@ def test_reduced_length_matches_integer_oracle_exact(gens):
     steps = 30
     it = random_itinerary(2, steps, random.Random(5))
     oracle = _stack_lengths(it)
-    state = WalkState(gens, mode="exact")
+    state = WalkState(gens)
     for k, letter in enumerate(it):
         state.step(letter)
         assert state.reduced_len == oracle[k]
@@ -231,7 +228,7 @@ def test_walk_degree_matches_polynomial_composition(gens):
     # must have exactly the degree the class bookkeeping advertises
     steps = 8
     it = random_itinerary(2, steps, random.Random(3))
-    state = WalkState(gens, mode="exact")
+    state = WalkState(gens)
     for letter in it:
         state.step(letter)
     word = tuple(e.letter for e in reversed(state.stack))
@@ -246,8 +243,7 @@ def test_walk_degree_matches_polynomial_composition(gens):
 def test_constant_itinerary_cauchy_increments(gens):
     steps = 10
     it = tuple((0, 1) for _ in range(steps))
-    report = run_walk(gens, steps, itinerary=it, mode="exact",
-                      exact_len_cap=16, checkpoint_every=1)
+    report = run_walk(gens, steps, itinerary=it, checkpoint_every=1)
     assert report.aborted is None
     assert report.rows[0].n == 0
     assert report.rows[0].cauchy_increment is None
@@ -263,8 +259,7 @@ def test_constant_itinerary_cauchy_increments(gens):
 def test_pushforward_track_invariants(gens):
     steps = 8
     it = tuple((0, 1) for _ in range(steps))
-    report = run_walk(gens, steps, itinerary=it, mode="exact",
-                      exact_len_cap=16, track_pushforward=True)
+    report = run_walk(gens, steps, itinerary=it, track_pushforward=True)
     assert report.aborted is None
     e = report.final_push_class
     assert e.line_coeff == 2 ** steps
@@ -278,8 +273,8 @@ def test_gram_identity_on_checkpoints(gens):
     steps = 26
     it = random_itinerary(2, steps, random.Random(5))
     assert max(_stack_lengths(it)) <= 16
-    report = run_walk(gens, steps, itinerary=it, mode="exact",
-                      exact_len_cap=16, checkpoint_every=4, keep_classes=True)
+    report = run_walk(gens, steps, itinerary=it, checkpoint_every=4,
+                      keep_classes=True)
     assert report.aborted is None
     kept = report.checkpoint_classes
     assert len(kept) >= 3
@@ -292,12 +287,10 @@ def test_gram_identity_on_checkpoints(gens):
 
 
 def test_transversality_ratio_for_partner_and_for_self(gens):
-    registry = PointRegistry("exact")
-    ra = run_walk(gens, 12, seed=31, mode="exact", exact_len_cap=16,
-                  checkpoint_every=2, keep_classes=True,
+    registry = PointRegistry()
+    ra = run_walk(gens, 12, seed=31, checkpoint_every=2, keep_classes=True,
                   track_pushforward=True, registry=registry)
-    rb = run_walk(gens, 12, seed=32, mode="exact", exact_len_cap=16,
-                  checkpoint_every=2, keep_classes=True,
+    rb = run_walk(gens, 12, seed=32, checkpoint_every=2, keep_classes=True,
                   track_pushforward=True, registry=registry)
     assert ra.aborted is None and rb.aborted is None
     cross = transversality_ratio_series(rb.final_class, rb.final_reduced_len, ra)
@@ -322,7 +315,7 @@ def test_normalized_pairing_scale():
 
 def _report_with_final_class(cls, reduced_len, registry):
     return WalkReport(
-        mode="exact", seed=None, steps_requested=reduced_len,
+        seed=None, steps_requested=reduced_len,
         steps_done=reduced_len, checkpoint_every=0, generator_count=2,
         track_classes=True, itinerary=(), rows=(),
         final_reduced_len=reduced_len, aborted=None, aborted_at=None,
@@ -332,7 +325,7 @@ def _report_with_final_class(cls, reduced_len, registry):
 def test_normalized_diagnostics_at_reduced_length_1100():
     # float(2 ** n) overflows past n = 1023; the quotients are still the
     # correctly rounded values of the exact fractions
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     p, q = registry.register((1, 2, 3)), registry.register((0, 1, 5))
     big = 1 << 1100
     a = WeilClass(big, {p: 3 * (1 << 1098) + 12345, q: (1 << 1097) - 777})
@@ -349,7 +342,7 @@ def test_normalized_diagnostics_at_reduced_length_1100():
 
 def test_normalized_diagnostics_match_float_scales_below_length_500():
     rng = random.Random(3)
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     pids = [registry.register((1, k, k * k + 1)) for k in range(4)]
     for _ in range(1000):
         l1, l2 = rng.randrange(251), rng.randrange(251)
@@ -369,7 +362,7 @@ def test_self_pairing_controls_stop_at_length_537():
     # 0.0, and so is a row's self_intersection
     assert normalized_self_pairing(537) == 2.0 ** -1074
     assert normalized_self_pairing(16) == 4.0 ** -16
-    registry = PointRegistry("exact")
+    registry = PointRegistry()
     p = registry.register((1, 2, 3))
     for ln in (538, 1100):
         assert normalized_self_pairing(ln) is None
@@ -399,20 +392,19 @@ def test_rows_past_length_537_write_an_empty_self_intersection(tmp_path):
 
 
 def test_boundary_compare_self_equals_control(gens):
-    registry = PointRegistry("exact")
-    r = run_walk(gens, 10, seed=41, mode="exact", exact_len_cap=16,
-                 registry=registry)
+    registry = PointRegistry()
+    r = run_walk(gens, 10, seed=41, registry=registry)
     out = boundary_compare(r, r)
     assert out["pairing"] == out["control_a"] == out["control_b"]
 
 
-# -- modp mode ----------------------------------------------------------
+# -- depth ----------------------------------------------------------------
 
 
-def test_modp_walk_matches_integer_oracle_and_is_deterministic(gens):
+def test_deep_walk_matches_integer_oracle_and_is_deterministic(gens):
     steps = 40
-    r1 = run_walk(gens, steps, seed=11, mode="modp", checkpoint_every=8)
-    r2 = run_walk(gens, steps, seed=11, mode="modp", checkpoint_every=8)
+    r1 = run_walk(gens, steps, seed=11, checkpoint_every=8)
+    r2 = run_walk(gens, steps, seed=11, checkpoint_every=8)
     assert r1.aborted is None
     assert r1.to_jsonable() == r2.to_jsonable()
     assert r1.rows == r2.rows
@@ -421,50 +413,12 @@ def test_modp_walk_matches_integer_oracle_and_is_deterministic(gens):
         assert row.reduced_len == oracle[row.n - 1]
 
 
-def test_modp_classes_are_the_exact_classes_reduced(gens):
-    # walk seeds 1-40 at 16 steps: the same reduced lengths, and the same
-    # final classes once every exact point is reduced mod p
-    for seed in range(1, 41):
-        exact = run_walk(gens, 16, seed=seed, mode="exact")
-        modp = run_walk(gens, 16, seed=seed, mode="modp")
-        assert exact.aborted is None and modp.aborted is None
-        assert modp.final_reduced_len == exact.final_reduced_len
-        ce, cm = exact.final_class, modp.final_class
-        assert cm.line_coeff == ce.line_coeff
-        assert {modp.registry.coords_of(p): c
-                for p, c in cm.point_part.items()} == \
-            {fingerprint(exact.registry.coords_of(p), MODP_P): c
-             for p, c in ce.point_part.items()}
-
-
-@contextmanager
-def _integer_work():
-    """Lists that fill, while the block runs, with every integer hop (a
-    transport given no modulus) and every build of a lazy point."""
-    hops, builds = [], []
-    transport, build = LetterOperator.transport, PointRegistry._build
-
-    def counted_hop(self, coords, modulus=None):
-        if modulus is None:
-            hops.append(coords)
-        return transport(self, coords, modulus)
-
-    def counted_build(self, base, chain):
-        builds.append((base, chain))
-        return build(self, base, chain)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LetterOperator, "transport", counted_hop)
-        mp.setattr(PointRegistry, "_build", counted_build)
-        yield hops, builds
-
-
 def _exact_walks_read_out(gens, seeds):
     """Per seed: what an exact 16-step walk decides (ids included) and
     what is read out of it, and the integer hops and builds the walks
     took before anything was read."""
-    with _integer_work() as (hops, builds):
-        reports = [run_walk(gens, 16, seed=seed, mode="exact",
+    with integer_work() as (hops, builds):
+        reports = [run_walk(gens, 16, seed=seed,
                             checkpoint_every=4, keep_classes=True)
                    for seed in seeds]
         walked = len(hops), len(builds)
@@ -480,6 +434,20 @@ def _exact_walks_read_out(gens, seeds):
     return out, walked
 
 
+def _push_tracked_pair(gens, steps, registry=None):
+    """Criterion 08's pair 10, walk seeds 120 and 121, at ``steps`` steps
+    over one registry: the push-tracked walk's rows and checkpoint
+    classes, the partner's final class and their pairing."""
+    registry = PointRegistry() if registry is None else registry
+    a = run_walk(gens, steps, seed=120, checkpoint_every=1,
+                 keep_classes=True, track_pushforward=True,
+                 registry=registry)
+    b = run_walk(gens, steps, seed=121, registry=registry)
+    assert a.aborted is None and b.aborted is None
+    return (a.rows, a.checkpoint_classes, b.final_class,
+            boundary_compare(a, b))
+
+
 def test_exact_walks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
     # exact chains hop on residues mod projective.FINGERPRINT_P and go back
     # to the integers at any zero; at a small prime zeros and fingerprint
@@ -491,21 +459,48 @@ def test_exact_walks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
     # no point until a coordinate is read (507 builds when chains started
     # from the integers)
     assert walked == (0, 0)
+    # the pair at 16 steps, whose integers a small prime still reaches
+    pair = _push_tracked_pair(gens, 16)
     for prime in (101, 1009):
         monkeypatch.setattr(projective, "FINGERPRINT_P", prime)
         got, (hops, _builds) = _exact_walks_read_out(gens, seeds)
         assert hops > 0  # chains went back to the integers
         assert got == want
+        assert _push_tracked_pair(gens, 16) == pair
+
+
+def test_cancelling_push_steps_take_their_images_back(gens, monkeypatch):
+    # a cancelling step carries the push class back through the letter
+    # that just moved it.  Each image is filed in the inverse letter's
+    # operator, so the step lands on the old point without building it
+    # under a second recipe.  Criterion 08's pair 10 then builds nothing;
+    # without the filing it builds both points at every cancelling step
+    # and runs for minutes
+    def no_build(self, base, hops, event):
+        raise AssertionError(f"built {event}: a recipe of {len(hops)} hops")
+
+    monkeypatch.setattr(PointRegistry, "_build", no_build)
+    registry = PointRegistry()
+    result = _push_tracked_pair(gens, 26, registry)[3]
+    assert result["pairing"] > 10.0 * max(result["control_a"],
+                                          result["control_b"])
+    for gen in gens:
+        for sign in (1, -1):
+            op = registry.operator(gen, sign)
+            back = registry.operator(gen, -sign).images
+            assert op.images
+            assert all(back[image] == pid
+                       for pid, image in op.images.items())
 
 
 def _exact_pullbacks(gens):
     """The certificate to depth 4, the crosscheck to depth 3 and the push
     classes of exact walks, with the integer hops they took before
     anything was read."""
-    with _integer_work() as (hops, _builds):
+    with integer_work() as (hops, _builds):
         certificate = check_genericity(gens, 4)
         crosscheck = crosscheck_words(gens, 3)
-        walks = [run_walk(gens, 16, seed=seed, mode="exact",
+        walks = [run_walk(gens, 16, seed=seed,
                           track_pushforward=True) for seed in range(1, 33)]
         taken = len(hops)
     pushes = [(r.aborted, r.final_push_class.line_coeff,
@@ -528,31 +523,58 @@ def test_exact_pullbacks_do_not_depend_on_the_filter_prime(gens, monkeypatch):
         assert got == want
 
 
-def test_modp_report_labels_its_residues(gens):
-    modp = run_walk(gens, 12, seed=9, mode="modp", keep_classes=True)
-    doc = modp.to_jsonable()
-    assert doc["residue_prime"] == MODP_P == 2 ** 61 - 1
-    assert all(0 <= int(c) < MODP_P
-               for _v, coords in doc["top_coefficients"] for c in coords)
-    assert all(0 <= c < MODP_P for cp in doc["checkpoint_classes"]
-               for coords, _coeff in cp["class"]["point_entries"]
-               for c in coords)
-    exact = run_walk(gens, 12, seed=9, mode="exact", keep_classes=True)
-    assert "residue_prime" not in exact.to_jsonable()
+def test_deep_reports_name_points_by_residues(gens):
+    # past reduced length 16 a report names each point by its fingerprint
+    # mod FINGERPRINT_P, which it records, and reading it builds nothing
+    with integer_work() as (hops, builds):
+        deep = run_walk(gens, 40, seed=11, checkpoint_every=8,
+                        keep_classes=True)
+        doc = deep.to_jsonable()
+    assert (hops, builds) == ([], [])
+    assert deep.final_reduced_len > 16
+    p = projective.FINGERPRINT_P
+    assert doc["mode"] == "exact" and doc["residue_prime"] == p
+    names = {deep.registry.residues(pid) for pid in deep.final_class.point_part}
+    assert all(tuple(map(int, coords)) in names
+               for _v, coords in doc["top_coefficients"])
+    entries = [coords for cp in doc["checkpoint_classes"]
+               for coords, _coeff in cp["class"]["point_entries"]]
+    assert entries and all(0 <= c < p for coords in entries for c in coords)
+    # a walk that stays within 16 names its points by their integers
+    shallow = run_walk(gens, 12, seed=9, keep_classes=True)
+    assert "residue_prime" not in shallow.to_jsonable()
+    names = {shallow.registry.coords_of(pid)
+             for pid in shallow.final_class.point_part}
+    assert all(coords in names for _v, coords in shallow.top_coefficients())
+
+
+def test_deep_push_tracked_walk_builds_only_shallow_points(gens):
+    # the pushforward track meets a few pull-track chain ends under other
+    # recipes, and those hits are built; frozen: seed 4 at 600 steps builds
+    # 54 points, 36 of them in its first 100 steps, none more than 5 hops
+    # deep
+    with integer_work() as (hops, builds):
+        report = run_walk(gens, 600, seed=4, checkpoint_every=50,
+                          track_pushforward=True)
+    assert report.aborted is None and report.final_reduced_len == 294
+    assert builds and max(len(chain) for _base, chain in builds) <= 8
+    push = report.final_push_class
+    assert push.line_coeff == 2 ** report.final_reduced_len
+    assert push.self_intersection() == 1
 
 
 def test_shared_registry_walks_can_be_paired(gens):
-    registry = PointRegistry("modp")
-    ra = run_walk(gens, 40, seed=21, mode="modp", registry=registry)
-    rb = run_walk(gens, 40, seed=22, mode="modp", registry=registry)
+    registry = PointRegistry()
+    ra = run_walk(gens, 40, seed=21, registry=registry)
+    rb = run_walk(gens, 40, seed=22, registry=registry)
     assert ra.aborted is None and rb.aborted is None
     out = boundary_compare(ra, rb)
     assert out["pairing"] > 0.0
 
 
 def test_classfree_walk_runs_deep_and_fast(gens):
-    report = run_walk(gens, 2000, seed=6, mode="modp",
-                      checkpoint_every=100, track_classes=False)
+    report = run_walk(gens, 2000, seed=6, checkpoint_every=100,
+                      track_classes=False)
     assert report.aborted is None
     assert report.steps_done == 2000
     assert report.registry_points == 0
@@ -565,33 +587,49 @@ def test_classfree_walk_runs_deep_and_fast(gens):
 # -- caps and aborts ----------------------------------------------------
 
 
-def test_exact_len_cap_refuses_deep_stack(gens):
-    it = tuple((0, 1) for _ in range(6))
-    with pytest.raises(ExactLengthCap, match="--mode modp"):
-        run_walk(gens, 6, itinerary=it, mode="exact", exact_len_cap=4)
-    # the cap holds exact points only
-    assert run_walk(gens, 6, itinerary=it, mode="modp",
-                    exact_len_cap=4).final_reduced_len == 6
+@pytest.mark.parametrize("mode", ["modp", "float"])
+def test_run_walk_refuses_retired_modes(gens, mode):
+    with pytest.raises(ValueError, match=f"{mode} mode is retired"):
+        run_walk(gens, 6, seed=1, mode=mode)
 
 
-@pytest.mark.parametrize("mode", ["exact", "modp"])
-def test_walk_stops_at_an_abort_and_records_it(mode):
+def test_events_past_the_build_budget_abort_undecided(gens, monkeypatch):
+    # at the prime 101 zeros and fingerprint hits are common, and each is
+    # decided on the integers; a budget of 200 bits leaves the first steps
+    # decided and stops the walk once an event needs more
+    steps, seed = 40, 11
+    monkeypatch.setattr(projective, "FINGERPRINT_P", 101)
+    monkeypatch.setattr(picard, "BUILD_BITS", 200)
+    report = run_walk(gens, steps, seed=seed)
+    assert report.aborted_at == report.steps_done + 1 > 1
+    assert re.fullmatch(
+        r"undecided: (a zero mod p|a fingerprint hit) needs integers past "
+        r"the build budget of 200 bits, and residues mod p = 101 do not "
+        r"decide it", report.aborted)
+    before = run_walk(gens, report.steps_done, seed=seed)
+    monkeypatch.undo()
+    # no two distinct points shared an id on the steps before the abort
+    exact = run_walk(gens, report.steps_done, seed=seed)
+    assert before.registry_points == exact.registry_points
+    assert before.final_class == exact.final_class
+
+
+def test_walk_stops_at_an_abort_and_records_it():
     # on this height-1 pair, walk seed 2 carries a point onto a contracted
     # line at step 5: the walk must stop there and say so rather than go on
     # with a class it cannot carry; the failed step is not done
     pair = sample_generators(2, 1, random.Random(2))
-    report = run_walk(pair, 200, seed=2, mode=mode)
+    report = run_walk(pair, 200, seed=2)
     assert report.aborted is not None
     assert report.aborted_at == report.steps_done + 1 == 5
     assert [row.n for row in report.rows] == [0, 1, 2, 3, 4]
     assert report.aborted.startswith(
         "carried point lies on a contracted line")
-    assert ("found mod p" in report.aborted) == (mode == "modp")
     blob = report.to_jsonable()
     assert (blob["aborted"], blob["aborted_at"]) == (report.aborted, 5)
     # the sigma pair's second letter undoes the first, which the degree
     # check catches once the step is done
-    report = run_walk(_sigma_pair(), 200, seed=2, mode=mode)
+    report = run_walk(_sigma_pair(), 200, seed=2)
     assert report.aborted_at == report.steps_done + 1 == 2
     assert [row.n for row in report.rows] == [0, 1]
     assert report.aborted.startswith("degree invariant broken at step 2")
@@ -601,8 +639,8 @@ def test_walk_stops_at_an_abort_and_records_it(mode):
 
 
 def test_report_jsonable_and_csv(tmp_path, gens):
-    report = run_walk(gens, 16, seed=9, mode="exact", exact_len_cap=16,
-                      checkpoint_every=4, keep_classes=True)
+    report = run_walk(gens, 16, seed=9, checkpoint_every=4,
+                      keep_classes=True)
     assert report.aborted is None
     blob = report.to_jsonable()
     text = json.dumps(blob, sort_keys=True)
@@ -622,7 +660,7 @@ def test_report_jsonable_and_csv(tmp_path, gens):
 
 
 def test_zero_steps_report(gens):
-    report = run_walk(gens, 0, seed=1, mode="exact")
+    report = run_walk(gens, 0, seed=1)
     assert report.steps_done == 0
     assert report.final_reduced_len == 0
     assert report.final_class == WeilClass.line_class()
@@ -632,8 +670,8 @@ def test_zero_steps_report(gens):
 
 def test_drift_estimate_short_classfree_run(gens):
     # crude sanity only; the long-run statistics live in the acceptance suite
-    report = run_walk(gens, 2000, seed=2, mode="modp",
-                      checkpoint_every=100, track_classes=False)
+    report = run_walk(gens, 2000, seed=2, checkpoint_every=100,
+                      track_classes=False)
     assert report.aborted is None
     drift = report.rows[-1].drift_estimate
     assert abs(drift - LOG2 / 2) < 0.05
@@ -646,8 +684,7 @@ def _exact_crosscheck(gens, max_len, failure_cap=50):
     """The crosscheck tree with every node composed exactly: compose_letter
     onto the parent's stripped triple.  Returns (counts, failures, the
     (word, polynomial degree) of every word whose degree is checked)."""
-    state = WalkState(gens, mode="exact", exact_len_cap=max(16, max_len),
-                      track_classes=True)
+    state = WalkState(gens)
     registry = state.registry
     probe = WeilClass.exceptional_class(
         registry.operator(gens[0], 1).base_ids[0])
@@ -735,6 +772,24 @@ def _sigma_pair():
     rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return (generator_from_matrices(0, rows, rows),
             generator_from_matrices(1, rows, rows))
+
+
+def test_crosscheck_keeps_no_filed_entries(gens, monkeypatch):
+    # the word tree never pushes a popped word again, so it drops what each
+    # pop files: after the walk no entry holds a filing
+    states = []
+    init = WalkState.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    monkeypatch.setattr(WalkState, "__init__", kept)
+    counts, failures = crosscheck_words(gens, 4)
+    assert counts["degree"] == 160 and failures == []
+    (state,) = states
+    assert state._root_popped == {}
+    assert all(not e.popped for e in state.stack)
 
 
 @pytest.mark.parametrize("name", ["certified", "sigma_pair", "height1_seed38",
