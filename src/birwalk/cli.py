@@ -10,6 +10,7 @@ wall-clock fields, so identical configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -231,13 +232,7 @@ def cmd_equidist(args) -> int:
     doc["config"] = embedded_config(config)
     doc["curve"] = str(curve)
     doc["itinerary"] = [[i, s] for i, s in itinerary]
-    doc["rows"] = [
-        {"prefix_len": r.prefix_len, "reduced_len": r.reduced_len,
-         "raw_degree": r.raw_degree, "strict_degree": r.strict_degree,
-         "distance": r.distance, "distance_step": r.distance_step,
-         "bound_lhs": r.bound_lhs, "bound_rhs": r.bound_rhs}
-        for r in rows
-    ]
+    doc["rows"] = [dataclasses.asdict(r) for r in rows]
     doc["warnings"] = warnings
     dump_json(out / "equidist.json", doc)
     print(f"{len(rows)} rows written to {out}/equidist.csv")

@@ -316,16 +316,15 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     if on_contracted not in ("raise", "truncate"):
         raise ValueError(f"unknown on_contracted {on_contracted!r}")
     walk = run_walk(gens, max_len, itinerary=tuple(itinerary[:max_len]),
-                    checkpoint_every=1, keep_classes=True)
+                    checkpoint_every=1, keep_classes=True,
+                    track_pushforward=True)
     if walk.aborted is not None:
         raise DegenerateConfiguration(walk.aborted)
-    kept = {n: (ln, c) for n, ln, c, _e in walk.checkpoint_classes}
-    ref_len, ref_class = kept[max_len]
+    # (n, reduced length, w^*L, w_*L) at each prefix w, n = 0 .. max_len
+    _n, ref_len, ref_class, _e = walk.checkpoint_classes[max_len]
     registry = walk.registry
-    # the freely reduced prefix, newest (outermost) letter last, and the
-    # pushforward w_*L of the line class under each of its prefixes
+    # the freely reduced prefix, newest (outermost) letter last
     letters: List[Tuple[int, int]] = []
-    pushes = [WeilClass.line_class()]
     curve_mult = {}
     rows: List[EquidistRow] = []
     for k in range(max_len + 1):
@@ -333,12 +332,9 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
             gen, sign = walk.itinerary[k - 1]
             if letters and letters[-1] == (gen, -sign):
                 letters.pop()
-                pushes.pop()
             else:
                 letters.append((gen, sign))
-                pushes.append(registry.operator(gens[gen], -sign)
-                              .pullback(pushes[-1]))
-        red_len, c_k = kept[k]
+        _n, red_len, c_k, push = walk.checkpoint_classes[k]
         raw_degree = curve.degree << red_len
         if raw_degree > degree_cap:
             raise DegreeCapExceeded(
@@ -348,7 +344,7 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
         # of each exceptional curve of w^-1 the curve passes through
         line = curve.degree * c_k.line_coeff
         part = {q: curve.degree * m for q, m in c_k.point_part.items()}
-        for p in pushes[-1].point_part:
+        for p in push.point_part:
             m_p = curve_mult.get(p)
             if m_p is None:
                 m_p = curve_mult[p] = curve.multiplicity_at(registry.coords_of(p))

@@ -227,8 +227,8 @@ _VERIFY_POINTS = ((1, 1, 1), (1, 2, 3), (2, -1, 5), (1, 0, 0), (0, 1, 1),
                   (3, 5, 7), (1, -1, 2), (2, 3, -1), (5, 1, 4), (1, 4, 9))
 
 
-def generator_from_matrices(index: int, a_rows: Mat3, b_rows: Mat3,
-                            verify: bool = True) -> GeneratorData:
+def generator_from_matrices(index: int, a_rows: Mat3,
+                            b_rows: Mat3) -> GeneratorData:
     a_rows = tuple(tuple(int(v) for v in row) for row in a_rows)
     b_rows = tuple(tuple(int(v) for v in row) for row in b_rows)
     if det3(a_rows) == 0:
@@ -246,8 +246,7 @@ def generator_from_matrices(index: int, a_rows: Mat3, b_rows: Mat3,
     inv_base_pts = tuple(normalize_exact(matcol(a_rows, j)) for j in range(3))
     gen = GeneratorData(index, a_rows, b_rows, a_adj, b_adj, fwd,
                         base_pts, inv_base_pts)
-    if verify:
-        _verify_generator(gen)
+    _verify_generator(gen)
     return gen
 
 

@@ -37,14 +37,14 @@ the images' powers, into a per-line term table, so a term then costs one
 scaled add.
 
 Lanes.  `coprime_lanes` runs `coprime` on many triples at once, one per
-row of an array, with a lockstep Euclid (`gcd_lanes` exposes its gcd
-degrees).  The update is free of inverses: u <- lead(v)*u -
-lead(u)*t^k*v with k = deg u - deg v, which cancels u's top coefficient.
-It is the usual remainder step u - (lead(u)/lead(v))*t^k*v multiplied
-by lead(v), a unit of the field, so each gcd along the way, and its
-degree, is kept; the gcd comes out up to a unit.  Both factors of each
-product are residues below P < 2^20, so each product is below 2^40 and
-the difference stays inside int64 until it is reduced mod P.
+row of an array, with a lockstep Euclid.  The update is free of
+inverses: u <- lead(v)*u - lead(u)*t^k*v with k = deg u - deg v, which
+cancels u's top coefficient.  It is the usual remainder step
+u - (lead(u)/lead(v))*t^k*v multiplied by lead(v), a unit of the field,
+so each gcd along the way, and its degree, is kept; the gcd comes out up
+to a unit.  Both factors of each product are residues below P < 2^20, so
+each product is below 2^40 and the difference stays inside int64 until
+it is reduced mod P.
 """
 
 from __future__ import annotations
@@ -271,15 +271,6 @@ def _euclid(u, du: List[int], v, dv: List[int]):
         du = [d - 1 for d in du]
         _normalize(u, du)
         u, v, du, dv = _order(u, v, du, dv)
-
-
-def gcd_lanes(u, v) -> List[int]:
-    """Degree of the gcd of each row pair of two (lanes, k) integer arrays,
-    low to high, as len(gcd(u[i], v[i])) - 1: a zero gcd reads 0, as
-    gcd's [0] does."""
-    width = max(np.shape(u)[1], np.shape(v)[1])
-    _g, deg = _euclid(*_top_first(u, width), *_top_first(v, width))
-    return [max(d, 0) for d in deg]
 
 
 def coprime_lanes(restrictions) -> List[bool]:

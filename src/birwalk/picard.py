@@ -32,17 +32,23 @@ q divides none of them, and once it does, every residue is 0.  So a hop
 with no zero mod q has no zero over the integers, and any zero mod q, a
 table point, a contracted line or a false zero, reruns the hops on the
 integers, which decide it exactly.  A chain end is registered with its
-recipe, the source id and the hops.  A fingerprint no entry holds is a
-new point, kept with its recipe and no integers; an entry with an equal
-recipe is the same integer triple, because transport is deterministic
-and operators compare by identity.  Any other hit, or a chain end whose
-residues all vanish, is built along its recipe and counts only after
-the exact cross-product test ``same_point``; distinct points that share
-a fingerprint fall back to a dict keyed by the canonical form.  The
-registry keeps the first integer representative registered for a point,
-building a recipe's integers on first read, so a representative is the
-triple an all-integer walk would have stored; the canonical form is
-handed out on read.
+recipe, the source id and the hops, and no integers while its
+fingerprint is new.  The registry keeps the first integer representative
+registered for a point and hands out the canonical form on read.
+
+A point's history is its root, the point registered with its integers
+that its recipes lead back to, and their hops, freely reduced; it is
+traced on demand and never stored.  Chain ends of one history are one
+point: every recipe hop met no zero mod q, so none over the integers,
+and a hop with no zero in ``inner * x`` leaves the point off the
+letter's contracted lines, where the inverse letter's hop meets no zero
+either and returns the same point.  So ``carry`` takes a point back
+through the inverse of its recipe's one hop to the recipe's source, and
+a point is built on first read in one loop along its reduced history
+from the nearest point whose integers are held.  Any other fingerprint
+hit, or a chain end whose residues all vanish, is built and counts only
+after the exact cross-product test ``same_point``; distinct points that
+share a fingerprint fall back to a dict keyed by the canonical form.
 
 Exact transport takes one inner product ``v = inner * x`` per hop and
 reads every verdict off its zeros: one zero puts the point on a
@@ -56,7 +62,7 @@ that prime, so the representatives stay within a few percent of the
 canonical bit length.
 
 A chain needs integers only where a hop meets a zero mod q, where its
-end lands on a fingerprint another recipe holds, or where a point is
+end lands on a fingerprint of another history, or where a point is
 read, and a point l letters deep has coordinates of about c * 2^l bits.
 So building stops once a coordinate passes ``BUILD_BITS``: it raises a
 ``DegenerateConfiguration`` that says the event is undecided and names
@@ -64,16 +70,10 @@ the event, the prime and the budget.  A walk reports it as an abort, so
 nothing merges silently at any depth.
 
 Each operator memoises its point images, source id to image id, for
-every pullback transport that succeeds, and files the way back in the
-inverse letter's operator.  The memo is exact: a stored representative
-never changes and transport is deterministic, so a repeat would register
-the very id stored.  The way back is exact too: a hop with no zero in
-``inner * x`` leaves the point off the letter's contracted lines, so the
-inverse letter's hop meets no zero either and returns the same point.
-Without it a cancelling step of the pushforward track would land on the
-old point under a new recipe and build both on the integers.  A
-transport that raises stores nothing, so a point on a contracted line
-raises again.
+every pullback transport that succeeds.  The memo is exact: a stored
+representative never changes and transport is deterministic, so a
+repeat would register the very id stored.  A transport that raises
+stores nothing, so a point on a contracted line raises again.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ class PointRegistry:
 
     def representative(self, pid: int,
                        event: str = "reading a point's coordinates") -> tuple:
-        """The first integer triple registered for the point, built from
-        its recipe on first read; ``event`` names what needed it."""
+        """The first integer triple registered for the point, built along
+        its history on first read; ``event`` names what needed it."""
         coords = self._points[pid]
         if coords is None:
-            coords = self._points[pid] = self._build(*self._recipes[pid],
-                                                     event)
+            coords = self._points[pid] = self._build(
+                *self._history(pid, held=True), event)
         return coords
 
     def _build(self, base: int, hops: tuple, event: str) -> tuple:
@@ -156,6 +156,21 @@ class PointRegistry:
                     f"{projective.FINGERPRINT_P} do not decide it")
         return coords
 
+    def _history(self, pid: int, hops: tuple = (), held: bool = False):
+        """(root, freely reduced hops) of the point ``pid`` carried through
+        ``hops``, or with ``held`` from the nearest point with integers."""
+        word: List[LetterOperator] = []  # newest hop first
+        while True:
+            for op in reversed(hops):
+                if word and word[-1].undoes(op):
+                    word.pop()
+                else:
+                    word.append(op)
+            recipe = self._recipes.get(pid)
+            if recipe is None or held and self._points[pid] is not None:
+                return pid, tuple(reversed(word))
+            pid, hops = recipe
+
     def carry(self, pid: int, hops: tuple) -> int:
         """The id of point ``pid`` transported through ``hops`` in turn.
 
@@ -166,6 +181,9 @@ class PointRegistry:
         """
         if not hops:
             return pid
+        base, last = self._recipes.get(pid, (pid, ()))
+        if len(last) == len(hops) == 1 and hops[0].undoes(last[0]):
+            return base  # the inverse hop takes it back
         residues, q = self._keys[pid], projective.FINGERPRINT_P
         try:
             for op in hops:
@@ -188,7 +206,7 @@ class PointRegistry:
                 self._by_fingerprint[key] = pid = self._append(None, key)
                 self._recipes[pid] = recipe
                 return pid
-            if pid is not None and self._recipes.get(pid) == recipe:
+            if key and self._history(pid) == self._history(*recipe):
                 return pid
             coords = self._build(*recipe, "a fingerprint hit" if key
                                  else "a chain end whose residues all vanish")
@@ -340,6 +358,10 @@ class LetterOperator:
                 raise DegenerateConfiguration(
                     "a table point misses its axis of the inner matrix")
 
+    def undoes(self, other: "LetterOperator") -> bool:
+        """Whether this is the operator of ``other``'s inverse letter."""
+        return self.gen is other.gen and self.sign == -other.sign
+
     # transport of a single carried point by the inverse letter
 
     def transport(self, coords, modulus: Optional[int] = None):
@@ -397,8 +419,6 @@ class LetterOperator:
             new_pid = images.get(pid)
             if new_pid is None:
                 new_pid = images[pid] = reg.carry(pid, (self,))
-                # the inverse letter takes the image straight back
-                reg.operator(self.gen, -self.sign).images[new_pid] = pid
             if new_pid in out:
                 raise DegenerateConfiguration(
                     "transported point collides with another carried point")

@@ -50,10 +50,9 @@ its reduced length stays at most ``INTEGER_NAMES_LEN`` (16); a deeper
 one names them by their fingerprints mod ``FINGERPRINT_P``, which it
 records as ``residue_prime``.
 
-The pushforward track needs no chains at all: the new letter acts
-outermost, so e' is one application of the letter's pushforward
-operator to e, and a cancelling letter undoes its partner exactly,
-taking each point back by the image its partner's operator filed.
+The pushforward track needs no chains: the new letter acts outermost, so
+e' is one application of the letter's pushforward operator to e, and on
+a cancelling letter ``carry`` returns each point to its recipe's source.
 
 The degree invariant (line coefficient equals 2^reduced-length), the
 unit self-intersection, and the nonnegativity of the point

@@ -295,6 +295,23 @@ def test_equidist_bytes_do_not_depend_on_out_dir(tmp_path, generators_file):
     assert "out_dir" not in load_json(short / "equidist.json")["config"]
 
 
+def test_equidist_depth_six_documents_are_frozen(tmp_path, generators_file):
+    # sha256 of both documents on the seed-2 itinerary: the rows, their
+    # float distances to the last bit, and the document layout
+    out = tmp_path / "eq"
+    assert main(["equidist", "--generators", str(generators_file),
+                 "--seed", "2", "--max-len", "6",
+                 "--out-dir", str(out)]) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("equidist.json", "equidist.csv")}
+    assert digests == {
+        "equidist.json": "07cd2861d80707e24f0339ce78bbfe98"
+                         "1837b5a1a8ff92b17ed5cf022ec51315",
+        "equidist.csv": "39ce60a3e75eda22e4bda78aa1f6bd4c"
+                        "696d88a5557386db0427e839f4449880",
+    }
+
+
 def test_equidist_contracted_curve_warns(tmp_path, generators_file,
                                          certified_tuple, capsys):
     # the first stepped letter contracts the lines cut out by its inner

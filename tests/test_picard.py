@@ -30,6 +30,7 @@ from birwalk.picard import (
 from birwalk.walk import WalkState, crosscheck_words, run_walk
 
 from form_oracles import cross
+from spies import integer_work
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -594,10 +595,11 @@ def test_degenerate_transport_raises_again_on_repeat():
     assert op.images == {y: reg.register((1, 2, 2))}
 
 
-def test_pullback_files_each_image_in_the_inverse_operator(certified_tuple,
-                                                           monkeypatch):
-    # pulling back by a letter and then by its inverse returns every point
-    # by the filed image: the way back carries nothing
+def test_cancelling_carry_returns_the_source(certified_tuple, monkeypatch):
+    # pulling back by a letter and then by its inverse takes every carried
+    # point back to its recipe's source: a hop that met no zero is undone
+    # by the inverse hop, so the way back transports nothing, and each
+    # pullback writes only its own operator's images
     reg = PointRegistry()
     state = WalkState(certified_tuple, registry=reg)
     for letter in ((0, 1), (1, 1), (0, -1), (1, 1)):
@@ -605,21 +607,90 @@ def test_pullback_files_each_image_in_the_inverse_operator(certified_tuple,
     cls = state.pull_class
     op = reg.operator(certified_tuple[1], -1)
     back = reg.operator(certified_tuple[1], 1)
+
+    def other_images(own):
+        return {key: dict(o.images) for key, o in reg._operators.items()
+                if o is not own}
+
+    untouched = other_images(op)
     image = op.pullback(cls)
+    assert other_images(op) == untouched
     moved = {pid: op.images[pid] for pid in cls.point_part
              if pid not in op.table_ids}
-    assert moved and all(back.images[new] == pid
+    assert moved and all(reg._recipes[new] == (pid, (op,))
                          for pid, new in moved.items())
-    carried = []
-    carry = PointRegistry.carry
+    transported = []
+    transport = LetterOperator.transport
 
-    def counted(self, pid, hops):
-        carried.append(pid)
-        return carry(self, pid, hops)
+    def counted(self, coords, modulus=None):
+        transported.append(coords)
+        return transport(self, coords, modulus)
 
-    monkeypatch.setattr(PointRegistry, "carry", counted)
+    monkeypatch.setattr(LetterOperator, "transport", counted)
+    untouched = other_images(back)
     assert back.pullback(image) == cls
-    assert carried == []
+    assert other_images(back) == untouched
+    assert all(reg.carry(new, (back,)) == pid for pid, new in moved.items())
+    assert transported == []
+
+
+# -- histories ---------------------------------------------------------------
+
+
+def test_cancelling_histories_land_on_the_chain_end(certified_tuple):
+    # a walk's chain carries a base point of the newest letter down the
+    # stack in one carry; every route whose hops reduce freely to that
+    # chain's is the same point, decided on residues alone
+    reg = PointRegistry()
+    state = WalkState(certified_tuple, registry=reg)
+    for letter in ((0, 1), (1, 1), (0, 1)):
+        state.step(letter)
+    top = state.stack[-1]
+    hops = tuple(e.pull_op for e in reversed(state.stack[:-1]))
+    (end, _), = top.chained[0].point_part.items()
+    base = top.pull_op.base_ids[0]
+    assert reg._recipes[end] == (base, hops)
+    a, b = hops
+    x, x_inv = (reg.operator(certified_tuple[1], s) for s in (1, -1))
+    with integer_work() as work:
+        assert reg.carry(base, (a, b, x, x_inv)) == end
+        assert reg.carry(reg.carry(base, (a, x)), (x_inv, b)) == end
+        assert reg.carry(reg.carry(reg.carry(base, (a, b)), (x,)),
+                         (x_inv,)) == end
+        point = base  # a word pulled back letter by letter
+        for op in (x, x_inv, a, x_inv, x, b):
+            point = reg.carry(point, (op,))
+        assert point == end
+    assert work == ([], [])
+
+
+def test_crosscheck_takes_no_integer_work(certified_tuple):
+    # the forward classes reach the chain ends of the pullback track by
+    # other routes with the same histories (1,656 integer hops and 900
+    # builds when identity asked for equal recipes)
+    with integer_work() as work:
+        counts, failures = crosscheck_words(certified_tuple, 4)
+    assert failures == [] and counts["degree"] > 0
+    assert work == ([], [])
+
+
+def test_reading_a_deep_chain_is_undecided_not_a_recursion(certified_tuple,
+                                                          monkeypatch):
+    # a point 1,200 recipe links deep is built by one loop along its
+    # history, which stops at the build budget; a budget of 4,096 bits
+    # stops it within a few letters, where 2^22 takes seconds
+    monkeypatch.setattr(picard, "BUILD_BITS", 1 << 12)
+    reg = PointRegistry()
+    ops = [reg.operator(certified_tuple[g], 1) for g in (0, 1)]
+    cls = WeilClass.exceptional_class(reg.register((1, 2, 3)))
+    for i in range(1200):
+        cls = ops[i % 2].pullback(cls)
+    (deep, _), = cls.point_part.items()
+    with pytest.raises(DegenerateConfiguration) as refused:
+        reg.coords_of(deep)
+    assert str(refused.value).startswith(
+        "undecided: reading a point's coordinates needs integers past the "
+        "build budget")
 
 
 def test_residue_names_are_the_fingerprints_of_the_integers(certified_tuple):
