@@ -16,7 +16,6 @@ from .config import (
     dump_json,
     generators_from_jsonable,
     generators_to_jsonable,
-    load_config,
     load_json,
 )
 from .curves import (

@@ -3,8 +3,9 @@
 Exit codes: 0 means every check passed or was cleanly skipped, 1 means a
 mathematical degeneracy aborted the computation (a property of the
 configuration, not a bug), 2 means an invariant that should hold for any
-input failed.  All outputs are JSON and CSV with sorted keys and no
-wall-clock fields, so identical configurations produce identical bytes.
+input failed, or an input was unreadable or malformed (one stderr line).
+All outputs are JSON and CSV with sorted keys and no wall-clock fields,
+so identical configurations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .config import (
     RunConfig,
     build_generators,
     certificate_to_jsonable,
+    config_from_dict,
     dump_json,
     dumps_json,
     embedded_config,
     generators_from_jsonable,
     generators_to_jsonable,
-    load_config,
     load_json,
     stamp,
 )
@@ -36,7 +37,6 @@ from .curves import (
     write_equidist_csv,
 )
 from .errors import (
-    CurveContracted,
     DegenerateConfiguration,
     DegreeCapExceeded,
     IncompatibleArtifacts,
@@ -58,12 +58,14 @@ EXIT_INVARIANT = 2
 
 
 class MalformedDocument(Exception):
-    """A malformed input document: ``main`` prints it and exits 2."""
+    """An unreadable or malformed input: ``main`` prints it and exits 2."""
 
 
 def _read_json(path) -> dict:
     try:
         doc = load_json(path)
+    except OSError as exc:
+        raise MalformedDocument(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise MalformedDocument(f"{path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -88,7 +90,15 @@ def _config_from_args(args) -> RunConfig:
             overrides[name] = value
     if getattr(args, "no_classes", False):
         overrides["track_classes"] = False
-    return load_config(args.config, overrides)
+    try:
+        config = RunConfig() if args.config is None \
+            else config_from_dict(_read_json(args.config))
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"invalid config {args.config}: {exc}") from None
+    try:
+        return dataclasses.replace(config, **overrides)
+    except ValueError as exc:
+        raise MalformedDocument(f"invalid options: {exc}") from None
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -305,49 +315,46 @@ def cmd_compare(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+# option -> its add_argument keywords; --checkpoint-every sets checkpoint_every
+_OPTIONS = {
+    "config": {"help": "JSON config file (defaults otherwise)"},
+    **{name: {"type": int} for name in ("r", "height", "seed", "steps",
+                                        "trials", "checkpoint-every",
+                                        "max-len")},
+    "out-dir": {},
+    "out": {"default": "generators.json"},
+    "generators": {"required": True},
+    "no-classes": {"action": "store_true",
+                   "help": "pure length bookkeeping (fast drift runs)"},
+    "curve": {"help": "defining form, e.g. 'x + y + z'"},
+}
+
+# command -> (handler, help, the options it reads)
+_COMMANDS = {
+    "sample": (cmd_sample, "sample and certify a generator tuple",
+               ("config", "r", "height", "seed", "max-len", "out")),
+    "walk": (cmd_walk, "run random walk trials",
+             ("config", "generators", "seed", "steps", "trials",
+              "checkpoint-every", "out-dir", "no-classes")),
+    "crosscheck": (cmd_crosscheck,
+                   "verify class calculus against polynomials",
+                   ("config", "generators", "max-len", "out-dir")),
+    "equidist": (cmd_equidist, "curve pullback distance series",
+                 ("config", "generators", "seed", "max-len", "out-dir",
+                  "curve")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="birwalk",
         description="exact random products of plane birational maps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None,
-                       help="JSON config file (defaults otherwise)")
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--height", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--checkpoint-every", dest="checkpoint_every",
-                       type=int, default=None)
-        p.add_argument("--max-len", dest="max_len", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-
-    p = sub.add_parser("sample", help="sample and certify a generator tuple")
-    common(p)
-    p.add_argument("--out", default="generators.json")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("walk", help="run random walk trials")
-    common(p)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--no-classes", dest="no_classes", action="store_true",
-                   help="pure length bookkeeping (fast drift runs)")
-    p.set_defaults(func=cmd_walk)
-
-    p = sub.add_parser("crosscheck",
-                       help="verify class calculus against polynomials")
-    common(p)
-    p.add_argument("--generators", required=True)
-    p.set_defaults(func=cmd_crosscheck)
-
-    p = sub.add_parser("equidist", help="curve pullback distance series")
-    common(p)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--curve", default=None,
-                   help="defining form, e.g. 'x + y + z'")
-    p.set_defaults(func=cmd_equidist)
+    for name, (func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="pair boundary classes of two runs")
     p.add_argument("artifact_a")

@@ -14,7 +14,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .genericity import GenericityReport
@@ -55,10 +55,14 @@ class RunConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("need at least one generator")
+        if self.height < 1:
+            raise ValueError("height must be positive")
         if self.steps < 0 or self.trials < 0:
             raise ValueError("steps and trials must be nonnegative")
         if self.max_len < 0:
             raise ValueError("max_len must be nonnegative")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be nonnegative")
         if self.trial_seeds is not None:
             object.__setattr__(self, "trial_seeds", tuple(self.trial_seeds))
             if len(self.trial_seeds) < self.trials:
@@ -117,17 +121,6 @@ def config_from_dict(data: dict) -> RunConfig:
     if kwargs.get("trial_seeds") is not None:
         kwargs["trial_seeds"] = tuple(kwargs["trial_seeds"])
     return RunConfig(**kwargs)
-
-
-def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
-    if path is None:
-        config = RunConfig()
-    else:
-        with open(path) as fh:
-            config = config_from_dict(json.load(fh))
-    if overrides:
-        config = replace(config, **overrides)
-    return config
 
 
 def build_generators(config: RunConfig) -> Tuple[GeneratorData, ...]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import modp
 from .errors import (CurveContracted, DegenerateConfiguration, DegreeCapExceeded,
@@ -216,7 +216,7 @@ class StageStricts:
         self.gens = gens
         self.comps = IDENTITY_COMPONENTS
         self.candidates: List[HomPoly] = []
-        self._cand_images: List[Optional[List[int]]] = []
+        self._cand_images: List[List[int]] = []
 
     @property
     def word_degree(self) -> int:

@@ -7,8 +7,7 @@ t, low to high.  Reduction mod P is trusted only for what it proves:
 nonzero, coprime, or not divisible.  Every other answer is left to exact
 arithmetic.
 
-Why these verdicts are sound.  Take forms with rational coefficients
-none of whose denominators P divides (`residue` abstains otherwise), and
+Why these verdicts are sound.  Take forms with integer coefficients and
 a line whose images of x, y, z are integer linear forms.  Restriction to
 the line is a ring map: it keeps products, and it sends a form of degree
 d to a binary form of degree d or to zero.
@@ -16,8 +15,8 @@ d to a binary form of degree d or to zero.
 * Nonzero.  A nonzero restriction comes from a nonzero form, which,
   being homogeneous, keeps its full degree.
 * Coprime.  A common factor h of the forms can be taken primitive over
-  the integers; by Gauss's lemma each cofactor then has no P in its
-  denominators, so h mod P is a nonzero form of the same degree and
+  the integers; by Gauss's lemma each cofactor then has integer
+  coefficients, so h mod P is a nonzero form of the same degree and
   h|_L divides every restriction mod P.  Either h|_L vanishes mod P (and
   so does every restriction), or it is a nonzero binary form of positive
   degree.  As a polynomial in t it then has positive degree (and divides
@@ -25,10 +24,11 @@ d to a binary form of degree d or to zero.
   loses its top coefficient, the one of t^d).  So nonzero restrictions,
   not all missing their top coefficient, with a constant gcd prove the
   forms coprime.
-* Not divisible.  If g divides f, the quotient has no P in its
-  denominators, so g|_L divides f|_L mod P, and as a polynomial in t too
-  whenever g|_L keeps its top coefficient.  A nonzero remainder then
-  proves g does not divide f.
+* Not divisible.  If g divides f, so does its primitive part, with an
+  integer cofactor by Gauss's lemma.  g|_L is that part's restriction
+  times the content of g, so whenever it keeps its top coefficient it
+  divides f|_L mod P, as a polynomial in t too.  A nonzero remainder
+  then proves g does not divide f.
 
 The lines of `CERT_LINES` send each variable to t, s or 0, so a term
 lands on one index.  `FILTER_LINE` sends each variable to a mix of s and
@@ -49,7 +49,7 @@ it is reduced mod P.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -79,15 +79,6 @@ _POWERS: Dict[tuple, List[List[np.ndarray]]] = {}
 _TERMS: Dict[tuple, Dict[tuple, np.ndarray]] = {}
 
 
-def residue(c) -> Optional[int]:
-    """The residue of an int or Fraction mod P; None when P divides the
-    denominator, which means abstain."""
-    den = c.denominator % P
-    if not den:
-        return None
-    return c.numerator * pow(den, -1, P) % P
-
-
 def _powers(line, d: int):
     tables = _POWERS.setdefault(line, [[np.ones(1, dtype=np.int64)]
                                        for _ in range(3)])
@@ -98,33 +89,26 @@ def _powers(line, d: int):
     return tables
 
 
-def restrict(p, line) -> Optional[List[int]]:
-    """Residues of the restriction of the HomPoly p to the line, by power
-    of t (length p.degree + 1); None when a coefficient has no residue."""
+def restrict(p, line) -> List[int]:
+    """Residues of the restriction of the integer HomPoly p to the line,
+    by power of t (length p.degree + 1)."""
     d = p.degree
     if all(image in (_T, _S, _O) for image in line):
         t_vars = [v for v, image in enumerate(line) if image == _T]
         zero_vars = [v for v, image in enumerate(line) if image == _O]
         out = [0] * (d + 1)
         for e, c in p.terms:
-            r = residue(c)
-            if r is None:
-                return None
             if not any(e[v] for v in zero_vars):
-                out[sum(e[v] for v in t_vars)] += r
+                out[sum(e[v] for v in t_vars)] += c
         return [v % P for v in out]
     pows = _powers(line, d)
     table = _TERMS.setdefault(line, {})
     acc = np.zeros(d + 1, dtype=np.int64)
     for n, (e, c) in enumerate(p.terms, 1):
-        r = residue(c)
-        if r is None:
-            return None
-        vec = table.get(e)
-        if vec is None:
-            vec = table[e] = np.convolve(np.convolve(
+        if e not in table:
+            table[e] = np.convolve(np.convolve(
                 pows[0][e[0]], pows[1][e[1]]) % P, pows[2][e[2]]) % P
-        acc += r * vec  # below 2^40 per term: 2^22 terms fit in int64
+        acc += c % P * table[e]  # below 2^40 per term: 2^22 terms fit in int64
         if not n % (1 << 22):
             acc %= P
     return (acc % P).tolist()
@@ -136,51 +120,44 @@ def _trim(a: list) -> list:
     return a
 
 
+def _rem(u: List[int], v: List[int]) -> List[int]:
+    """Remainder of u by v (top coefficient nonzero) over the prime field,
+    untrimmed: the coefficients of t^0 .. t^(deg v - 1)."""
+    r = list(u)
+    dv = len(v) - 1
+    inv = pow(v[-1], -1, P)
+    for top in range(len(r) - 1, dv - 1, -1):
+        f = r[top] * inv % P
+        if f:
+            off = top - dv
+            for idx, bv in enumerate(v):
+                r[idx + off] = (r[idx + off] - f * bv) % P
+    return r[:dv]
+
+
 def gcd(u: Sequence[int], v: Sequence[int]) -> List[int]:
     """Gcd of univariate coefficient lists (low to high) over the prime field."""
     u = _trim([x % P for x in u])
     v = _trim([x % P for x in v])
+    if len(u) < len(v):
+        u, v = v, u
     while v:
-        if len(u) < len(v):
-            u, v = v, u
-            continue
-        inv = pow(v[-1], -1, P)
-        r = list(u)
-        while len(r) >= len(v):
-            f = (r[-1] * inv) % P
-            off = len(r) - len(v)
-            if f:
-                for idx, bv in enumerate(v):
-                    r[idx + off] = (r[idx + off] - f * bv) % P
-            r.pop()
-            _trim(r)
-        u, v = v, _trim(r)
+        u, v = v, _trim(_rem(u, v))
     return u if u else [0]
 
 
-def divides(f: Optional[List[int]], g: Optional[List[int]]) -> bool:
+def divides(f: List[int], g: List[int]) -> bool:
     """False proves the form restricted to g does not divide the one
     restricted to f.  True is no verdict: g's restriction divides f's, or
-    a restriction abstained (None) or lost its top coefficient."""
-    if f is None or g is None or not f[-1] or not g[-1]:
-        return True
-    rem = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, P)
-    for top in range(len(rem) - 1, dg - 1, -1):
-        q = rem[top] * inv_lead % P
-        if q:
-            off = top - dg
-            for idx in range(dg + 1):
-                rem[off + idx] = (rem[off + idx] - q * g[idx]) % P
-    return not any(rem[:dg])
+    a restriction lost its top coefficient."""
+    return not f[-1] or not g[-1] or not any(_rem(f, g))
 
 
-def coprime(restrictions: Sequence[Optional[List[int]]]) -> bool:
+def coprime(restrictions: Sequence[List[int]]) -> bool:
     """True proves the forms behind the restrictions (all to one line)
     coprime; False is no verdict."""
-    if not all(r is not None and any(r) for r in restrictions):
-        return False  # a restriction abstained, or the line lies in a zero set
+    if not all(any(r) for r in restrictions):
+        return False  # the line lies in a zero set
     if not any(r[-1] for r in restrictions):
         return False  # the restrictions share the line's point at infinity
     g = restrictions[0]

@@ -270,9 +270,6 @@ class WeilClass:
     def self_intersection(self) -> int:
         return self.line_coeff ** 2 - sum(c * c for c in self.point_part.values())
 
-    def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.point_part))
-
     def __eq__(self, other):
         if not isinstance(other, WeilClass):
             return NotImplemented

@@ -409,6 +409,9 @@ def certainly_coprime(*polys: HomPoly) -> bool:
     for v in (0, 1, 2):
         if all(min(e[v] for e, _ in p.terms) > 0 for p in ps):
             return False  # shared monomial factor
+    # modp takes integer forms, and scaling changes no coprimality
+    ps = [p if all(type(c) is int for _, c in p.terms)
+          else p.scale(_ilcm(*(c.denominator for _, c in p.terms))) for p in ps]
     for line in (*modp.CERT_LINES.values(), modp.FILTER_LINE):
         if modp.coprime([modp.restrict(p, line) for p in ps]):
             return True

@@ -61,17 +61,16 @@ def normalize_exact(coords) -> ExactCoords:
 FINGERPRINT_P = 1073741789  # the largest prime below 2^30
 
 
-def fingerprint(coords, p: Optional[int] = None) -> Optional[ExactCoords]:
+def fingerprint(coords) -> Optional[ExactCoords]:
     """Scale-free key of an integer triple: its residues mod the prime p,
-    by default ``FINGERPRINT_P`` as it stands at the call, divided by the
-    first nonzero residue.
+    ``FINGERPRINT_P`` as it stands at the call, divided by the first
+    nonzero residue.
 
     A triple and its multiples by a scalar prime to p share the key;
     distinct points may share it too, so in the exact registry a hit is
     only a candidate for ``same_point``.  None when every residue is 0.
     """
-    if p is None:
-        p = FINGERPRINT_P
+    p = FINGERPRINT_P
     x, y, z = coords
     x %= p
     y %= p

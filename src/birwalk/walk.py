@@ -162,7 +162,6 @@ class WalkState:
         self.n = 0
         self.pull_class = WeilClass.line_class() if track_classes else None
         self.push_class = WeilClass.line_class() if track_pushforward else None
-        self.itinerary: List[Letter] = []
 
     @property
     def reduced_len(self) -> int:
@@ -232,41 +231,48 @@ class WalkState:
         return top.popped
 
     def step(self, letter: Letter) -> None:
-        self.itinerary.append(letter)
+        """One letter onto the walk.  The state changes only once the
+        step's invariants hold: a step that raises leaves the last
+        completed one in place."""
         cancelling = bool(self.stack) and \
             letter == _inverse_letter(self.stack[-1].letter)
+        pull, push = self.pull_class, self.push_class
         if cancelling:
-            entry = self.stack.pop()
+            entry = self.stack[-1]
             if self.track_classes:
-                self.pull_class = self._disassemble(self.pull_class,
-                                                    entry.chained)
-                self._popped_here()[entry.letter] = entry
+                pull = self._disassemble(pull, entry.chained)
         elif self.track_classes:
             entry = self._popped_here().get(letter)
             if entry is None:
                 pull_op = self._op(letter)
                 entry = _StackEntry(letter, pull_op,
                                     self._chained_base_classes(pull_op))
-            self.pull_class = self._assemble(self.pull_class, entry.chained)
-            self.stack.append(entry)
+            pull = self._assemble(pull, entry.chained)
         else:
-            self.stack.append(_StackEntry(letter, None, None))
+            entry = _StackEntry(letter, None, None)
         if self.track_pushforward:
             # the new letter acts outermost on the pushforward track, and a
             # cancelling letter's operator undoes its partner exactly
-            fwd = self._op(_inverse_letter(letter))
-            self.push_class = fwd.pullback(self.push_class)
-        self.n += 1
+            push = self._op(_inverse_letter(letter)).pullback(push)
         # a mismatch here means overlapping indeterminacy collapsed the
         # degree: the generator tuple is not generic along the walked word
-        expect = 1 << len(self.stack)
-        if self.track_classes and self.pull_class.line_coeff != expect:
+        depth = len(self.stack) + (-1 if cancelling else 1)
+        expect = 1 << depth
+        if self.track_classes and pull.line_coeff != expect:
             raise DegenerateConfiguration(
-                f"degree invariant broken at step {self.n}: line coefficient "
-                f"{self.pull_class.line_coeff} vs reduced length {len(self.stack)}")
-        if self.push_class is not None and self.push_class.line_coeff != expect:
+                f"degree invariant broken at step {self.n + 1}: line "
+                f"coefficient {pull.line_coeff} vs reduced length {depth}")
+        if push is not None and push.line_coeff != expect:
             raise DegenerateConfiguration(
-                f"pushforward degree invariant broken at step {self.n}")
+                f"pushforward degree invariant broken at step {self.n + 1}")
+        if cancelling:
+            self.stack.pop()
+            if self.track_classes:
+                self._popped_here()[entry.letter] = entry
+        else:
+            self.stack.append(entry)
+        self.pull_class, self.push_class = pull, push
+        self.n += 1
 
 
 # -- crosscheck tree ------------------------------------------------------

@@ -159,7 +159,6 @@ def test_criterion_04_every_short_word_class_satisfies_the_two_identities(
                 visit(depth + 1)
             state.step(_inv(letter))
             prefix.pop()
-            del state.itinerary[-2:]
 
     visit(1)
     assert seen == reduced_word_count(2, 6) == 1456

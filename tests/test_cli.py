@@ -140,6 +140,21 @@ def test_walk_abort_sets_degenerate_exit(tmp_path, sigma_pair_file, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_an_aborted_trial_is_written_at_its_last_completed_step(
+        tmp_path, sigma_pair_file):
+    # trial 0 fails at step 2: its document describes step 1, whose
+    # reduced length is the last row of its CSV
+    out = tmp_path / "run"
+    assert main(["walk", "--generators", str(sigma_pair_file), "--steps", "6",
+                 "--trials", "2", "--out-dir", str(out)]) == EXIT_DEGENERATE
+    trial = load_json(out / "artifact.json")["trials"][0]
+    assert (trial["aborted_at"], trial["steps_done"]) == (2, 1)
+    with open(out / f"walk_trial00_seed{trial['seed']}.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert trial["final_reduced_len"] == int(last["reduced_len"]) == 1
+    assert trial["final_support_size"] == 3
+
+
 def test_walk_no_classes_runs_long(tmp_path, generators_file):
     out = tmp_path / "run"
     code = main(["walk", "--generators", str(generators_file),
@@ -279,9 +294,9 @@ def test_equidist_writes_series(tmp_path, generators_file):
 
 
 def test_equidist_bytes_do_not_depend_on_out_dir(tmp_path, generators_file):
-    # one run names its directory in a config file, the other passes a
-    # longer one on the command line; where a document goes is not part
-    # of the run, so both write the same bytes
+    # one run names its directory in a config file, the other overrides it
+    # with a longer one on the command line; where a document goes is not
+    # part of the run, so both write the same bytes
     short = tmp_path / "a"
     config = tmp_path / "config.json"
     dump_json(config, config_to_dict(RunConfig(out_dir=str(short))))
@@ -289,7 +304,8 @@ def test_equidist_bytes_do_not_depend_on_out_dir(tmp_path, generators_file):
     argv = ["equidist", "--generators", str(generators_file),
             "--seed", "2", "--max-len", "3"]
     assert main(argv + ["--config", str(config)]) == EXIT_OK
-    assert main(argv + ["--out-dir", str(long)]) == EXIT_OK
+    assert main(argv + ["--config", str(config),
+                        "--out-dir", str(long)]) == EXIT_OK
     for name in ("equidist.json", "equidist.csv"):
         assert (short / name).read_bytes() == (long / name).read_bytes()
     assert "out_dir" not in load_json(short / "equidist.json")["config"]
@@ -480,8 +496,9 @@ def test_a_non_generator_document_exits_invariant(tmp_path, capsys, doc,
                                                   command):
     path = tmp_path / "not_generators.json"
     dump_json(path, doc)
-    code = main([command, "--generators", str(path), "--max-len", "2",
-                 "--steps", "2", "--out-dir", str(tmp_path / "out")])
+    depth = ["--steps", "2"] if command == "walk" else ["--max-len", "2"]
+    code = main([command, "--generators", str(path), *depth,
+                 "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
     assert str(path) in _one_stderr_line(capsys)
 
@@ -491,6 +508,75 @@ def test_a_generators_file_that_is_not_json_exits_invariant(tmp_path, capsys):
     path.write_text('{"format": ')
     assert main(["walk", "--generators", str(path)]) == EXIT_INVARIANT
     assert "is not JSON" in _one_stderr_line(capsys)
+
+
+@pytest.mark.parametrize("case", [
+    "config_not_json", "config_not_an_object", "config_unknown_field",
+    "config_retired_field", "negative_steps", "zero_height",
+    "negative_checkpoints", "missing_config", "missing_generators",
+    "missing_artifact"])
+def test_unreadable_or_malformed_input_exits_invariant(tmp_path, capsys,
+                                                       generators_file, case):
+    config = tmp_path / "config.json"
+    texts = {"config_not_json": '{"steps": ', "config_not_an_object": "[1, 2]",
+             "config_unknown_field": '{"bogus": 1}',
+             "config_retired_field": '{"mode": "exact"}'}
+    if case in texts:
+        config.write_text(texts[case])
+    missing = str(tmp_path / "absent.json")
+    walk = ["walk", "--generators", str(generators_file),
+            "--out-dir", str(tmp_path / "out")]
+    argv, named = {
+        "negative_steps": (walk + ["--steps", "-1"], "steps"),
+        "zero_height": (["sample", "--height", "0"], "height"),
+        "negative_checkpoints": (walk + ["--checkpoint-every", "-3"],
+                                 "checkpoint_every"),
+        "missing_config": (walk + ["--config", missing], missing),
+        "missing_generators": (["crosscheck", "--generators", missing],
+                               missing),
+        "missing_artifact": (["compare", missing, missing], missing),
+    }.get(case, (walk + ["--config", str(config)], str(config)))
+    assert main(argv) == EXIT_INVARIANT
+    line = _one_stderr_line(capsys)
+    assert named in line
+    if case.endswith("field"):
+        assert ("bogus" if "unknown" in case else "mode") in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--steps", "2"], ["crosscheck", "--seed", "2"],
+    ["walk", "--r", "3"], ["walk", "--max-len", "2"],
+    ["equidist", "--trials", "2"], ["sample", "--out-dir", "x"]])
+def test_a_command_refuses_an_option_it_does_not_read(generators_file, capsys,
+                                                      argv):
+    if argv[0] != "sample":
+        argv = argv + ["--generators", str(generators_file)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_compare_of_walks_whose_replay_aborts_exits_degenerate(
+        tmp_path, sigma_pair_file, capsys):
+    out = tmp_path / "run"
+    assert main(["walk", "--generators", str(sigma_pair_file), "--steps", "4",
+                 "--out-dir", str(out)]) == EXIT_DEGENERATE
+    capsys.readouterr()
+    art = str(out / "artifact.json")
+    assert main(["compare", art, art]) == EXIT_DEGENERATE
+    assert "replay aborted at step" in _one_stderr_line(capsys)
+
+
+def test_compare_of_an_artifact_without_trials_exits_invariant(
+        tmp_path, generators_file, capsys):
+    out = tmp_path / "empty"
+    assert main(["walk", "--generators", str(generators_file),
+                 "--trials", "0", "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    art = str(out / "artifact.json")
+    assert main(["compare", art, art]) == EXIT_INVARIANT
+    assert "no trials to compare" in _one_stderr_line(capsys)
 
 
 def test_compare_needs_class_tracking(tmp_path, generators_file, capsys):

@@ -21,7 +21,6 @@ from birwalk.config import (
     embedded_config,
     generators_from_jsonable,
     generators_to_jsonable,
-    load_config,
     load_json,
 )
 from birwalk.maps import sample_generators
@@ -84,14 +83,6 @@ def test_walk_seeds_derived_from_base_seed():
 def test_walk_seeds_explicit_list_truncated():
     config = RunConfig(trials=2, trial_seeds=(9, 8, 7))
     assert config.walk_seeds() == (9, 8)
-
-
-def test_load_config_with_overrides(tmp_path):
-    path = tmp_path / "config.json"
-    dump_json(path, config_to_dict(RunConfig(seed=5, steps=30)))
-    config = load_config(path, {"steps": 7, "checkpoint_every": 2})
-    assert (config.seed, config.steps, config.checkpoint_every) == (5, 7, 2)
-    assert load_config(None, None) == RunConfig()
 
 
 def test_build_generators_from_explicit_matrices():

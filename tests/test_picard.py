@@ -293,7 +293,6 @@ def test_coefficient_l2_diff_integer_scales_match_float_scales():
 def test_zero_coefficients_dropped():
     c = WeilClass(3, {0: 0, 1: 2})
     assert c.point_part == {1: 2}
-    assert c.support() == (1,)
 
 
 # -- involution operator: frozen table behaviour ------------------------
@@ -305,7 +304,7 @@ def test_involution_pullback_of_line():
     c = op.pullback(WeilClass.line_class())
     assert c.line_coeff == 2
     assert sorted(c.point_part.values()) == [1, 1, 1]
-    assert set(c.support()) == set(op.base_ids)
+    assert set(c.point_part) == set(op.base_ids)
     assert c.self_intersection() == 1
 
 
@@ -333,7 +332,7 @@ def test_involution_moves_generic_point():
     x = reg.register((2, 1, 1))
     moved = op.pullback(WeilClass.exceptional_class(x))
     assert moved.line_coeff == 0
-    (pid,) = moved.support()
+    (pid,) = moved.point_part
     assert reg.coords_of(pid) == (1, 2, 2)
     assert moved.point_part[pid] == -1
 
@@ -451,6 +450,20 @@ def test_chained_table_hit_fans_out():
     state.step((0, 1))
     with pytest.raises(DegenerateConfiguration,
                        match="line coefficient 1 vs reduced length 2"):
+        state.step((0, 1))
+
+
+def test_table_hit_mid_chain_fans_out_through_the_hops_below():
+    # on the word sigma sigma g the top sigma's base points hit the table of
+    # the sigma below it, and the fan-out is then pulled back through g: the
+    # class gets line coefficient 2, the true degree of sigma o sigma o g
+    (g,) = sample_generators(1, 5, random.Random(3))
+    state = WalkState((sigma_generator(),
+                       generator_from_matrices(1, g.a_rows, g.b_rows)))
+    state.step((1, 1))
+    state.step((0, 1))
+    with pytest.raises(DegenerateConfiguration,
+                       match="line coefficient 2 vs reduced length 3"):
         state.step((0, 1))
 
 

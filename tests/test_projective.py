@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from birwalk import projective
 from birwalk.errors import IndeterminatePoint
 from birwalk.projective import (
     FINGERPRINT_P,
@@ -99,13 +100,14 @@ def test_fingerprint_is_scale_free_and_same_point_is_exact(pt, k, i):
 
 # any prime works; the second is the Mersenne prime 2^61 - 1
 @pytest.mark.parametrize("p", [FINGERPRINT_P, (1 << 61) - 1])
-def test_fingerprint_is_the_residue_triple_led_by_one(p):
-    assert fingerprint((2, 4, 6), p) == (1, 2, 3)
-    assert fingerprint((0, -3, 6), p) == (0, 1, p - 2)
-    assert fingerprint((0, 0, -5), p) == (0, 0, 1)
-    assert fingerprint((p, 2 * p, 3 * p), p) is None
+def test_fingerprint_is_the_residue_triple_led_by_one(p, monkeypatch):
+    monkeypatch.setattr(projective, "FINGERPRINT_P", p)
+    assert fingerprint((2, 4, 6)) == (1, 2, 3)
+    assert fingerprint((0, -3, 6)) == (0, 1, p - 2)
+    assert fingerprint((0, 0, -5)) == (0, 0, 1)
+    assert fingerprint((p, 2 * p, 3 * p)) is None
     # inverting the lead residue: 3 * (1, y, z) has residues (3, 1, 2)
-    x, y, z = fingerprint((3, 1, 2), p)
+    x, y, z = fingerprint((3, 1, 2))
     assert (x, 3 * y % p, 3 * z % p) == (1, 1, 2)
 
 

@@ -631,6 +631,21 @@ def test_walk_stops_at_an_abort_and_records_it():
     assert report.aborted.startswith("degree invariant broken at step 2")
 
 
+def test_an_aborted_walk_reports_its_last_completed_step():
+    # walk seed 1 on the sigma pair fails at step 4: what the report calls
+    # final is step 3's reduced length and classes, not the failed step's
+    report = run_walk(_sigma_pair(), 6, seed=1, checkpoint_every=1,
+                      keep_classes=True, track_pushforward=True)
+    assert report.aborted_at == 4 and report.steps_done == 3
+    assert report.final_reduced_len == report.rows[-1].reduced_len == 1
+    for cls in (report.final_class, report.final_push_class):
+        assert cls.line_coeff == 1 << report.final_reduced_len
+        assert cls.self_intersection() == 1
+    n, _, cls, push = report.checkpoint_classes[-1]
+    assert n == 3 and (cls, push) == (report.final_class,
+                                      report.final_push_class)
+
+
 # -- artifacts ----------------------------------------------------------
 
 
