@@ -10,6 +10,8 @@ cancellation-free itinerary the distance column follows
 sqrt(4^-l - 4^-L) on the nose, so the printed series is also a quick
 visual check of full genericity.  A seed whose series passes the degree
 cap prints the prefix, the degree and the cap, and the script goes on.
+A series that ends at the first prefix contracting the whole curve is
+printed with a note naming that prefix.
 """
 
 import argparse
@@ -18,8 +20,7 @@ import random
 import sys
 
 from birwalk.curves import PlaneCurve, equidist_diagnostic, write_equidist_csv
-from birwalk.errors import (CurveContracted, DegenerateConfiguration,
-                            DegreeCapExceeded)
+from birwalk.errors import DegenerateConfiguration, DegreeCapExceeded
 from birwalk.maps import sample_generators
 from birwalk.walk import random_itinerary
 
@@ -50,8 +51,7 @@ def main(argv=None):
         try:
             rows = equidist_diagnostic(gens, itinerary, curve,
                                        max_len=args.max_len)
-        except (CurveContracted, DegenerateConfiguration,
-                DegreeCapExceeded) as exc:
+        except (DegenerateConfiguration, DegreeCapExceeded) as exc:
             print(f"seed {seed}: {exc}")
             continue
         print(f"seed {seed}  curve {curve}  "
@@ -63,6 +63,8 @@ def main(argv=None):
             print(f"  {r.prefix_len}  {r.strict_degree:3d}  "
                   f"{r.distance:.6e}  {closed:.6e}  "
                   f"{r.distance_step:.3e}  {r.bound_lhs} <= {r.bound_rhs}")
+        if len(rows) < args.max_len + 1:
+            print(f"  contracted at prefix length {len(rows)}; partial series")
         if args.csv_prefix:
             path = f"{args.csv_prefix}_seed{seed:02d}.csv"
             write_equidist_csv(rows, path)

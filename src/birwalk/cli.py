@@ -220,8 +220,7 @@ def cmd_equidist(args) -> int:
     try:
         rows = equidist_diagnostic(gens, itinerary, curve,
                                    max_len=config.max_len,
-                                   degree_cap=config.degree_cap,
-                                   on_contracted="truncate")
+                                   degree_cap=config.degree_cap)
     except DegenerateConfiguration as exc:
         print(f"degenerate configuration: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

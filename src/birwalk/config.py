@@ -14,7 +14,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
 from .genericity import GenericityReport
@@ -82,15 +82,8 @@ class RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        v = getattr(config, f.name)
-        if f.name == "matrices" and v is not None:
-            v = [[[list(row) for row in m] for m in pair] for pair in v]
-        elif f.name == "trial_seeds" and v is not None:
-            v = list(v)
-        out[f.name] = v
-    return out
+    """The config's fields, its tuples written as lists by JSON."""
+    return asdict(config)
 
 
 def embedded_config(config: RunConfig) -> dict:
@@ -113,14 +106,7 @@ def config_from_dict(data: dict) -> RunConfig:
                          f"walks are exact at every depth; delete them")
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    if kwargs.get("matrices") is not None:
-        kwargs["matrices"] = tuple(
-            (tuple(tuple(row) for row in a), tuple(tuple(row) for row in b))
-            for a, b in kwargs["matrices"])
-    if kwargs.get("trial_seeds") is not None:
-        kwargs["trial_seeds"] = tuple(kwargs["trial_seeds"])
-    return RunConfig(**kwargs)
+    return RunConfig(**data)
 
 
 def build_generators(config: RunConfig) -> Tuple[GeneratorData, ...]:
@@ -135,6 +121,17 @@ def build_generators(config: RunConfig) -> Tuple[GeneratorData, ...]:
 # -- generator documents ------------------------------------------------
 
 
+def _derived_fields(g: GeneratorData) -> dict:
+    """The document fields of a generator that its matrices determine."""
+    return {
+        "components": [format_poly(p) for p in g.fwd.components],
+        "inverse_components": [format_poly(p)
+                               for p in g.fwd.inverse_components],
+        "base_points": [list(pt) for pt in g.base_pts],
+        "inverse_base_points": [list(pt) for pt in g.inv_base_pts],
+    }
+
+
 def generators_to_jsonable(gens: Tuple[GeneratorData, ...]) -> dict:
     doc = stamp("birwalk-generators")
     doc["generator_count"] = len(gens)
@@ -143,11 +140,7 @@ def generators_to_jsonable(gens: Tuple[GeneratorData, ...]) -> dict:
             "index": g.index,
             "a": [list(row) for row in g.a_rows],
             "b": [list(row) for row in g.b_rows],
-            "components": [format_poly(p) for p in g.fwd.components],
-            "inverse_components": [format_poly(p)
-                                   for p in g.fwd.inverse_components],
-            "base_points": [list(pt) for pt in g.base_pts],
-            "inverse_base_points": [list(pt) for pt in g.inv_base_pts],
+            **_derived_fields(g),
         }
         for g in gens
     ]
@@ -163,14 +156,7 @@ def generators_from_jsonable(doc: dict) -> Tuple[GeneratorData, ...]:
         if entry["index"] != i:
             raise ValueError(f"generator {i} has index {entry['index']}")
         g = generator_from_matrices(i, entry["a"], entry["b"])
-        derived = {
-            "components": [format_poly(p) for p in g.fwd.components],
-            "inverse_components": [format_poly(p)
-                                   for p in g.fwd.inverse_components],
-            "base_points": [list(pt) for pt in g.base_pts],
-            "inverse_base_points": [list(pt) for pt in g.inv_base_pts],
-        }
-        for key, want in derived.items():
+        for key, want in _derived_fields(g).items():
             if entry.get(key) != want:
                 raise ValueError(
                     f"generator {i} field {key!r} does not match its matrices")

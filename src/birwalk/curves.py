@@ -52,7 +52,7 @@ from .poly import (
     multiplicity_at,
     parse_poly,
 )
-from .walk import WalkState, run_walk
+from .walk import WalkState, _assert_class_health
 
 
 def _canonical_poly(p: HomPoly) -> HomPoly:
@@ -290,8 +290,7 @@ class EquidistRow:
 
 def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
                         max_len: int = 6,
-                        degree_cap: int = 256,
-                        on_contracted: str = "raise") -> List[EquidistRow]:
+                        degree_cap: int = 256) -> List[EquidistRow]:
     """Distance series of normalized curve-pullback classes over prefixes.
 
     The reference distance compares each prefix's truncated curve class
@@ -309,32 +308,27 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     bounds the raw pullback degree d * 2^(reduced length); a prefix past
     it raises DegreeCapExceeded naming the prefix, the degree and the cap.
 
-    on_contracted chooses what a fully contracted prefix does: "raise"
-    propagates CurveContracted, "truncate" returns the rows computed so
-    far so a caller can record the partial series with a warning.
+    The series ends before the first prefix that contracts the whole
+    curve, so fewer than max_len + 1 rows mean the curve was contracted.
     """
-    if on_contracted not in ("raise", "truncate"):
-        raise ValueError(f"unknown on_contracted {on_contracted!r}")
-    walk = run_walk(gens, max_len, itinerary=tuple(itinerary[:max_len]),
-                    checkpoint_every=1, keep_classes=True,
-                    track_pushforward=True)
-    if walk.aborted is not None:
-        raise DegenerateConfiguration(walk.aborted)
-    # (n, reduced length, w^*L, w_*L) at each prefix w, n = 0 .. max_len
-    _n, ref_len, ref_class, _e = walk.checkpoint_classes[max_len]
-    registry = walk.registry
-    # the freely reduced prefix, newest (outermost) letter last
-    letters: List[Tuple[int, int]] = []
-    curve_mult = {}
-    rows: List[EquidistRow] = []
+    if len(itinerary) < max_len:
+        raise ValueError("itinerary shorter than requested steps")
+    state = WalkState(gens, track_pushforward=True)
+    # (reduced length, w^*L, w_*L, w's pullback operators newest first)
+    # at each prefix w, of length 0 .. max_len
+    prefixes = []
     for k in range(max_len + 1):
         if k > 0:
-            gen, sign = walk.itinerary[k - 1]
-            if letters and letters[-1] == (gen, -sign):
-                letters.pop()
-            else:
-                letters.append((gen, sign))
-        _n, red_len, c_k, push = walk.checkpoint_classes[k]
+            state.step(itinerary[k - 1])
+        _assert_class_health(state.pull_class, k, "pullback")
+        _assert_class_health(state.push_class, k, "pushforward")
+        prefixes.append((state.reduced_len, state.pull_class,
+                         state.push_class, state.hops))
+    ref_len, ref_class, _e, _h = prefixes[max_len]
+    registry = state.registry
+    curve_mult = {}
+    rows: List[EquidistRow] = []
+    for k, (red_len, c_k, push, hops) in enumerate(prefixes):
         raw_degree = curve.degree << red_len
         if raw_degree > degree_cap:
             raise DegreeCapExceeded(
@@ -351,15 +345,12 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
             if m_p == 0:
                 continue
             e = WeilClass.exceptional_class(p)
-            for gen, sign in reversed(letters):
-                e = registry.operator(gens[gen], sign).pullback(e)
+            for op in hops:
+                e = op.pullback(e)
             line -= m_p * e.line_coeff
             for q, v in e.point_part.items():
                 part[q] = part.get(q, 0) - m_p * v
         if line == 0:
-            if on_contracted == "raise":
-                raise CurveContracted(
-                    f"prefix of length {k} contracts the whole curve")
             break
         stray = [q for q, v in part.items() if v and q not in c_k.point_part]
         if stray:

@@ -77,13 +77,12 @@ def matcol(m: Mat3, j: int) -> tuple:
 # -- canonical component triples ----------------------------------------
 
 
-def strip_common_factor(comps: Sequence[HomPoly]) -> Tuple[Components, HomPoly]:
-    """Divide out the gcd of a raw triple; returns (stripped triple, factor)."""
+def strip_common_factor(comps: Sequence[HomPoly]) -> Components:
+    """The raw triple with its gcd divided out, canonical."""
     g = triple_gcd(*comps)
-    if g.degree == 0:
-        return canonical_components(comps), ONE
-    stripped = tuple(div_exact(p, g) for p in comps)
-    return canonical_components(stripped), g
+    if g.degree > 0:
+        comps = tuple(div_exact(p, g) for p in comps)
+    return canonical_components(comps)
 
 
 # -- the map object -----------------------------------------------------
@@ -169,13 +168,13 @@ def compose(f: BirMap, g: BirMap) -> BirMap:
     raw = tuple(substitute_map(p, g.components, memo) for p in f.components)
     if all(p.is_zero for p in raw):
         raise DegenerateComposition("composite collapses to the zero triple")
-    comps, _ = strip_common_factor(raw)
+    comps = strip_common_factor(raw)
     inverse = None
     if f.inverse_components is not None and g.inverse_components is not None:
         memo_inv = {(0, 0, 0): ONE}
         raw_inv = tuple(substitute_map(p, f.inverse_components, memo_inv)
                         for p in g.inverse_components)
-        inverse, _ = strip_common_factor(raw_inv)
+        inverse = strip_common_factor(raw_inv)
     return BirMap(comps, inverse)
 
 
@@ -192,8 +191,7 @@ def compose_letter(a_rows: Mat3, b_rows: Mat3, comps: Components) -> Components:
     raw = tuple(linear_combination(zip(a_rows[i], s), 2 * d) for i in range(3))
     if all(p.is_zero for p in raw):
         raise DegenerateComposition("letter composition collapsed")
-    stripped, _ = strip_common_factor(raw)
-    return stripped
+    return strip_common_factor(raw)
 
 
 # -- random generators --------------------------------------------------

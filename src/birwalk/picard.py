@@ -313,9 +313,6 @@ def coefficient_l2_diff(c1: WeilClass, scale1: int,
 # -- letter action ------------------------------------------------------
 
 
-_COMPLEMENT = ((1, 2), (0, 2), (0, 1))
-
-
 class LetterOperator:
     """Pullback action of one letter over a registry, which it holds weakly.
 
@@ -404,11 +401,11 @@ class LetterOperator:
     def pullback(self, cls: WeilClass) -> WeilClass:
         entries = dict(cls.point_part)
         t = [entries.pop(tid, 0) for tid in self.table_ids]
-        new_line = 2 * cls.line_coeff - t[0] - t[1] - t[2]
+        rest = cls.line_coeff - t[0] - t[1] - t[2]
+        new_line = cls.line_coeff + rest
         out: Dict[int, int] = {}
         for i in range(3):
-            j, k = _COMPLEMENT[i]
-            coeff = cls.line_coeff - t[j] - t[k]
+            coeff = rest + t[i]  # the line minus the other two table points
             if coeff != 0:
                 out[self.base_ids[i]] = coeff
         reg, images = self._registry(), self.images

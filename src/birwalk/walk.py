@@ -35,8 +35,9 @@ letter, newest letter first.  Each w^*[exc] starts as a single carried
 point and is moved down the stack by one ``PointRegistry.carry`` until
 it either survives to the bottom (one new exceptional class) or hits a
 stacked letter's table (``carry`` raises ``TablePointHit`` naming the
-hop) and fans out through the finite table action.  Walks over one
-registry share its letter operators.
+hop) and fans out: ``LetterOperator.pullback`` takes the table point's
+exceptional class through that hop and the ones below it.  Walks over
+one registry share its letter operators.
 
 Points are exact plane points, whose integers about double their bits
 per reduced letter.  ``carry`` hops on residues and builds integers only
@@ -77,7 +78,6 @@ from .errors import DegenerateConfiguration, TablePointHit
 from .genericity import Letter, Word, _inverse_letter, all_letters
 from .maps import GeneratorData, IDENTITY_COMPONENTS
 from .picard import (
-    _COMPLEMENT,
     LetterOperator,
     PointRegistry,
     WeilClass,
@@ -89,6 +89,8 @@ LOG2 = math.log(2.0)
 # the deepest reduced length whose reports name points by their integers,
 # which reach about 2^18 bits there
 INTEGER_NAMES_LEN = 16
+# crosscheck_words stops its word tree at this many failure records
+CROSSCHECK_FAILURE_CAP = 50
 
 
 def random_itinerary(generator_count: int, steps: int,
@@ -167,6 +169,11 @@ class WalkState:
     def reduced_len(self) -> int:
         return len(self.stack)
 
+    @property
+    def hops(self) -> Tuple[LetterOperator, ...]:
+        """The stack's pullback operators, newest (outermost) first."""
+        return tuple(e.pull_op for e in reversed(self.stack))
+
     def _op(self, letter: Letter) -> LetterOperator:
         return self.registry.operator(self.gens[letter[0]], letter[1])
 
@@ -177,10 +184,9 @@ class WalkState:
         try:
             return WeilClass(0, {self.registry.carry(base, hops): -1})
         except TablePointHit as hit:
-            i, (j, k) = hit.hop, _COMPLEMENT[hit.index]
-        op = hops[i]
-        cls = WeilClass(1, {op.base_ids[j]: 1, op.base_ids[k]: 1})
-        for op in hops[i + 1:]:
+            i = hit.hop
+            cls = WeilClass.exceptional_class(hops[i].table_ids[hit.index])
+        for op in hops[i:]:
             cls = op.pullback(cls)
         return cls
 
@@ -218,7 +224,7 @@ class WalkState:
         return WeilClass(line // 2, half)
 
     def _chained_base_classes(self, op: LetterOperator) -> List[WeilClass]:
-        hops = tuple(e.pull_op for e in reversed(self.stack))
+        hops = self.hops
         return [self._chain_point(hops, pid) for pid in op.base_ids]
 
     def _popped_here(self) -> Dict[Letter, _StackEntry]:
@@ -278,8 +284,7 @@ class WalkState:
 # -- crosscheck tree ------------------------------------------------------
 
 
-def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
-                     failure_cap: int = 50):
+def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
     """DFS over reduced words verifying the class calculus word by word;
     returns (words checked per check name, failure records in DFS order).
 
@@ -370,15 +375,14 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int,
                 fail(word, "gram",
                      f"pairing with length-{anc_len} ancestor is "
                      f"{cls.intersect(anc_class)}, expected 2^{middle}")
-        if len(failures) >= failure_cap:
+        if len(failures) >= CROSSCHECK_FAILURE_CAP:
             return None
         return (*node, new_pushed, new_push_line,
                 ancestors + [(len(word), cls)])
 
     root = (*genericity._lines_from_components(IDENTITY_COMPONENTS),
             probe, WeilClass.line_class(), [(0, WeilClass.line_class())])
-    if failure_cap > 0:
-        genericity.walk_words(all_letters(len(gens)), max_len, step, root)
+    genericity.walk_words(all_letters(len(gens)), max_len, step, root)
     names = ("degree", "isometry", "noether", "adjoint", "gram")
     return dict.fromkeys(names, checked), failures
 

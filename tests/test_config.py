@@ -101,11 +101,15 @@ def test_generator_doc_roundtrip(certified_tuple):
         assert g.base_pts == h.base_pts
 
 
-def test_generator_doc_tamper_detected(certified_tuple):
+@pytest.mark.parametrize("field", ["components", "inverse_components",
+                                   "base_points", "inverse_base_points"])
+def test_generator_doc_tamper_detected(certified_tuple, field):
     doc = generators_to_jsonable(certified_tuple)
     bad = json.loads(json.dumps(doc))
-    bad["generators"][0]["components"][0] = "x^2"
-    with pytest.raises(ValueError, match="does not match"):
+    tampered = "x^2" if field.endswith("components") else [1, 2, 3]
+    assert bad["generators"][0][field][0] != tampered
+    bad["generators"][0][field][0] = tampered
+    with pytest.raises(ValueError, match=f"field '{field}' does not match"):
         generators_from_jsonable(bad)
     with pytest.raises(ValueError, match="not a generator document"):
         generators_from_jsonable({"format": "something-else"})

@@ -341,6 +341,12 @@ def test_equidist_generic_line_converges(gens, line):
         assert abs(r.distance - expect) < 1e-12
 
 
+def test_equidist_refuses_an_itinerary_shorter_than_max_len(gens, line):
+    itinerary = random_itinerary(2, 3, random.Random(2))
+    with pytest.raises(ValueError, match="itinerary shorter"):
+        equidist_diagnostic(gens, itinerary, line, max_len=4)
+
+
 def test_equidist_csv(tmp_path, gens, line):
     itinerary = random_itinerary(2, 4, random.Random(5))
     rows = equidist_diagnostic(gens, itinerary, line, max_len=4)
@@ -364,7 +370,7 @@ def _oracle_rows(gens, itinerary, curve, max_len):
 
     The multiplicities of the strict transform are matched to the walk's
     checkpoint classes by coordinates, and a prefix that contracts the
-    whole curve ends the series, as on_contracted="truncate" does.
+    whole curve ends the series, as in equidist_diagnostic.
     """
     walk = run_walk(gens, max_len, itinerary=tuple(itinerary[:max_len]),
                     checkpoint_every=1, keep_classes=True)
@@ -415,8 +421,7 @@ def test_equidist_matches_strict_transforms_row_for_row(gens):
     for seed in range(1, 17):
         for curve, max_len in cases:
             itinerary = random_itinerary(2, max_len, random.Random(seed))
-            rows = equidist_diagnostic(gens, itinerary, curve, max_len=max_len,
-                                       on_contracted="truncate")
+            rows = equidist_diagnostic(gens, itinerary, curve, max_len=max_len)
             assert rows == _oracle_rows(gens, itinerary, curve, max_len), \
                 (seed, str(curve))
 
@@ -428,8 +433,7 @@ def test_equidist_cancelled_letter_does_not_strip_the_curve(gens):
     curve = _line_through(gens[1].inv_base_pts[0], gens[1].inv_base_pts[1])
     itinerary = random_itinerary(2, 5, random.Random(9))
     assert itinerary[:2] == ((1, -1), (1, 1))
-    rows = equidist_diagnostic(gens, itinerary, curve, max_len=5,
-                               on_contracted="truncate")
+    rows = equidist_diagnostic(gens, itinerary, curve, max_len=5)
     assert (rows[2].reduced_len, rows[2].strict_degree) == (0, 1)
     assert len(rows) == 3  # prefix 3 is the letter (1, 1), which contracts it
     assert rows == _oracle_rows(gens, itinerary, curve, 5)

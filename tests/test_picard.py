@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from birwalk import picard, projective
-from birwalk.genericity import check_genericity
+from birwalk.genericity import all_letters, check_genericity
 from birwalk.errors import (
     DegenerateConfiguration,
     IndeterminatePoint,
@@ -27,7 +27,7 @@ from birwalk.picard import (
     class_to_jsonable,
     coefficient_l2_diff,
 )
-from birwalk.walk import WalkState, crosscheck_words, run_walk
+from birwalk.walk import WalkState, crosscheck_words, random_itinerary, run_walk
 
 from form_oracles import cross
 from spies import integer_work
@@ -465,6 +465,42 @@ def test_table_hit_mid_chain_fans_out_through_the_hops_below():
     with pytest.raises(DegenerateConfiguration,
                        match="line coefficient 2 vs reduced length 3"):
         state.step((0, 1))
+
+
+def _pulled_back_one_letter_at_a_time(state, pid):
+    cls = WeilClass.exceptional_class(pid)
+    for op in state.hops:
+        cls = op.pullback(cls)
+    return cls
+
+
+def test_chained_classes_are_pullbacks_through_the_stack_at_a_table_hit():
+    # the sigma sigma g stack above, before the step that raises: each
+    # chain meets the lower sigma's table, whose fan-out L - E - E' (line
+    # coefficient 1) g pulls back to line coefficient 2
+    (g,) = sample_generators(1, 5, random.Random(3))
+    state = WalkState((sigma_generator(),
+                       generator_from_matrices(1, g.a_rows, g.b_rows)))
+    state.step((1, 1))
+    state.step((0, 1))
+    op = state._op((0, 1))
+    chained = state._chained_base_classes(op)
+    assert [c.line_coeff for c in chained] == [2, 2, 2]
+    assert chained == [_pulled_back_one_letter_at_a_time(state, pid)
+                       for pid in op.base_ids]
+
+
+def test_chained_classes_are_pullbacks_through_a_deep_stack(certified_tuple):
+    state = WalkState(certified_tuple)
+    for letter in random_itinerary(2, 8, random.Random(2)):
+        state.step(letter)
+    assert state.reduced_len >= 6
+    assert len(state.hops) == state.reduced_len
+    for letter in all_letters(2):
+        op = state._op(letter)
+        assert state._chained_base_classes(op) == \
+            [_pulled_back_one_letter_at_a_time(state, pid)
+             for pid in op.base_ids]
 
 
 # -- sampled generator operators ----------------------------------------

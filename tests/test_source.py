@@ -1,0 +1,51 @@
+"""The package source and the README's documented API, checked with the stdlib."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "birwalk"
+
+
+def _unused_imports(tree: ast.Module):
+    """Names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module != "__future__":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan_sees_an_unused_name():
+    tree = ast.parse("import os\nfrom typing import List, Tuple\n"
+                     "import a.b\nx: List[int] = a.b.c\n")
+    assert _unused_imports(tree) == [(1, "os"), (2, "Tuple")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports only to re-export
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(ast.parse(p.read_text()))
+              for p in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library sketch)", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    # one row for the start and one per step of the 16-step walk
+    assert len(out) == 17
+    assert out[-1].split()[0] == "16"
