@@ -4,14 +4,17 @@
 For each seed the script draws an itinerary, takes the exact class of
 the curve's strict transform under every prefix from the walk's own
 classes, truncates and normalizes it, and prints its coefficient
-distance to the deepest computed boundary approximant together with the
-squared-multiplicity bound of the strict transform.  On a
-cancellation-free itinerary the distance column follows
-sqrt(4^-l - 4^-L) on the nose, so the printed series is also a quick
-visual check of full genericity.  A seed whose series passes the degree
-cap prints the prefix, the degree and the cap, and the script goes on.
-A series that ends at the first prefix contracting the whole curve is
-printed with a note naming that prefix.
+distance to the boundary approximant at the reference horizon
+``--max-len`` together with the squared-multiplicity bound of the
+strict transform.  The closed form column is sqrt(4^-l - 4^-L), with l
+the row's reduced length (the first column is its prefix length) and L
+the reduced length of the whole itinerary.  On a cancellation-free
+itinerary the distance column of a generic curve follows it on the
+nose, so the printed series is also a quick visual check of full
+genericity.  A seed whose series passes the degree cap prints the
+prefix, the degree and the cap, and the script goes on.  A series that
+ends at the first prefix contracting the whole curve is printed with a
+note naming that prefix.
 """
 
 import argparse
@@ -22,7 +25,7 @@ import sys
 from birwalk.curves import PlaneCurve, equidist_diagnostic, write_equidist_csv
 from birwalk.errors import DegenerateConfiguration, DegreeCapExceeded
 from birwalk.maps import sample_generators
-from birwalk.walk import random_itinerary
+from birwalk.walk import random_itinerary, reduced_middle_length
 
 
 def main(argv=None):
@@ -57,9 +60,9 @@ def main(argv=None):
         print(f"seed {seed}  curve {curve}  "
               f"itinerary {' '.join(f'{i}{(chr(43), chr(45))[s < 0]}' for i, s in itinerary)}")
         print("  l  deg  distance       closed form    step residue   mult bound")
-        deepest = rows[-1].prefix_len
+        horizon = reduced_middle_length(itinerary, 0, args.max_len)
         for r in rows:
-            closed = math.sqrt(max(4.0 ** -r.prefix_len - 4.0 ** -deepest, 0.0))
+            closed = math.sqrt(max(4.0 ** -r.reduced_len - 4.0 ** -horizon, 0.0))
             print(f"  {r.prefix_len}  {r.strict_degree:3d}  "
                   f"{r.distance:.6e}  {closed:.6e}  "
                   f"{r.distance_step:.3e}  {r.bound_lhs} <= {r.bound_rhs}")

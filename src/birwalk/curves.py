@@ -43,7 +43,7 @@ from .errors import (CurveContracted, DegenerateConfiguration, DegreeCapExceeded
 from .genericity import Word
 from .maps import (IDENTITY_COMPONENTS, canonical_components, compose_letter,
                    substitute_map)
-from .picard import PointRegistry, WeilClass, coefficient_l2_diff
+from .picard import PointRegistry, WeilClass, coefficient_l2_diff, pull
 from .poly import (
     HomPoly,
     div_exact,
@@ -182,7 +182,7 @@ def lelong_crosscheck(gens, word: Word, curve: PlaneCurve, *,
     for coords, m, nu_poly in report.base_points:
         v = WeilClass.exceptional_class(registry.register(coords))
         for gen, sign in reversed(word):
-            v = registry.operator(gens[gen], -sign).pullback(v)
+            v = registry.push(v, gens[gen], sign)
         nu_class = curve.degree * v.line_coeff - sum(
             coeff * curve.multiplicity_at(registry.coords_of(p))
             for p, coeff in v.point_part.items())
@@ -305,30 +305,32 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     class is d * w^*L - sum_p m_p(C) * w^*E_p over the points p of the
     push class w_*L where the curve has multiplicity m_p(C) > 0, so a
     generic curve costs one pushforward step per row.  degree_cap still
-    bounds the raw pullback degree d * 2^(reduced length); a prefix past
-    it raises DegreeCapExceeded naming the prefix, the degree and the cap.
+    bounds the raw pullback degree d * 2^(reduced length); the walk checks
+    it as it reaches each prefix, so a prefix past it raises
+    DegreeCapExceeded, naming the prefix, the degree and the cap, before
+    any later step is taken.
 
     The series ends before the first prefix that contracts the whole
-    curve, so fewer than max_len + 1 rows mean the curve was contracted.
+    curve, so fewer than max_len + 1 rows mean the curve was contracted;
+    the walk still steps on to max_len for the reference approximant.
     """
     if len(itinerary) < max_len:
         raise ValueError("itinerary shorter than requested steps")
     state = WalkState(gens, track_pushforward=True)
-    # (reduced length, w^*L, w_*L, w's pullback operators newest first)
-    # at each prefix w, of length 0 .. max_len
-    prefixes = []
+    registry = state.registry
+    curve_mult = {}
+    # (prefix length, reduced length, raw degree, strict class, w^*L) of
+    # each prefix w before the first contracted one
+    series = []
+    contracted = False
     for k in range(max_len + 1):
         if k > 0:
             state.step(itinerary[k - 1])
-        _assert_class_health(state.pull_class, k, "pullback")
+        red_len, c_k = state.reduced_len, state.pull_class
+        _assert_class_health(c_k, k, "pullback")
         _assert_class_health(state.push_class, k, "pushforward")
-        prefixes.append((state.reduced_len, state.pull_class,
-                         state.push_class, state.hops))
-    ref_len, ref_class, _e, _h = prefixes[max_len]
-    registry = state.registry
-    curve_mult = {}
-    rows: List[EquidistRow] = []
-    for k, (red_len, c_k, push, hops) in enumerate(prefixes):
+        if contracted:
+            continue
         raw_degree = curve.degree << red_len
         if raw_degree > degree_cap:
             raise DegreeCapExceeded(
@@ -338,39 +340,36 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
         # of each exceptional curve of w^-1 the curve passes through
         line = curve.degree * c_k.line_coeff
         part = {q: curve.degree * m for q, m in c_k.point_part.items()}
-        for p in push.point_part:
+        for p in state.push_class.point_part:
             m_p = curve_mult.get(p)
             if m_p is None:
                 m_p = curve_mult[p] = curve.multiplicity_at(registry.coords_of(p))
             if m_p == 0:
                 continue
-            e = WeilClass.exceptional_class(p)
-            for op in hops:
-                e = op.pullback(e)
+            e = pull(WeilClass.exceptional_class(p), state.hops)
             line -= m_p * e.line_coeff
             for q, v in e.point_part.items():
                 part[q] = part.get(q, 0) - m_p * v
         if line == 0:
-            break
+            contracted = True
+            continue
         stray = [q for q, v in part.items() if v and q not in c_k.point_part]
         if stray:
             raise DegenerateConfiguration(
                 f"strict transform at prefix length {k} has multiplicity at "
                 f"{len(stray)} point(s) outside the prefix's base points")
-        u = WeilClass(line, part)
-        rows.append(EquidistRow(
-            prefix_len=k,
-            reduced_len=red_len,
-            raw_degree=raw_degree,
-            strict_degree=line,
-            distance=coefficient_l2_diff(u, raw_degree,
-                                         ref_class, 1 << ref_len),
-            distance_step=coefficient_l2_diff(u, raw_degree,
-                                              c_k, 1 << red_len),
-            bound_lhs=sum(v * v for v in u.point_part.values()),
-            bound_rhs=line ** 2,
-        ))
-    return rows
+        series.append((k, red_len, raw_degree, WeilClass(line, part), c_k))
+    ref_len, ref_class = state.reduced_len, state.pull_class
+    return [EquidistRow(
+        prefix_len=k,
+        reduced_len=red_len,
+        raw_degree=raw_degree,
+        strict_degree=u.line_coeff,
+        distance=coefficient_l2_diff(u, raw_degree, ref_class, 1 << ref_len),
+        distance_step=coefficient_l2_diff(u, raw_degree, c_k, 1 << red_len),
+        bound_lhs=sum(v * v for v in u.point_part.values()),
+        bound_rhs=u.line_coeff ** 2,
+    ) for k, red_len, raw_degree, u, c_k in series]
 
 
 EQUIDIST_CSV_COLUMNS = ("l", "deg", "distance", "bound_lhs", "bound_rhs",

@@ -233,9 +233,8 @@ def _push_letter(gens, registry, letter: Letter, push: WeilClass):
     """The class side of prepending a letter: (pushed class, its line
     coefficient, None), or (None, None, the transport failure)."""
     try:
-        # prepending the letter pushes the class forward once more;
-        # pushforward is pullback by the opposite sign
-        new_push = registry.operator(gens[letter[0]], -letter[1]).pullback(push)
+        # prepending the letter pushes the class forward once more
+        new_push = registry.push(push, gens[letter[0]], letter[1])
     except DegenerateConfiguration as exc:
         return None, None, str(exc)
     return new_push, new_push.line_coeff, None

@@ -13,7 +13,10 @@ places with the letter's indeterminacy points - plus point transport by
 the inverse letter everywhere else.  Transport refuses, by raising
 ``DegenerateConfiguration``, whenever a carried point sits on a curve the
 evaluating map contracts, because the honest image of such a point is not
-a point of the plane at all.
+a point of the plane at all.  This module is the one home of the class
+action: ``PointRegistry.push`` is a letter's pushforward, the pullback
+by the opposite sign, and ``pull`` takes a class back through a run of
+operators one letter at a time.
 
 One ``PointRegistry`` owns a computation's class space: it issues point
 ids, makes each letter operator once per generator object and sign
@@ -120,6 +123,12 @@ class PointRegistry:
         if op is None:
             op = self._operators[key] = LetterOperator(gen, sign, self)
         return op
+
+    def push(self, cls: "WeilClass", gen: GeneratorData,
+             sign: int) -> "WeilClass":
+        """The pushforward of ``cls`` by the letter (gen, sign): pullback
+        by the opposite sign."""
+        return self.operator(gen, -sign).pullback(cls)
 
     def coords_of(self, pid: int) -> tuple:
         """The point's canonical integers."""
@@ -316,9 +325,10 @@ def coefficient_l2_diff(c1: WeilClass, scale1: int,
 class LetterOperator:
     """Pullback action of one letter over a registry, which it holds weakly.
 
-    Pushforward by the same letter is pullback by the opposite sign, so a
-    registry keeps one operator per (generator, sign) pair, made by
-    ``PointRegistry.operator``, and never needs a pushforward object.
+    Pushforward by the same letter is pullback by the opposite sign
+    (``PointRegistry.push``), so a registry keeps one operator per
+    (generator, sign) pair, made by ``PointRegistry.operator``, and never
+    needs a pushforward object.
     """
 
     def __init__(self, gen: GeneratorData, sign: int, registry: PointRegistry):
@@ -418,6 +428,14 @@ class LetterOperator:
                     "transported point collides with another carried point")
             out[new_pid] = coeff
         return WeilClass(new_line, out)
+
+
+def pull(cls: WeilClass, hops) -> WeilClass:
+    """The class pulled back through ``hops`` one letter at a time, newest
+    first."""
+    for op in hops:
+        cls = op.pullback(cls)
+    return cls
 
 
 # -- serialisation ------------------------------------------------------

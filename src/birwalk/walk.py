@@ -35,9 +35,9 @@ letter, newest letter first.  Each w^*[exc] starts as a single carried
 point and is moved down the stack by one ``PointRegistry.carry`` until
 it either survives to the bottom (one new exceptional class) or hits a
 stacked letter's table (``carry`` raises ``TablePointHit`` naming the
-hop) and fans out: ``LetterOperator.pullback`` takes the table point's
-exceptional class through that hop and the ones below it.  Walks over
-one registry share its letter operators.
+hop) and fans out: ``picard.pull`` takes the table point's exceptional
+class through that hop and the ones below it.  Walks over one registry
+share its letter operators.
 
 Points are exact plane points, whose integers about double their bits
 per reduced letter.  ``carry`` hops on residues and builds integers only
@@ -52,8 +52,8 @@ one names them by their fingerprints mod ``FINGERPRINT_P``, which it
 records as ``residue_prime``.
 
 The pushforward track needs no chains: the new letter acts outermost, so
-e' is one application of the letter's pushforward operator to e, and on
-a cancelling letter ``carry`` returns each point to its recipe's source.
+e' is one ``PointRegistry.push`` of e by the letter, and on a
+cancelling letter ``carry`` returns each point to its recipe's source.
 
 The degree invariant (line coefficient equals 2^reduced-length), the
 unit self-intersection, and the nonnegativity of the point
@@ -83,6 +83,7 @@ from .picard import (
     WeilClass,
     class_to_jsonable,
     coefficient_l2_diff,
+    pull,
 )
 
 LOG2 = math.log(2.0)
@@ -184,11 +185,8 @@ class WalkState:
         try:
             return WeilClass(0, {self.registry.carry(base, hops): -1})
         except TablePointHit as hit:
-            i = hit.hop
-            cls = WeilClass.exceptional_class(hops[i].table_ids[hit.index])
-        for op in hops[i:]:
-            cls = op.pullback(cls)
-        return cls
+            table = hops[hit.hop].table_ids[hit.index]
+            return pull(WeilClass.exceptional_class(table), hops[hit.hop:])
 
     def _assemble(self, base: WeilClass, chained: List[WeilClass]) -> WeilClass:
         line = 2 * base.line_coeff
@@ -259,7 +257,7 @@ class WalkState:
         if self.track_pushforward:
             # the new letter acts outermost on the pushforward track, and a
             # cancelling letter's operator undoes its partner exactly
-            push = self._op(_inverse_letter(letter)).pullback(push)
+            push = self.registry.push(push, self.gens[letter[0]], letter[1])
         # a mismatch here means overlapping indeterminacy collapsed the
         # degree: the generator tuple is not generic along the walked word
         depth = len(self.stack) + (-1 if cancelling else 1)
@@ -318,6 +316,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
         nonlocal checked
         lines, d, pushed, push_line, ancestors = node
         letter = word[0]
+        gen, sign = gens[letter[0]], letter[1]
         while len(state.stack) >= len(word):  # back to the word's parent
             state.step(_inverse_letter(state.stack[-1].letter))
             # the tree never pushes a popped word again: drop its filing
@@ -336,14 +335,13 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
             return None
         cls = state.pull_class
         try:
-            inv = state._op(_inverse_letter(letter))
-            new_pushed = inv.pullback(pushed)
-            new_push_line = inv.pullback(push_line)
+            new_pushed = state.registry.push(pushed, gen, sign)
+            new_push_line = state.registry.push(push_line, gen, sign)
         except DegenerateConfiguration as exc:
             fail(word, "adjoint", f"probe transport degenerate: {exc}")
             return None
         # with no verdict, compose exactly
-        node = genericity._modp_step(gens[letter[0]], letter[1], lines, d) \
+        node = genericity._modp_step(gen, sign, lines, d) \
             or genericity._lines_from_components(
                 genericity._exact_word_components(gens, word))
         poly_degree = node[1]

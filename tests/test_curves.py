@@ -437,6 +437,25 @@ def test_equidist_cancelled_letter_does_not_strip_the_curve(gens):
     assert (rows[2].reduced_len, rows[2].strict_degree) == (0, 1)
     assert len(rows) == 3  # prefix 3 is the letter (1, 1), which contracts it
     assert rows == _oracle_rows(gens, itinerary, curve, 5)
+    # the series still ends there when the walk steps on to a horizon of
+    # 12 letters, past a cap that no later prefix is held to
+    longer = random_itinerary(2, 12, random.Random(9))
+    rows = equidist_diagnostic(gens, longer, curve, max_len=12, degree_cap=2)
+    assert [(r.prefix_len, r.reduced_len) for r in rows] == \
+        [(0, 0), (1, 1), (2, 0)]
+
+
+def test_equidist_refuses_the_cap_at_its_prefix(monkeypatch, gens, line):
+    # the cap is checked as the walk reaches each prefix, so a long
+    # itinerary is not walked past the prefix that refuses
+    steps = []
+    real_step = WalkState.step
+    monkeypatch.setattr(WalkState, "step",
+                        lambda self, lt: steps.append(lt) or real_step(self, lt))
+    itinerary = random_itinerary(2, 400, random.Random(2))
+    with pytest.raises(DegreeCapExceeded, match="at prefix length 11$"):
+        equidist_diagnostic(gens, itinerary, line, max_len=400)
+    assert steps == list(itinerary[:11])
 
 
 def test_equidist_cancelling_letter_reuses_the_stored_push(monkeypatch, gens,

@@ -28,3 +28,16 @@ def test_script_runs_with_tiny_arguments(name, capsys):
     argv, expected = RUNS[name]
     assert module.main(argv) == 0
     assert expected in capsys.readouterr().out
+
+
+def test_curve_study_closed_form_reads_the_reference_horizon(capsys):
+    # a line through two base points of letter 0: the series ends after
+    # its first row, whose closed form is still taken at the horizon L = 6
+    spec = importlib.util.spec_from_file_location(
+        "script_curve_pullback_study", SCRIPTS / "curve_pullback_study.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--max-len", "6", "--seeds", "1",
+                        "--curve", "x + 4*y - 5*z"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[:4] == ["0", "1", "9.980450e-01", "9.980450e-01"]

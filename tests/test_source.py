@@ -2,7 +2,10 @@
 
 import ast
 import re
+import types
 from pathlib import Path
+
+import birwalk
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "birwalk"
@@ -40,11 +43,33 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def test_readme_library_sketch_runs(capsys):
+def test_only_picard_pulls_a_class_back_by_a_letter():
+    # a letter's pushforward is PointRegistry.push and a run of pullbacks
+    # picard.pull; every other module goes through them
+    calling = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if ".pullback(" in p.read_text())
+    assert calling == ["picard.py"]
+
+
+def _readme_sketch() -> str:
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library sketch", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md (Library sketch)", "exec"), {})
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_package_root_exports_the_readme_sketch_names():
+    sketch = {alias.name for node in ast.walk(ast.parse(_readme_sketch()))
+              if isinstance(node, ast.ImportFrom) and node.module == "birwalk"
+              for alias in node.names}
+    public = {name for name, value in vars(birwalk).items()
+              if not name.startswith("__")
+              and not isinstance(value, types.ModuleType)}
+    assert sketch == {"check_genericity", "run_walk", "sample_generators"}
+    assert public == sketch
+
+
+def test_readme_library_sketch_runs(capsys):
+    exec(compile(_readme_sketch(), "README.md (Library sketch)", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     # one row for the start and one per step of the 16-step walk
     assert len(out) == 17
