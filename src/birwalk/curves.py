@@ -41,8 +41,7 @@ from . import modp
 from .errors import (CurveContracted, DegenerateConfiguration, DegreeCapExceeded,
                      NonExactDivision)
 from .genericity import Word
-from .maps import (IDENTITY_COMPONENTS, canonical_components, compose_letter,
-                   substitute_map)
+from .maps import IDENTITY_COMPONENTS, compose_letter, substitute_map
 from .picard import PointRegistry, WeilClass, coefficient_l2_diff, pull
 from .poly import (
     HomPoly,
@@ -51,13 +50,9 @@ from .poly import (
     is_squarefree,
     multiplicity_at,
     parse_poly,
+    primitive,
 )
-from .walk import WalkState, _assert_class_health
-
-
-def _canonical_poly(p: HomPoly) -> HomPoly:
-    """Integer-primitive representative with positive leading coefficient."""
-    return p if p.is_zero else canonical_components((p,))[0]
+from .walk import WalkState, assert_class_health
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class PlaneCurve:
             raise ValueError("a curve needs a nonconstant defining form")
         if not is_squarefree(self.poly):
             raise ValueError("defining form must be squarefree (reduced curve)")
-        object.__setattr__(self, "poly", _canonical_poly(self.poly))
+        object.__setattr__(self, "poly", primitive(self.poly))
 
     @property
     def degree(self) -> int:
@@ -184,7 +179,7 @@ def lelong_crosscheck(gens, word: Word, curve: PlaneCurve, *,
         for gen, sign in reversed(word):
             v = registry.push(v, gens[gen], sign)
         nu_class = curve.degree * v.line_coeff - sum(
-            coeff * curve.multiplicity_at(registry.coords_of(p))
+            coeff * curve.multiplicity_at(registry.representative(p))
             for p, coeff in v.point_part.items())
         rows.append(LelongRow(coords, m, nu_poly, nu_class))
     return rows
@@ -232,7 +227,7 @@ class StageStricts:
             # a degree-0 residue means the suffix already contracts this
             # line backwards; no source curve lands on it
             if strict.degree > 0:
-                cand = _canonical_poly(strict)
+                cand = primitive(strict)
                 self.candidates.append(cand)
                 self._cand_images.append(modp.restrict(cand, modp.FILTER_LINE))
         self.comps = compose_letter(outer, inner, self.comps)
@@ -270,7 +265,7 @@ class StageStricts:
         if strict.degree == 0:
             raise CurveContracted(
                 "the word contracts the whole curve; nothing survives stripping")
-        return _canonical_poly(strict), removed
+        return primitive(strict), removed
 
 
 # -- convergence of curve pullbacks toward the walk boundary ------------
@@ -303,16 +298,19 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
     Every row is read off classes, and no polynomial is composed or
     stripped.  With w the freely reduced prefix, the strict transform's
     class is d * w^*L - sum_p m_p(C) * w^*E_p over the points p of the
-    push class w_*L where the curve has multiplicity m_p(C) > 0, so a
-    generic curve costs one pushforward step per row.  degree_cap still
-    bounds the raw pullback degree d * 2^(reduced length); the walk checks
-    it as it reaches each prefix, so a prefix past it raises
-    DegreeCapExceeded, naming the prefix, the degree and the cap, before
-    any later step is taken.
+    push class w_*L where the curve has multiplicity m_p(C) > 0, read at
+    the registry's integer representative of p, since a multiplicity does
+    not change with scale; so a generic curve costs one pushforward step
+    per row.  degree_cap still bounds the raw pullback degree
+    d * 2^(reduced length); the walk checks it as it reaches each prefix,
+    so a prefix past it raises DegreeCapExceeded, naming the prefix, the
+    degree and the cap, before any later step is taken.
 
-    The series ends before the first prefix that contracts the whole
-    curve, so fewer than max_len + 1 rows mean the curve was contracted;
-    the walk still steps on to max_len for the reference approximant.
+    The series stops at the first prefix that contracts the whole curve,
+    so fewer than max_len + 1 rows mean the curve was contracted; the walk
+    still steps on to max_len for the reference approximant.  Contraction
+    is not absorbing: a longer prefix may pull the curve back to a curve
+    again, but the series does not resume.
     """
     if len(itinerary) < max_len:
         raise ValueError("itinerary shorter than requested steps")
@@ -327,8 +325,8 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
         if k > 0:
             state.step(itinerary[k - 1])
         red_len, c_k = state.reduced_len, state.pull_class
-        _assert_class_health(c_k, k, "pullback")
-        _assert_class_health(state.push_class, k, "pushforward")
+        assert_class_health(c_k, k, "pullback")
+        assert_class_health(state.push_class, k, "pushforward")
         if contracted:
             continue
         raw_degree = curve.degree << red_len
@@ -343,7 +341,8 @@ def equidist_diagnostic(gens, itinerary, curve: PlaneCurve, *,
         for p in state.push_class.point_part:
             m_p = curve_mult.get(p)
             if m_p is None:
-                m_p = curve_mult[p] = curve.multiplicity_at(registry.coords_of(p))
+                m_p = curve_mult[p] = curve.multiplicity_at(
+                    registry.representative(p))
             if m_p == 0:
                 continue
             e = pull(WeilClass.exceptional_class(p), state.hops)

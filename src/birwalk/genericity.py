@@ -58,7 +58,7 @@ Both passes share one registry, whose operators' memoised point images
 
 Both passes, and `walk.crosscheck_words`, go through the one DFS of
 `walk_words`, which hands each word the state its step made for the
-word's parent.
+word's parent, and read its polynomial degree with one `word_lines`.
 
 `perfbench`'s tracer wraps `check_genericity` and `_exact_word_components`
 by replacing them in this module's namespace, so both stay module-level
@@ -119,7 +119,7 @@ def reduced_word_count(generator_count: int, max_len: int) -> int:
     return total
 
 
-def _inverse_letter(letter: Letter) -> Letter:
+def inverse_letter(letter: Letter) -> Letter:
     return (letter[0], -letter[1])
 
 
@@ -140,7 +140,7 @@ def walk_words(letters: Sequence[Letter], max_len: int,
     if len(word) == max_len:
         return
     for letter in letters:
-        if word and letter == _inverse_letter(word[0]):
+        if word and letter == inverse_letter(word[0]):
             continue
         new_word = (letter,) + word
         new_state = step(new_word, state)
@@ -159,6 +159,11 @@ def _lines_from_components(comps: Components):
     lines = [[modp.restrict(p, line) for p in comps]
              for line in modp.CERT_LINES.values()]
     return np.array(lines, dtype=np.int64), d
+
+
+def identity_lines():
+    """The certificate-line node (lines, degree) of the empty word."""
+    return _lines_from_components(IDENTITY_COMPONENTS)
 
 
 def _letter_mats(gen: GeneratorData, sign: int):
@@ -204,17 +209,31 @@ def _exact_word_components(gens, word: Word) -> Components:
     return comps
 
 
-def _adjudicate(gens, word: Word, class_degree: Optional[int],
-                transport_fail: Optional[str]):
-    """Exact verdict on a word the fast path left open: the failure, or
-    the exact triple of a word that passes."""
+def word_lines(gens, word: Word, lines, d):
+    """A word's certificate-line node (lines, degree) from its parent's
+    (lines, d): the fast letter step where a line certifies the raw triple
+    coprime, else the node of the exactly composed, stripped triple, whose
+    degree is the honest one.  Raises what exact composition raises."""
+    return _modp_step(gens[word[0][0]], word[0][1], lines, d) \
+        or _lines_from_components(_exact_word_components(gens, word))
+
+
+def _judge(gens, word: Word, lines, d, class_degree: Optional[int],
+           transport_fail: Optional[str]):
+    """The word's node, or its failure record.  The polynomial degree is
+    `word_lines`' where the class side passed, and the exact composition's
+    where it did not, for the record."""
     expected = 2 ** len(word)
     try:
-        comps = _exact_word_components(gens, word)
-        poly_degree = next(p.degree for p in comps if not p.is_zero)
+        if class_degree == expected:
+            node = word_lines(gens, word, lines, d)
+        else:
+            comps = _exact_word_components(gens, word)
+            node = None, next(p.degree for p in comps if not p.is_zero)
     except (DegenerateComposition, DegenerateConfiguration) as exc:
         return WordCheck(word, expected, None, class_degree,
                          f"exact composition failed: {exc}")
+    poly_degree = node[1]
     if transport_fail is not None:
         return WordCheck(word, expected, poly_degree, None,
                          f"class transport degenerated: {transport_fail}")
@@ -225,7 +244,7 @@ def _adjudicate(gens, word: Word, class_degree: Optional[int],
     elif class_degree != expected:
         reason = "class-side degree dropped"
     else:
-        return comps  # rare prime mishap: the exact triple is fine
+        return node  # composed exactly, a rare prime mishap: the triple is fine
     return WordCheck(word, expected, poly_degree, class_degree, reason)
 
 
@@ -277,8 +296,7 @@ def check_genericity(gens: Tuple[GeneratorData, ...], max_len: int,
     distinct_ok = len(set(pts)) == 6 * len(gens)
     # one registry for both passes: its operators' memoised images stay exact
     registry = PointRegistry()
-    root = (*_lines_from_components(IDENTITY_COMPONENTS),
-            WeilClass.line_class())
+    root = (*identity_lines(), WeilClass.line_class())
     try:
         if failure_cap < 1:
             raise _Stop  # the per-word tree stops before its first word
@@ -305,11 +323,9 @@ def _leaf_pass(gens, registry: PointRegistry, max_len: int, root) -> None:
 
     def flush() -> None:
         for (word, lines, d), ok in zip(queue, _leaf_verdicts(gens, queue)):
-            if not ok and _modp_step(gens[word[0][0]], word[0][1],
-                                     lines, d) is None:
-                verdict = _adjudicate(gens, word, 2 ** len(word), None)
-                if isinstance(verdict, WordCheck):
-                    raise _Stop
+            verdict = ok or _judge(gens, word, lines, d, 2 ** len(word), None)
+            if isinstance(verdict, WordCheck):
+                raise _Stop
         queue.clear()
 
     def step(word: Word, node):
@@ -345,15 +361,11 @@ def _word_pass(gens, registry: PointRegistry, max_len: int,
         lines, d, push = node
         push, class_degree, transport_fail = _push_letter(gens, registry,
                                                           word[0], push)
-        fast = _modp_step(gens[word[0][0]], word[0][1], lines, d) \
-            if class_degree == 2 ** len(word) else None
-        if fast is None:
-            verdict = _adjudicate(gens, word, class_degree, transport_fail)
-            if isinstance(verdict, WordCheck):
-                failures.append(verdict)
-                return None
-            fast = _lines_from_components(verdict)
-        return (*fast, push)
+        verdict = _judge(gens, word, lines, d, class_degree, transport_fail)
+        if isinstance(verdict, WordCheck):
+            failures.append(verdict)
+            return None
+        return (*verdict, push)
 
     try:
         walk_words(all_letters(len(gens)), max_len, step, root)

@@ -1,11 +1,12 @@
-"""Exact homogeneous polynomial arithmetic in three variables over Q.
+"""Exact homogeneous polynomial arithmetic in three variables over Z.
 
-A polynomial is a sparse map from exponent triples (i, j, k) to rational
+A polynomial is a sparse map from exponent triples (i, j, k) to integer
 coefficients, with i + j + k equal to the total degree for every stored
 term.  Homogeneity is structural: constructors reject mixed-degree input
-instead of repairing it.  Coefficients are Python ints whenever the value
-is integral and ``fractions.Fraction`` otherwise, which keeps arithmetic
-exact and keeps the common all-integer paths on fast machine-int code.
+instead of repairing it.  Coefficients are Python ints only: every map
+birwalk composes is a product of integer matrices and the quadratic
+involution, and a curve is defined only up to scale.  A form up to scale
+is its ``primitive`` part: content 1, positive leading coefficient.
 
 The monomial order used for leading terms and canonical printing is
 graded lexicographic with x > y > z.  Since every stored polynomial is
@@ -15,17 +16,16 @@ comparison of (i, j).
 Two constructors: `HomPoly(terms, degree)` validates outside input (text,
 dict literals, quotients, derivatives), merging and sorting its terms;
 `HomPoly._trusted(terms, degree)` takes arithmetic results as they are and
-relies on the invariant: each coefficient nonzero, an int or a Fraction
-with denominator other than 1; terms sorted by (-i, -j), all of the
-declared degree.  Sums and products accumulate in packed keys
-(i << _SHIFT) | j and reach `_trusted` through `_from_packed`: since
-j < 2**_SHIFT, descending keys are descending (i, j), the grlex order.
+relies on the invariant: nonzero int coefficients, terms sorted by
+(-i, -j), all of the declared degree.  Sums and products accumulate in
+packed keys (i << _SHIFT) | j and reach `_trusted` through `_from_packed`:
+since j < 2**_SHIFT, descending keys are descending (i, j), the grlex order.
 
 GCD strategy: a cheap certificate first (restrict the inputs to a line,
 reduce them mod a prime and take a one-variable gcd there; `modp` says
 when coprime restrictions prove the inputs coprime), which only ever
 short-circuits the answer "the gcd is constant".  Otherwise the exact gcd
-is a heuristic integer gcd (GCDHEU, `_heu_gcd`) of the integer-primitive
+is a heuristic integer gcd (GCDHEU, `_heu_gcd`) of the primitive
 inputs with monomial content split off and z set to 1: evaluate a variable
 at a large integer, recurse, rebuild a candidate from xi-adic digits, and
 keep it only if trial division proves it divides both inputs.  It never
@@ -34,14 +34,13 @@ returns an unproven gcd: after `HEU_GCD_TRIES` points it raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from . import modp
 from .errors import HeuristicGcdFailed, NonExactDivision
 
-Coeff = Union[int, Fraction]
+Coeff = int
 Expo = Tuple[int, int, int]
 
 _VARS = ("x", "y", "z")
@@ -54,15 +53,13 @@ _MASK = (1 << _SHIFT) - 1
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise TypeError(f"integer coefficient required, got {type(c).__name__}")
     return c
 
 
 class HomPoly:
-    """Immutable homogeneous polynomial in x, y, z with exact coefficients."""
+    """Immutable homogeneous polynomial in x, y, z with integer coefficients."""
 
     __slots__ = ("degree", "terms", "_hash")
 
@@ -75,8 +72,6 @@ class HomPoly:
             if i < 0 or j < 0 or k < 0:
                 raise ValueError(f"negative exponent in {expo}")
             c = _norm_coeff(c)
-            if c == 0:
-                continue
             clean[(i, j, k)] = clean.get((i, j, k), 0) + c
         clean = {e: c for e, c in clean.items() if c != 0}
         if clean:
@@ -156,7 +151,7 @@ class HomPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "HomPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, HomPoly):
             return NotImplemented
@@ -200,14 +195,6 @@ class HomPoly:
             total += c * px[i] * py[j] * pz[k]
         return total
 
-    def monic(self) -> "HomPoly":
-        if self.is_zero:
-            return self
-        lc = self.terms[0][1]
-        if lc == 1:
-            return self
-        return self.scale(Fraction(1, 1) / lc)
-
 
 def _pow_table(v, d):
     tab = [1] * (d + 1)
@@ -241,8 +228,6 @@ def _from_packed(packed: Dict[int, Coeff], degree: int) -> HomPoly:
         c = packed[key]
         if c == 0:
             continue
-        if type(c) is Fraction and c.denominator == 1:  # arithmetic gives no subclass
-            c = c.numerator
         i = key >> _SHIFT
         j = key & _MASK
         terms.append(((i, j, degree - i - j), c))
@@ -288,7 +273,7 @@ def format_poly(p: HomPoly) -> str:
     parts = []
     for (i, j, k), c in p.terms:
         factors = []
-        ac = abs(c) if isinstance(c, int) else abs(c)
+        ac = abs(c)
         if ac != 1 or (i == 0 and j == 0 and k == 0):
             factors.append(str(ac))
         for name, e in zip(_VARS, (i, j, k)):
@@ -305,7 +290,9 @@ def format_poly(p: HomPoly) -> str:
 
 
 def parse_poly(text: str) -> HomPoly:
-    """Parse the canonical text form back into a polynomial, bit-exactly."""
+    """Parse the canonical text form back into a polynomial, bit-exactly.
+    A coefficient may be a quotient p/q: the form is then read times the
+    lcm of the denominators, which names the same curve."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
@@ -321,7 +308,7 @@ def parse_poly(text: str) -> HomPoly:
         else:
             current += ch
     chunks.append(current)
-    terms: Dict[Expo, Coeff] = {}
+    terms = []  # (exponents, numerator, denominator) per chunk
     for chunk in chunks:
         sign = 1
         body = chunk
@@ -331,17 +318,19 @@ def parse_poly(text: str) -> HomPoly:
             body = body[1:]
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
-        coeff: Coeff = 1
+        num, den = sign, 1
         expo = [0, 0, 0]
         for factor in body.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
                 if "/" in factor:
-                    num, den = factor.split("/")
-                    coeff = coeff * Fraction(int(num), int(den))
+                    n, d = map(int, factor.split("/"))
+                    if d == 0:
+                        raise ValueError(f"zero denominator in {text!r}")
+                    num, den = num * n, den * d
                 else:
-                    coeff = coeff * int(factor)
+                    num *= int(factor)
             else:
                 name = factor[0]
                 if name not in _VARS:
@@ -353,39 +342,33 @@ def parse_poly(text: str) -> HomPoly:
                         raise ValueError(f"bad factor {factor!r} in {text!r}")
                     e = int(rest[1:])
                 expo[_VARS.index(name)] += e
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return HomPoly(terms)
+        terms.append((tuple(expo), num, den))
+    scale = _ilcm(*(den for _e, _n, den in terms))
+    return HomPoly([(e, num * (scale // den)) for e, num, den in terms])
 
 
 # -- division -----------------------------------------------------------
 
 
-def _expo_divides(a: Expo, b: Expo) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
 def div_exact(a: HomPoly, b: HomPoly) -> HomPoly:
-    """Exact quotient a / b; raises NonExactDivision when b does not divide a."""
+    """Exact quotient a / b over Z; raises NonExactDivision when b does not
+    divide a there.  Callers divide by primitive forms, which by Gauss's
+    lemma divide an integer form over Z when they do over Q."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero:
         return HomPoly({}, max(a.degree - b.degree, 0))
-    if b.degree > a.degree:
-        raise NonExactDivision(f"degree {b.degree} does not divide degree {a.degree} form")
     rem = a.as_dict()
     (be, bc) = b.leading()
-    bterms = b.terms
     quot: Dict[Expo, Coeff] = {}
     while rem:
         re = max(rem, key=lambda e: (e[0], e[1]))
-        rc = rem[re]
-        if not _expo_divides(be, re):
+        qc, r = divmod(rem[re], bc)
+        if r or any(x < y for x, y in zip(re, be)):
             raise NonExactDivision(f"{format_poly(b)} does not divide {format_poly(a)}")
         qe = (re[0] - be[0], re[1] - be[1], re[2] - be[2])
-        qc = _norm_coeff(Fraction(rc) / Fraction(bc))
         quot[qe] = qc
-        for e, c in bterms:
+        for e, c in b.terms:
             t = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
             nv = rem.get(t, 0) - qc * c
             if nv == 0:
@@ -409,20 +392,15 @@ def certainly_coprime(*polys: HomPoly) -> bool:
     for v in (0, 1, 2):
         if all(min(e[v] for e, _ in p.terms) > 0 for p in ps):
             return False  # shared monomial factor
-    # modp takes integer forms, and scaling changes no coprimality
-    ps = [p if all(type(c) is int for _, c in p.terms)
-          else p.scale(_ilcm(*(c.denominator for _, c in p.terms))) for p in ps]
-    for line in (*modp.CERT_LINES.values(), modp.FILTER_LINE):
-        if modp.coprime([modp.restrict(p, line) for p in ps]):
-            return True
-    return False
+    return any(modp.coprime([modp.restrict(p, line) for p in ps])
+               for line in (*modp.CERT_LINES.values(), modp.FILTER_LINE))
 
 
 # -- gcd: heuristic integer gcd, proved by trial division ----------------
 
 
 def canonical_components(comps: Sequence[HomPoly]) -> Tuple[HomPoly, ...]:
-    """Common rescale to integer coefficients, content 1, positive first lead.
+    """Common rescale to content 1 and a positive first lead.
 
     The components share one scalar, so only a joint rescale is allowed;
     for a map's triple anything finer would change the map.
@@ -433,21 +411,19 @@ def canonical_components(comps: Sequence[HomPoly]) -> Tuple[HomPoly, ...]:
         raise ValueError("all components vanish")
     if len({p.degree for p in nz}) != 1:
         raise ValueError("components of unequal degree")
-    coeffs = [c for p in nz for _, c in p.terms]
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = _ilcm(den, c.denominator)
     # math.gcd stops combining once the running gcd is 1
-    num = _igcd(*(coeffs if den == 1 else [int(c * den) for c in coeffs]))
+    num = _igcd(*(c for p in nz for _, c in p.terms))
     if nz[0].terms[0][1] < 0:
         num = -num
-    if den == 1:
-        if num == 1:
-            return comps
-        return tuple(HomPoly._trusted(tuple((e, c // num) for e, c in p.terms),
-                                      p.degree) for p in comps)
-    return tuple(p.scale(Fraction(den, num)) for p in comps)
+    if num == 1:
+        return comps
+    return tuple(HomPoly._trusted(tuple((e, c // num) for e, c in p.terms),
+                                  p.degree) for p in comps)
+
+
+def primitive(p: HomPoly) -> HomPoly:
+    """p up to scale: content 1, positive leading coefficient; 0 stays 0."""
+    return p if p.is_zero else canonical_components((p,))[0]
 
 
 def _eval_last(A: Dict[tuple, int], xi: int) -> Dict[tuple, int]:
@@ -547,7 +523,7 @@ def _gcd_forms(a: HomPoly, b: HomPoly) -> HomPoly:
     so setting z = 1 loses no factor and keeps every degree, and the gcd
     of the affine parts in Z[x, y] homogenizes back to the gcd of the forms.
     """
-    (a,), (b,) = canonical_components((a,)), canonical_components((b,))
+    a, b = primitive(a), primitive(b)
     lows = [[min(e[v] for e, _ in p.terms) for v in (0, 1, 2)] for p in (a, b)]
     mono = [min(m) for m in zip(*lows)]
     A, B = ({(e[0] - lo[0], e[1] - lo[1]): c for e, c in p.terms}
@@ -559,16 +535,12 @@ def _gcd_forms(a: HomPoly, b: HomPoly) -> HomPoly:
 
 
 def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
-    """Greatest common divisor, normalized to leading coefficient 1."""
-    if a.is_zero and b.is_zero:
-        return HomPoly({})
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
+    """Greatest common divisor, primitive: content 1, positive lead."""
+    if a.is_zero or b.is_zero:
+        return primitive(b if a.is_zero else a)
     if certainly_coprime(a, b):
         return ONE
-    return _gcd_forms(a, b).monic()
+    return primitive(_gcd_forms(a, b))
 
 
 def triple_gcd(f0: HomPoly, f1: HomPoly, f2: HomPoly) -> HomPoly:
@@ -578,7 +550,7 @@ def triple_gcd(f0: HomPoly, f1: HomPoly, f2: HomPoly) -> HomPoly:
         return HomPoly({})
     if len(nz) >= 2 and certainly_coprime(*nz):
         return ONE
-    g = nz[0].monic()
+    g = primitive(nz[0])
     for p in nz[1:]:
         if g == ONE:
             return g
@@ -607,7 +579,7 @@ def is_squarefree(p: HomPoly) -> bool:
         return False
     if p.degree == 0:
         return True
-    g = p.monic()
+    g = primitive(p)
     for v in (0, 1, 2):
         g = poly_gcd(g, p.derivative(v))
         if g.degree == 0:
@@ -637,9 +609,10 @@ def multiplicity_at(p: HomPoly, coords: Tuple[int, int, int]) -> int:
     so the work is O(order * d^2) instead of a full O(d^3) shift.
 
     Exactness: every step is a ring operation on the coefficients and
-    the coordinates, with no division, so int and Fraction inputs give
-    the exact coefficients of the transformed form, and the order is
-    decided by exact comparisons with zero.
+    the coordinates, with no division, so it gives the exact integer
+    coefficients of the transformed form, and the order is decided by
+    exact comparisons with zero.  Any integer triple of the point will
+    do: scaling it by t scales the coefficient of U^m W^n by t**(d-m-n).
     """
     if p.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")

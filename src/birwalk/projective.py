@@ -9,8 +9,8 @@ by its gcd with a small number fixed by the letter, and the registry
 tells points apart by ``fingerprint``, a scale-free residue key,
 confirmed exactly by ``same_point``, the vanishing of the cross
 product.  Canonical forms are made when a point is read out for
-printing or for a document, and whenever a plain list, a ``Fraction``
-or a parsed document comes in.
+printing or for a document, and whenever a plain list or a parsed
+document comes in.  Coordinates are Python ints and nothing else.
 
 ``FINGERPRINT_P`` is also the prime the point registry (``picard``)
 carries points by: it hops on residues mod this prime and keys a point
@@ -22,8 +22,7 @@ integers it never builds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import gcd as _igcd
 from typing import Optional, Tuple
 
 from .errors import IndeterminatePoint
@@ -44,10 +43,6 @@ def normalize_exact(coords) -> ExactCoords:
     """
     if type(coords) is _Canonical:
         return coords
-    if not all(type(c) is int for c in coords):
-        fracs = [Fraction(c) for c in coords]
-        den = lcm(*(c.denominator for c in fracs))
-        coords = [int(c * den) for c in fracs]
     g = _igcd(*coords)
     if g == 0:
         raise IndeterminatePoint("all three coordinates vanish")

@@ -72,11 +72,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import genericity, projective
+from . import projective
 from .config import WALK_ARTIFACT_VERSION
 from .errors import DegenerateConfiguration, TablePointHit
-from .genericity import Letter, Word, _inverse_letter, all_letters
-from .maps import GeneratorData, IDENTITY_COMPONENTS
+from .genericity import (Letter, Word, all_letters, identity_lines,
+                         inverse_letter, walk_words, word_lines)
+from .maps import GeneratorData
 from .picard import (
     LetterOperator,
     PointRegistry,
@@ -110,7 +111,7 @@ def reduced_middle_length(itinerary: Word, lo: int, hi: int) -> int:
         lo, hi = hi, lo
     stack: List[Letter] = []
     for letter in itinerary[lo:hi]:
-        if stack and letter == _inverse_letter(stack[-1]):
+        if stack and letter == inverse_letter(stack[-1]):
             stack.pop()
         else:
             stack.append(letter)
@@ -239,7 +240,7 @@ class WalkState:
         step's invariants hold: a step that raises leaves the last
         completed one in place."""
         cancelling = bool(self.stack) and \
-            letter == _inverse_letter(self.stack[-1].letter)
+            letter == inverse_letter(self.stack[-1].letter)
         pull, push = self.pull_class, self.push_class
         if cancelling:
             entry = self.stack[-1]
@@ -286,7 +287,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
     """DFS over reduced words verifying the class calculus word by word;
     returns (words checked per check name, failure records in DFS order).
 
-    The tree is `genericity.walk_words`'s: words, failure records' too,
+    The tree is `walk_words`'s: words, failure records' too,
     put the outermost (newest) letter first.  One walk state carries the
     pullback class; each word's step first pops it back to the word's
     parent, and popping by the formal inverse restores it bit-exactly.
@@ -296,12 +297,12 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
     new letter's base points, adjointness through a probe exceptional
     class, and the two-walk pairing identity against every ancestor.
 
-    The polynomial degree is read as `check_genericity` reads it, off the
-    mod-p restrictions of a word's raw triple to the certificate lines: a
-    line where they are coprime proves the triple coprime (the `modp`
-    docstring), so its degree is twice the parent's.  Only a word no line
-    certifies is composed exactly; its stripped triple gives the degree
-    and reseeds the subtree.
+    The polynomial degree is read by `genericity.word_lines`, as
+    `check_genericity` reads it, off the mod-p restrictions of a word's
+    raw triple to the certificate lines: a line where they are coprime
+    proves the triple coprime (the `modp` docstring), so its degree is
+    twice the parent's.  Only a word no line certifies is composed
+    exactly; its stripped triple gives the degree and reseeds the subtree.
     """
     state = WalkState(gens)
     probe = WeilClass.exceptional_class(state._op((0, 1)).base_ids[0])
@@ -318,7 +319,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
         letter = word[0]
         gen, sign = gens[letter[0]], letter[1]
         while len(state.stack) >= len(word):  # back to the word's parent
-            state.step(_inverse_letter(state.stack[-1].letter))
+            state.step(inverse_letter(state.stack[-1].letter))
             # the tree never pushes a popped word again: drop its filing
             state._popped_here().clear()
         prev_line = state.pull_class.line_coeff
@@ -340,10 +341,8 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
         except DegenerateConfiguration as exc:
             fail(word, "adjoint", f"probe transport degenerate: {exc}")
             return None
-        # with no verdict, compose exactly
-        node = genericity._modp_step(gen, sign, lines, d) \
-            or genericity._lines_from_components(
-                genericity._exact_word_components(gens, word))
+        # the fast letter step, and with no verdict, exact composition
+        node = word_lines(gens, word, lines, d)
         poly_degree = node[1]
         checked += 1
         if poly_degree != cls.line_coeff \
@@ -378,9 +377,9 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
         return (*node, new_pushed, new_push_line,
                 ancestors + [(len(word), cls)])
 
-    root = (*genericity._lines_from_components(IDENTITY_COMPONENTS),
-            probe, WeilClass.line_class(), [(0, WeilClass.line_class())])
-    genericity.walk_words(all_letters(len(gens)), max_len, step, root)
+    root = (*identity_lines(), probe, WeilClass.line_class(),
+            [(0, WeilClass.line_class())])
+    walk_words(all_letters(len(gens)), max_len, step, root)
     names = ("degree", "isometry", "noether", "adjoint", "gram")
     return dict.fromkeys(names, checked), failures
 
@@ -494,7 +493,8 @@ def write_rows_csv(rows: Sequence[StepRow], path) -> None:
             ])
 
 
-def _assert_class_health(cls: WeilClass, n: int, label: str) -> None:
+def assert_class_health(cls: WeilClass, n: int, label: str) -> None:
+    """A tracked class at step n has self-intersection 1, no negative part."""
     if cls.self_intersection() != 1:
         raise AssertionError(
             f"{label} class lost unit self-intersection at step {n}")
@@ -550,9 +550,9 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
             if prev_cp is not None:
                 inc = coefficient_l2_diff(cls, 1 << ln,
                                           prev_cp[0], 1 << prev_cp[1])
-            _assert_class_health(cls, state.n, "pullback")
+            assert_class_health(cls, state.n, "pullback")
             if state.push_class is not None:
-                _assert_class_health(state.push_class, state.n, "pushforward")
+                assert_class_health(state.push_class, state.n, "pushforward")
             prev_cp = (cls, ln)
             if keep_classes:
                 kept.append((state.n, ln, cls, state.push_class))

@@ -370,6 +370,28 @@ def test_equidist_rejects_bad_curve(tmp_path, generators_file, capsys):
                  "--curve", "x^2", "--out-dir", str(tmp_path / "eq")])
     assert code == EXIT_INVARIANT
     assert "bad curve" in capsys.readouterr().err
+    # a zero denominator names no curve
+    code = main(["equidist", "--generators", str(generators_file),
+                 "--curve", "1/0*x + y", "--out-dir", str(tmp_path / "eq")])
+    assert code == EXIT_INVARIANT
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_equidist_reads_a_fractional_curve_up_to_scale(tmp_path,
+                                                        generators_file):
+    docs = {}
+    for name, curve in (("frac", "1/2*x + y"), ("int", "x + 2*y")):
+        out = tmp_path / name
+        assert main(["equidist", "--generators", str(generators_file),
+                     "--curve", curve, "--max-len", "4",
+                     "--out-dir", str(out)]) == EXIT_OK
+        docs[name] = load_json(out / "equidist.json")
+    assert docs["frac"]["curve"] == docs["int"]["curve"] == "x + 2*y"
+    assert docs["frac"]["config"]["curve"] == "1/2*x + y"
+    assert docs["frac"]["rows"] == docs["int"]["rows"]
+    assert len(docs["frac"]["rows"]) == 5
+    assert (tmp_path / "frac" / "equidist.csv").read_bytes() == \
+        (tmp_path / "int" / "equidist.csv").read_bytes()
 
 
 # -- documents ----------------------------------------------------------

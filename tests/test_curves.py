@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -67,9 +66,11 @@ def test_curve_rejects_nonreduced_and_trivial():
 
 
 def test_curve_canonicalizes_scaling():
-    c = PlaneCurve(HomPoly({(1, 0, 0): Fraction(-2, 3), (0, 1, 0): Fraction(-4, 3)}))
+    c = PlaneCurve(HomPoly({(1, 0, 0): -2, (0, 1, 0): -4}))
     assert c.poly == parse_poly("x + 2*y")
     assert str(c) == "x + 2*y"
+    # fractions in the text name the same curve
+    assert PlaneCurve.parse("-2/3*x - 4/3*y") == c
 
 
 # -- hand-checked involution pullbacks ----------------------------------
@@ -202,9 +203,8 @@ def test_guedj_bound_on_sampled_words(gens, line, conic):
 
 def _sympy_form(sp, p):
     x, y, z = sp.symbols("x y z")
-    return sp.Poly(sum(sp.Rational(Fraction(c).numerator, Fraction(c).denominator)
-                       * x ** i * y ** j * z ** k for (i, j, k), c in p.terms),
-                   x, y, z)
+    return sp.Poly(sum(sp.Integer(c) * x ** i * y ** j * z ** k
+                       for (i, j, k), c in p.terms), x, y, z)
 
 
 def _sympy_strict(sp, gens, word, curve):
@@ -241,13 +241,12 @@ def _sympy_strict(sp, gens, word, curve):
 
 def _conic_through(sp, pts):
     expos = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-    rows = [[sp.Rational(str(Fraction(p[0]) ** i * Fraction(p[1]) ** j
-                             * Fraction(p[2]) ** k)) for i, j, k in expos]
+    rows = [[sp.Integer(p[0] ** i * p[1] ** j * p[2] ** k) for i, j, k in expos]
             for p in pts]
     basis = sp.Matrix(rows).nullspace()
     v = sum(((n + 1) * b for n, b in enumerate(basis)), sp.zeros(6, 1))
-    return PlaneCurve(HomPoly({e: Fraction(int(c.p), int(c.q))
-                               for e, c in zip(expos, v)}))
+    den = sp.ilcm(*(c.q for c in v))  # the same conic, with integer coefficients
+    return PlaneCurve(HomPoly({e: int(c * den) for e, c in zip(expos, v)}))
 
 
 def test_strict_transform_matches_sympy_factoring(gens, line, conic):
@@ -518,3 +517,50 @@ def test_equidist_at_depth_twelve(gens):
             halved = itinerary[r.prefix_len - 1] in halving
             assert r.strict_degree == 1 << (r.reduced_len - halved)
         assert all(r.bound_lhs <= r.bound_rhs for r in rows)
+
+
+def test_equidist_reads_multiplicities_up_to_scale(monkeypatch, gens):
+    # a multiplicity does not change with scale, so neither route needs a
+    # point's canonical integers, only the registry's representative
+    curves = [PlaneCurve.parse("x + y + z"),
+              _line_through(gens[0].base_pts[0], gens[1].inv_base_pts[1]),
+              PlaneCurve.parse("x^2 + y*z - 2*z^2")]
+    cases = [(curve, random_itinerary(2, 6, random.Random(seed)))
+             for curve in curves for seed in (1, 2, 3)]
+    want = [equidist_diagnostic(gens, it, curve, max_len=6)
+            for curve, it in cases]
+    word = ((0, 1), (1, -1))
+    reports = [(curve, pullback_curve(gens, word, curve)) for curve in curves]
+    lelong = [lelong_crosscheck(gens, word, c, report=r) for c, r in reports]
+
+    coords_of = PointRegistry.coords_of
+
+    def refuse(registry, pid):
+        # the letter operators read their table points as before
+        if sys._getframe(1).f_globals is vars(curves_mod):
+            raise AssertionError("a multiplicity read asked for canonical "
+                                 "integers")
+        return coords_of(registry, pid)
+
+    monkeypatch.setattr(PointRegistry, "coords_of", refuse)
+    assert [equidist_diagnostic(gens, it, curve, max_len=6)
+            for curve, it in cases] == want
+    assert [lelong_crosscheck(gens, word, c, report=r)
+            for c, r in reports] == lelong
+
+
+def test_a_contracted_prefix_is_not_absorbing(gens):
+    # the line through two base points of the letter (0, 1) is contracted
+    # by its inverse, (0, -1), but not by the word (1, 1) after it; the
+    # equidist series still ends at the first contracted prefix
+    curve = PlaneCurve.parse("x + 4*y - 5*z")
+    assert [curve.multiplicity_at(p) for p in gens[0].base_pts] == [1, 1, 0]
+    with pytest.raises(CurveContracted):
+        pullback_curve(gens, ((0, -1),), curve)
+    report = pullback_curve(gens, ((1, 1), (0, -1)), curve)
+    assert report.strict_degree == report.raw_degree == 4
+    with pytest.raises(CurveContracted):
+        pullback_curve(gens, ((0, -1), (1, 1)), curve)
+    # the itinerary runs in time order: prefix 2 is the word ((1, 1), (0, -1))
+    rows = equidist_diagnostic(gens, ((0, -1), (1, 1)), curve, max_len=2)
+    assert [r.prefix_len for r in rows] == [0]

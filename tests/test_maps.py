@@ -1,8 +1,7 @@
 """Birational map layer: the quadratic involution, generators, composition."""
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -163,12 +162,10 @@ def test_identity_map_constant():
 
 def naive_canonical(comps):
     """The joint primitive rescale, spelled out term by term."""
-    coeffs = [c for p in comps for _, c in p.terms]
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    scale = Fraction(den, gcd(*(int(c * den) for c in coeffs)))
+    content = gcd(*(c for p in comps for _, c in p.terms))
     if next(p for p in comps if not p.is_zero).terms[0][1] < 0:
-        scale = -scale
-    return tuple(HomPoly({e: c * scale for e, c in p.terms}, p.degree)
+        content = -content
+    return tuple(HomPoly({e: c // content for e, c in p.terms}, p.degree)
                  for p in comps)
 
 

@@ -1,12 +1,10 @@
 """Prime-field kernel: restrictions against substitution, and soundness."""
 
-from fractions import Fraction
-
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from birwalk import modp
-from birwalk.poly import HomPoly, X, Y, Z, certainly_coprime, poly_gcd, triple_gcd
+from birwalk.poly import HomPoly, X, Y, Z, certainly_coprime, triple_gcd
 
 P = modp.P
 
@@ -27,14 +25,16 @@ FILTER_PARAMS = ((3, 5), (7, 1), (2, 11))
 
 
 @st.composite
-def rational_forms(draw, max_degree=4, max_terms=5, denominators=(1, 2, 3, 7)):
+def integer_forms(draw, max_degree=4, max_terms=5, multiples=(1,)):
+    """A nonzero form whose coefficients are small integers times one of
+    ``multiples``; a multiple of P vanishes mod P."""
     d = draw(st.integers(min_value=0, max_value=max_degree))
     terms = {}
     for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
         i = draw(st.integers(min_value=0, max_value=d))
         j = draw(st.integers(min_value=0, max_value=d - i))
-        c = Fraction(draw(st.integers(min_value=-9, max_value=9)),
-                     draw(st.sampled_from(denominators)))
+        c = (draw(st.integers(min_value=-9, max_value=9))
+             * draw(st.sampled_from(multiples)))
         terms[(i, j, d - i - j)] = terms.get((i, j, d - i - j), 0) + c
     p = HomPoly(terms, d)
     return p if not p.is_zero else HomPoly({(d, 0, 0): 1})
@@ -49,18 +49,18 @@ def _umul(u, v):
 
 
 def _substituted(p, forms):
-    """Exact restriction over Q by substitution, then reduced mod P."""
-    acc = [Fraction(0)] * (p.degree + 1)
+    """Exact restriction over Z by substitution, then reduced mod P."""
+    acc = [0] * (p.degree + 1)
     for exps, c in p.terms:
         term = [c]
         for form, e in zip(forms, exps):
             for _ in range(e):
                 term = _umul(term, list(form))
         acc = [a + b for a, b in zip(acc, term)]
-    return [a.numerator * pow(a.denominator, P - 2, P) % P for a in acc]
+    return [a % P for a in acc]
 
 
-@given(rational_forms(denominators=(1,)))
+@given(integer_forms())
 @settings(max_examples=60, deadline=None)
 def test_restrict_matches_substitution_on_every_line(p):
     assert tuple(modp.CERT_LINES) == tuple(LINE_PARAMS)
@@ -69,11 +69,10 @@ def test_restrict_matches_substitution_on_every_line(p):
     assert modp.restrict(p, modp.FILTER_LINE) == _substituted(p, FILTER_PARAMS)
 
 
-@given(rational_forms(max_degree=3, max_terms=3),
-       rational_forms(max_degree=3, max_terms=3),
-       rational_forms(max_degree=3, max_terms=3),
-       rational_forms(max_degree=2, max_terms=3,
-                      denominators=(1, 2, 5, P)))
+@given(integer_forms(max_degree=3, max_terms=3),
+       integer_forms(max_degree=3, max_terms=3),
+       integer_forms(max_degree=3, max_terms=3),
+       integer_forms(max_degree=2, max_terms=3, multiples=(1, 2, 5, P)))
 @settings(max_examples=80, deadline=None)
 @example(a=X + Y, b=X - Y, c=Z, g=Y + Z)  # y + z restricts to s on z0
 @example(a=X, b=Y, c=Z, g=X + Y + Z)
@@ -84,8 +83,8 @@ def test_planted_factor_is_never_certified_away(a, b, c, g):
     assert triple_gcd(a * g, b * g, c * g).degree >= g.degree
 
 
-@given(rational_forms(max_degree=3, max_terms=4, denominators=(1,)),
-       rational_forms(max_degree=3, max_terms=4, denominators=(1,)))
+@given(integer_forms(max_degree=3, max_terms=4),
+       integer_forms(max_degree=3, max_terms=4))
 @settings(max_examples=60, deadline=None)
 def test_divides_never_refutes_a_true_divisor(a, g):
     f_image = modp.restrict(a * g, modp.FILTER_LINE)
@@ -96,38 +95,6 @@ def test_divides_refutes_a_non_divisor():
     x_plus_y = modp.restrict(X + Y, modp.FILTER_LINE)
     assert not modp.divides(modp.restrict(X * Z, modp.FILTER_LINE), x_plus_y)
     assert modp.divides(modp.restrict((X + Y) * Z, modp.FILTER_LINE), x_plus_y)
-
-
-def test_denominator_divisible_by_p_abstains():
-    # g = P*x + y divides both forms; read with the coefficient 1/P dropped
-    # they would be x*z and x^2 + y^2, which are coprime
-    g = X.scale(P) + Y
-    f1 = g * Z.scale(Fraction(1, P))
-    f2 = g * (X.scale(Fraction(1, P)) + Y)
-    assert Fraction(1, P) in dict(f1.terms).values()
-    assert not certainly_coprime(f1, f2)
-    assert poly_gcd(f1, f2) == g.monic()
-    assert triple_gcd(f1, f2, g * Z) == g.monic()
-
-
-_SCALARS = st.builds(Fraction,
-                     st.integers(min_value=-9, max_value=9).filter(bool),
-                     st.sampled_from((1, 2, 7, P)))
-
-
-@given(rational_forms(max_degree=3, max_terms=4, denominators=(1,)),
-       rational_forms(max_degree=3, max_terms=4, denominators=(1,)),
-       rational_forms(max_degree=1, max_terms=2, denominators=(1,)),
-       st.booleans(), _SCALARS, _SCALARS)
-@settings(max_examples=80, deadline=None)
-@example(a=X, b=Y, g=Z, plant=False, qa=Fraction(1, P), qb=Fraction(3, P))
-@example(a=X, b=Y, g=X + Z, plant=True, qa=Fraction(1, P), qb=Fraction(2))
-def test_certificate_is_blind_to_rational_rescaling(a, b, g, plant, qa, qb):
-    # certainly_coprime scales a rational form to integers before reducing
-    # it mod P, so a denominator of P costs no verdict
-    if plant:
-        a, b = a * g, b * g
-    assert certainly_coprime(a.scale(qa), b.scale(qb)) == certainly_coprime(a, b)
 
 
 # -- lanes: lockstep Euclid against the scalar one -------------------------

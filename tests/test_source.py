@@ -43,6 +43,74 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _fraction_imports(tree: ast.Module):
+    """Lines that import the ``fractions`` module or a name from it."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "fractions")
+
+
+def test_fraction_import_scan_sees_both_import_forms():
+    tree = ast.parse("import os\nfrom fractions import Fraction\n"
+                     "import fractions as f\nfrom .poly import fractions\n")
+    assert _fraction_imports(tree) == [2, 3]
+
+
+def test_no_module_imports_fractions():
+    # forms and points hold Python ints; a rational input is scaled to
+    # integers where it is read
+    found = {p.name: _fraction_imports(ast.parse(p.read_text()))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _private_reach_ins(tree: ast.Module):
+    """(line, name) of each private name of another birwalk module that a
+    module imports, or reads as an attribute of a module it imported."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.level or (node.module or "").split(".")[0] == "birwalk"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "birwalk"):  # a submodule
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname
+                           and alias.name.startswith("birwalk."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__") \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_private_name_scan_sees_imports_and_reads():
+    tree = ast.parse("from . import genericity, projective\n"
+                     "from .walk import _health, run_walk\n"
+                     "from birwalk.poly import _SHIFT as shift\n"
+                     "import birwalk.maps as maps\n"
+                     "x = genericity._step(projective.FINGERPRINT_P)\n"
+                     "y = genericity.__name__ + run_walk._cache\n"
+                     "z = maps._cache + shift\n")
+    assert _private_reach_ins(tree) == [
+        (2, "_health"), (3, "_SHIFT"), (5, "genericity._step"),
+        (7, "maps._cache")]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {p.name: _private_reach_ins(ast.parse(p.read_text()))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_only_picard_pulls_a_class_back_by_a_letter():
     # a letter's pushforward is PointRegistry.push and a run of pullbacks
     # picard.pull; every other module goes through them

@@ -149,7 +149,7 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch):
     # pushing the letter just popped again reuses the chains it kept
     top = state.stack[-1].letter
     after_push = state.pull_class
-    state.step(genericity._inverse_letter(top))
+    state.step(genericity.inverse_letter(top))
     seen = len(transports)
     state.step(top)
     assert len(transports) == seen
@@ -164,8 +164,8 @@ def test_cancelling_step_reuses_its_push(gens, monkeypatch):
     assert len(transports) > seen
     after_push = state.pull_class
     seen = len(transports)
-    for letter in (genericity._inverse_letter(b),
-                   genericity._inverse_letter(a), a):
+    for letter in (genericity.inverse_letter(b),
+                   genericity.inverse_letter(a), a):
         state.step(letter)
     assert len(transports) == seen  # pops, and a comes back filed
     state.step(b)
