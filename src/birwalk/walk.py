@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import projective
 from .config import WALK_ARTIFACT_VERSION
@@ -387,8 +387,7 @@ def crosscheck_words(gens: Tuple[GeneratorData, ...], max_len: int):
 # -- driver and report --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
     n: int
     reduced_len: int
     log2_deg: int
@@ -484,13 +483,8 @@ def write_rows_csv(rows: Sequence[StepRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.n, r.reduced_len, r.log2_deg,
-                "" if r.cauchy_increment is None else repr(r.cauchy_increment),
-                repr(r.drift_estimate),
-                "" if r.self_intersection is None else repr(r.self_intersection),
-            ])
+        # csv writes None as an empty cell and a float by its repr
+        writer.writerows(rows)
 
 
 def assert_class_health(cls: WeilClass, n: int, label: str) -> None:
@@ -535,42 +529,40 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
     state = WalkState(gens, track_classes=track_classes,
                       track_pushforward=track_pushforward,
                       registry=registry)
-    rows: List[StepRow] = []
+    stack = state.stack
     kept: List[Tuple[int, int, WeilClass, Optional[WeilClass]]] = []
     prev_cp: Optional[Tuple[WeilClass, int]] = None
     aborted = None
     aborted_at = None
 
-    def record(at_checkpoint: bool) -> None:
+    def checkpoint() -> Optional[float]:
+        """Check the tracked classes, keep them if asked, and return the
+        Cauchy increment from the previous checkpoint's class."""
         nonlocal prev_cp
-        ln = state.reduced_len
+        cls, ln = state.pull_class, len(stack)
         inc = None
-        if at_checkpoint and state.track_classes:
-            cls = state.pull_class
-            if prev_cp is not None:
-                inc = coefficient_l2_diff(cls, 1 << ln,
-                                          prev_cp[0], 1 << prev_cp[1])
-            assert_class_health(cls, state.n, "pullback")
-            if state.push_class is not None:
-                assert_class_health(state.push_class, state.n, "pushforward")
-            prev_cp = (cls, ln)
-            if keep_classes:
-                kept.append((state.n, ln, cls, state.push_class))
-        rows.append(StepRow(
-            n=state.n,
-            reduced_len=ln,
-            log2_deg=ln,
-            cauchy_increment=inc,
-            drift_estimate=(ln / state.n) * LOG2 if state.n else 0.0,
-            self_intersection=normalized_self_pairing(ln),
-        ))
+        if prev_cp is not None:
+            inc = coefficient_l2_diff(cls, 1 << ln,
+                                      prev_cp[0], 1 << prev_cp[1])
+        assert_class_health(cls, state.n, "pullback")
+        if state.push_class is not None:
+            assert_class_health(state.push_class, state.n, "pushforward")
+        prev_cp = (cls, ln)
+        if keep_classes:
+            kept.append((state.n, ln, cls, state.push_class))
+        return inc
 
-    record(at_checkpoint=True)  # the n=0 state: the line class itself
+    # the n=0 state: the line class itself
+    rows = [StepRow(0, 0, 0, checkpoint() if track_classes else None, 0.0,
+                    normalized_self_pairing(0))]
     for k in range(steps):
         try:
             state.step(itinerary[k])
-            at_cp = bool(checkpoint_every) and state.n % checkpoint_every == 0
-            record(at_checkpoint=at_cp or state.n == steps)
+            n, ln = k + 1, len(stack)
+            at_cp = track_classes and (
+                n == steps or checkpoint_every and n % checkpoint_every == 0)
+            rows.append(StepRow(n, ln, ln, checkpoint() if at_cp else None,
+                                ln / n * LOG2, normalized_self_pairing(ln)))
         except DegenerateConfiguration as exc:
             aborted = str(exc)
             aborted_at = k + 1

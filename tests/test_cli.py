@@ -729,6 +729,49 @@ _WALK_DIGESTS = {
 }
 _COMPARE_DIGEST = \
     "1eebcb068023d12ef74b560dd5a87006fb8e3fbf77300f8693120d80236c96a2"
+# sha256 of each per-trial CSV of the `_WALK_DIGESTS` runs, trial by trial
+_WALK_CSV_DIGESTS = {
+    (1, 10): (
+        "04eb4f5b82b2e91a3837115525a1f626121999bbf32eb6e4e69853fbafbd87dc",
+        "82f18d3988060070284683b85629a5eb8e90b1539abd864bcc3cf27c0417c61e",
+        "1bde9c13e911eb9209a8a8297eead00256358d949cd29f12f91758b8bcf37c50",
+        "6c04f00765bf08bb30c22f86e2b24682db4e3606b19197321a2d552055579e8a",
+        "4bab715322226e64f67bee929c329dc3ce578a209b730a642fa9c2eaf2b1c42a",
+        "54875829e9235f6fd6172671ad823c3e7c98466d4f6f90cd6f6ba5ff2fc1298e",
+        "afc183a0c227961b899c20a2ccf1973172ced1a6c246a7043c79e9de91c79baf",
+        "54b99e01b334175a8a42c344fe6d26521aad5d75ffc3304d5b9fb30f9d39cdad",
+    ),
+    (2, 10): (
+        "54875829e9235f6fd6172671ad823c3e7c98466d4f6f90cd6f6ba5ff2fc1298e",
+        "c99ea4e57dbf4d3e58ae0b1715168f03393a27874a8c25948e6f50044f46a1d2",
+        "a16e0aba67bd05e7df204427cb7cbb0185ff9fa007567b9b9454304f0dbf6dd0",
+        "f4d2a1ac1aeb00ff53c9685b62aea636156bad8952b1621356d7c6bb9df8c11c",
+        "41c53721d0784cd0beb5265db0a2ae353300bff137dfed86652d36df40b5c941",
+        "c5a625b537b8c958891d708d53932d86bc80acae19705ee24d442ed746b6e68f",
+        "8d8f67883d623afe1cee7d08fec090c7723968078ad4ab870ddeaab54b39856c",
+        "212afe36f87d076e7d7dc206fe6cc5226c6e3984f83c21bc6748239dea0657d0",
+    ),
+    (1, 16): (
+        "e2adac039aacb03e2f6f033b1072ddb1bbffe0f858be2d0c7d4dd1a582c5dd35",
+        "370060a3d5caa58a9c4c988f26e14d0e9add2846f05761b255a04e12e105dba8",
+        "12739001d7fdd32fc35e149cbafc56ed0c9ab0e979223f96fc0b40fdf62f8543",
+        "95184ed19d404d1ba2e7312f997c6e25402b3cb80a6d91bd9feebce1033d56eb",
+        "ee46ccc0aeb0e6b09708746e331626c5127a6b0ca306827d2895655ce63c0532",
+        "cf4640f65f5094d6fb3ecbab1e2aedd842f1583662cdceae000f1e19cbce99c7",
+        "dc61aa7144d01565b532d73ab2904f6fcdeb57e40efe529c3a0f98439bd45616",
+        "1d16e9b0e899020c8f1bd4ae420cedd78dca2dd935940a1f9fb59c145fcecf74",
+    ),
+}
+# sha256 of `walk --no-classes --steps 5000 --trials 2 --seed 5`: the
+# artifact, then each trial's CSV
+_DRIFT_DIGESTS = {
+    "artifact.json":
+        "cddd6d3f47816b7f718229d4499b241e63520233c7c5c56ba4c7945a4d419fde",
+    "walk_trial00_seed5000.csv":
+        "15ef3af7f55f292b40752c4f2de59f2fb667988d2a4002b7a70a0f67f5379540",
+    "walk_trial01_seed5001.csv":
+        "41de23d3436869176ffd2986d9a7595729b5f74242c572ba5192f48b8f406e94",
+}
 
 
 def test_exact_walk_documents_are_frozen(tmp_path, generators_file, capsys):
@@ -741,7 +784,19 @@ def test_exact_walk_documents_are_frozen(tmp_path, generators_file, capsys):
         arts[seed, steps] = out / "artifact.json"
         digest = hashlib.sha256(arts[seed, steps].read_bytes()).hexdigest()
         assert digest == _WALK_DIGESTS[seed, steps], (seed, steps)
+        csvs = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in sorted(out.glob("walk_trial*.csv")))
+        assert csvs == _WALK_CSV_DIGESTS[seed, steps], (seed, steps)
     capsys.readouterr()
     assert main(["compare", str(arts[1, 10]), str(arts[2, 10])]) == EXIT_OK
     printed = capsys.readouterr().out
     assert hashlib.sha256(printed.encode()).hexdigest() == _COMPARE_DIGEST
+
+
+def test_class_free_drift_documents_are_frozen(tmp_path, generators_file):
+    out = tmp_path / "drift"
+    assert main(["walk", "--generators", str(generators_file),
+                 "--no-classes", "--steps", "5000", "--trials", "2",
+                 "--seed", "5", "--out-dir", str(out)]) == EXIT_OK
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == _DRIFT_DIGESTS

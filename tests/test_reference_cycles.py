@@ -13,6 +13,8 @@ import gc
 import weakref
 from contextlib import contextmanager
 
+import pytest
+
 from birwalk.config import dumps_json
 from birwalk.genericity import check_genericity
 from birwalk.picard import PointRegistry
@@ -48,6 +50,15 @@ def test_genericity_walk_leaves_no_cycle(certified_tuple):
 def test_crosscheck_walk_leaves_no_cycle(certified_tuple):
     left = _birwalk_functions_left_in_cycles(
         lambda: crosscheck_words(certified_tuple, 2))
+    assert left == []
+
+
+@pytest.mark.parametrize("track_classes", [True, False])
+def test_run_walk_leaves_no_cycle(certified_tuple, track_classes):
+    left = _birwalk_functions_left_in_cycles(
+        lambda: run_walk(certified_tuple, 40, seed=3, checkpoint_every=4,
+                         track_classes=track_classes,
+                         keep_classes=track_classes))
     assert left == []
 
 

@@ -1,5 +1,6 @@
 """Walk engine: invariants, rollback exactness, frozen small-case oracles."""
 
+import csv
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from birwalk.picard import (
     class_to_jsonable,
 )
 from birwalk.walk import (
+    CSV_COLUMNS,
     LOG2,
     StepRow,
     WalkReport,
@@ -389,6 +391,57 @@ def test_rows_past_length_537_write_an_empty_self_intersection(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert [line.split(",")[-1] for line in lines[1:]] == \
         [repr(2.0 ** -1074), "", ""]
+
+
+def _oracle_rows_csv(rows, path) -> None:
+    """The rows' CSV with every field formatted by hand: an empty cell
+    for None and ``repr`` for a float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in rows:
+            writer.writerow([
+                r.n, r.reduced_len, r.log2_deg,
+                "" if r.cauchy_increment is None else repr(r.cauchy_increment),
+                repr(r.drift_estimate),
+                "" if r.self_intersection is None else repr(r.self_intersection),
+            ])
+
+
+def _assert_csv_matches_oracle(rows, tmp_path) -> None:
+    written, oracle = tmp_path / "written.csv", tmp_path / "oracle.csv"
+    write_rows_csv(rows, written)
+    _oracle_rows_csv(rows, oracle)
+    assert written.read_bytes() == oracle.read_bytes()
+
+
+def test_rows_csv_matches_the_per_field_oracle_on_planted_rows(tmp_path):
+    floats = (0.0, 0.1 + 0.2, 1e-300, 2.0 ** -1074, 1 / 3, 123456.789e10,
+              LOG2 / 2)
+    rows = [StepRow(n=n, reduced_len=ln, log2_deg=ln,
+                    cauchy_increment=None if n % 3 == 0 else floats[n % 7],
+                    drift_estimate=floats[(n + 2) % 7],
+                    self_intersection=normalized_self_pairing(ln))
+            for n, ln in ((0, 0), (1, 1), (2, 2), (5, 3), (1073, 536),
+                          (1074, 537), (1075, 538), (2200, 1100))]
+    assert [r.self_intersection for r in rows[-3:]] == \
+        [2.0 ** -1074, None, None]
+    _assert_csv_matches_oracle(rows, tmp_path)
+
+
+def test_rows_csv_matches_the_per_field_oracle_on_a_deep_walk(gens, tmp_path):
+    report = run_walk(gens, 600, seed=1)
+    assert report.aborted is None and report.final_reduced_len == 306
+    assert any(r.cauchy_increment is not None for r in report.rows)
+    _assert_csv_matches_oracle(report.rows, tmp_path)
+
+
+def test_step_rows_are_immutable():
+    row = StepRow(n=1, reduced_len=1, log2_deg=1, cauchy_increment=None,
+                  drift_estimate=LOG2, self_intersection=0.25)
+    for name in CSV_COLUMNS:
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0)
 
 
 def test_boundary_compare_self_equals_control(gens):
