@@ -2,10 +2,13 @@
 
 A run is a pure function of its configuration: generators come from a
 seeded sampler or explicit matrices, per-trial walk seeds derive from the
-config, and no document embeds wall-clock state.  All JSON is dumped
-by the stdlib with sorted keys and a two-space indent, so re-running a
-config must reproduce output files byte for byte; that equality is
-itself one of the tests.
+config, and no document embeds wall-clock state.  Every document has
+the text of ``json.dumps(obj, sort_keys=True, indent=2)``, so re-running
+a config must reproduce output files byte for byte; that equality is
+itself one of the tests.  ``dumps_json`` writes it without the stdlib's
+pure-Python encoder, which ``indent`` selects: each container of plain
+scalars is one C encoder call, and only nested containers are walked in
+Python.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .genericity import GenericityReport
@@ -202,10 +207,86 @@ def _any_int_digits():
         sys.set_int_max_str_digits(old)
 
 
+_INDENT = "  "
+_FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
+# a list of at most _MEMO_LEN values of these exact types is written once
+# per depth and value tuple, so an itinerary's letters take one text each;
+# floats and bools stay out, as -0.0 == 0.0 and True == 1
+_MEMO_TYPES = frozenset((int, str))
+_MEMO_LEN = 4
+
+
+@lru_cache(maxsize=None)
+def _flat_at(depth: int):
+    """The C encoder of a flat container at ``depth``, with its opening
+    and closing newline."""
+    inner = "\n" + _INDENT * (depth + 1)
+    # positional: markers, default, string encoder, indent, key and item
+    # separators, sort_keys, skipkeys, allow_nan.  No markers: a container
+    # of scalars cannot close a cycle; json's default refuses in its words.
+    return (c_make_encoder(None, json.JSONEncoder().default,
+                           encode_basestring_ascii, None, ": ", "," + inner,
+                           True, False, True), inner, "\n" + _INDENT * depth)
+
+
+def _flat_text(obj, depth: int) -> str:
+    """A scalar, or a container of scalars, in one C encoder call."""
+    encoder, inner, outer = _flat_at(depth)
+    text = "".join(encoder(obj, 0))
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return text
+    return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+
+
+def _write(obj, depth: int, chunks: list, memo: dict, open_ids: set) -> None:
+    """Append the text of ``obj`` at ``depth`` to ``chunks``; a module
+    function, so its recursion leaves no closure cycle behind."""
+    values = ()  # a scalar, or what json refuses, is one encoder call
+    if isinstance(obj, (list, tuple)):
+        if len(obj) <= _MEMO_LEN and _MEMO_TYPES.issuperset(map(type, obj)):
+            key = (depth, *obj)
+            if key not in memo:
+                memo[key] = _flat_text(obj, depth)
+            chunks.append(memo[key])
+            return
+        brackets, values = "[]", obj
+    elif isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    if _FLAT_TYPES.issuperset(map(type, values)):
+        chunks.append(_flat_text(obj, depth))
+        return
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
+    inner = "\n" + _INDENT * (depth + 1)
+    lead, sep = brackets[0] + inner, "," + inner
+    if brackets == "[]":
+        for value in obj:
+            chunks.append(lead)
+            lead = sep
+            _write(value, depth + 1, chunks, memo, open_ids)
+    else:
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+                key = _flat_text(key, depth)
+            chunks.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = sep
+            _write(value, depth + 1, chunks, memo, open_ids)
+    chunks.append("\n" + _INDENT * depth + brackets[1])
+    open_ids.remove(id(obj))
+
+
 def dumps_json(obj) -> str:
-    """``obj`` as sorted, 2-space indented JSON, integers of any length."""
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, integers
+    of any length."""
+    chunks = []
     with _any_int_digits():
-        return json.dumps(obj, sort_keys=True, indent=2)
+        _write(obj, 0, chunks, {}, set())
+    return "".join(chunks)
 
 
 def dump_json(path, obj) -> None:

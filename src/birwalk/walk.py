@@ -59,10 +59,12 @@ The degree invariant (line coefficient equals 2^reduced-length), the
 unit self-intersection, and the nonnegativity of the point
 multiplicities are asserted as the walk runs, so a silent breakdown of
 the free-basis bookkeeping cannot pass.  Class tracking can also be
-switched off entirely, leaving the exact integer word-length
-bookkeeping, which is all the degree-growth and drift statistics need:
-the degree of the composite is exactly 2^reduced-length, so deep runs
-do not pay for (or abort on) geometry they never consult.
+switched off entirely, which is all the degree-growth and drift
+statistics need: the degree of the composite is exactly
+2^reduced-length, so deep runs do not pay for (or abort on) geometry
+they never consult.  A walk that tracks neither class steps no
+``WalkState``: its rows come from the reduced lengths of a plain letter
+stack, the free reduction ``reduced_middle_length`` runs too.
 """
 
 from __future__ import annotations
@@ -98,7 +100,24 @@ CROSSCHECK_FAILURE_CAP = 50
 def random_itinerary(generator_count: int, steps: int,
                      rng: random.Random) -> Word:
     letters = all_letters(generator_count)
-    return tuple(letters[rng.randrange(len(letters))] for _ in range(steps))
+    # choice draws the stream of randrange(len(letters)), one call cheaper
+    return tuple([rng.choice(letters) for _ in range(steps)])
+
+
+def _reduced_lengths(letters: Sequence[Letter]) -> List[int]:
+    """The freely reduced length of each nonempty prefix of ``letters``."""
+    # each stacked letter's slot holds the inverse of the letter below it
+    stack: List[Optional[Letter]] = []
+    top = None  # the inverse of the newest stacked letter
+    lengths = []
+    for letter in letters:
+        if letter == top:
+            top = stack.pop()
+        else:
+            stack.append(top)
+            top = inverse_letter(letter)
+        lengths.append(len(stack))
+    return lengths
 
 
 def reduced_middle_length(itinerary: Word, lo: int, hi: int) -> int:
@@ -109,13 +128,7 @@ def reduced_middle_length(itinerary: Word, lo: int, hi: int) -> int:
     """
     if lo > hi:
         lo, hi = hi, lo
-    stack: List[Letter] = []
-    for letter in itinerary[lo:hi]:
-        if stack and letter == inverse_letter(stack[-1]):
-            stack.pop()
-        else:
-            stack.append(letter)
-    return len(stack)
+    return (_reduced_lengths(itinerary[lo:hi]) or [0])[-1]
 
 
 def normalized_pairing(c1: WeilClass, len1: int, c2: WeilClass, len2: int) -> float:
@@ -156,11 +169,7 @@ class WalkState:
         self.gens = gens
         self.track_classes = track_classes
         self.track_pushforward = track_pushforward
-        if track_classes or track_pushforward:
-            self.registry = registry if registry is not None \
-                else PointRegistry()
-        else:
-            self.registry = None
+        self.registry = registry if registry is not None else PointRegistry()
         self.stack: List[_StackEntry] = []
         self._root_popped: Dict[Letter, _StackEntry] = {}
         self.n = 0
@@ -231,7 +240,7 @@ class WalkState:
         if not self.stack:
             return self._root_popped
         top = self.stack[-1]
-        if top.popped is None:  # made on demand: class-free walks need none
+        if top.popped is None:  # made on demand: push-only walks file nothing
             top.popped = {}
         return top.popped
 
@@ -479,12 +488,14 @@ CSV_COLUMNS = ("n", "reduced_len", "log2_deg", "cauchy_increment",
 
 
 def write_rows_csv(rows: Sequence[StepRow], path) -> None:
-    import csv
+    """The rows as the ``csv`` module writes them: CRLF line ends, None
+    as an empty cell and a float by its repr."""
+    text = "".join([",".join(CSV_COLUMNS), "\r\n", *[
+        f"{n},{ln},{deg},{'' if inc is None else repr(inc)},{drift!r},"
+        f"{'' if pair is None else repr(pair)}\r\n"
+        for n, ln, deg, inc, drift, pair in rows]])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        # csv writes None as an empty cell and a float by its repr
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def assert_class_health(cls: WeilClass, n: int, label: str) -> None:
@@ -495,6 +506,17 @@ def assert_class_health(cls: WeilClass, n: int, label: str) -> None:
     if any(v < 0 for v in cls.point_part.values()):
         raise AssertionError(
             f"{label} class grew a negative multiplicity at step {n}")
+
+
+def _classfree_rows(itinerary: Word) -> Tuple[StepRow, ...]:
+    """The rows of a walk that tracks no class: reduced lengths only."""
+    lengths = _reduced_lengths(itinerary)
+    pairing = [normalized_self_pairing(ln)
+               for ln in range(max(lengths, default=0) + 1)]
+    new = tuple.__new__  # a row without StepRow's Python-level __new__
+    return (StepRow(0, 0, 0, None, 0.0, pairing[0]), *[
+        new(StepRow, (n, ln, ln, None, ln / n * LOG2, pairing[ln]))
+        for n, ln in enumerate(lengths, 1)])
 
 
 def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
@@ -526,6 +548,15 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         itinerary = random_itinerary(len(gens), steps, random.Random(seed))
     if len(itinerary) < steps:
         raise ValueError("itinerary shorter than requested steps")
+    itinerary = tuple(itinerary[:steps])
+    if not (track_classes or track_pushforward):
+        rows = _classfree_rows(itinerary)
+        return WalkReport(
+            seed=seed, steps_requested=steps, steps_done=steps,
+            checkpoint_every=checkpoint_every, generator_count=len(gens),
+            track_classes=False, itinerary=itinerary, rows=rows,
+            final_reduced_len=rows[-1].reduced_len, aborted=None,
+            aborted_at=None, registry_points=0)
     state = WalkState(gens, track_classes=track_classes,
                       track_pushforward=track_pushforward,
                       registry=registry)
@@ -568,7 +599,6 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
             aborted_at = k + 1
             break
 
-    reg = state.registry
     return WalkReport(
         seed=seed,
         steps_requested=steps,
@@ -576,16 +606,16 @@ def run_walk(gens: Tuple[GeneratorData, ...], steps: int, *,
         checkpoint_every=checkpoint_every,
         generator_count=len(gens),
         track_classes=track_classes,
-        itinerary=tuple(itinerary[:steps]),
+        itinerary=itinerary,
         rows=tuple(rows),
         final_reduced_len=state.reduced_len,
         aborted=aborted,
         aborted_at=aborted_at,
-        registry_points=0 if reg is None else len(reg),
+        registry_points=len(state.registry),
         final_class=state.pull_class,
         final_push_class=state.push_class,
         checkpoint_classes=tuple(kept) if keep_classes else None,
-        registry=reg,
+        registry=state.registry,
     )
 
 

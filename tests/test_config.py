@@ -187,6 +187,10 @@ _DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=30)
 @given(_DOCUMENTS)
 @example({"a": {}, "b": [[], ()], "c": [{"d": []}]})
 @example([(3, -1, 2), {"x": normalize_exact((2, 4, -6))}])
+# sibling lists of equal values that a memo keyed by value would merge
+@example([[0.0], [-0.0]])
+@example([[1], [True], [1.0]])
+@example([[1, 2], [_LoudInt(1), 2]])
 def test_dumps_json_is_the_stdlib_text(obj):
     assert dumps_json(obj) == _stdlib(obj)
 

@@ -43,28 +43,43 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _fraction_imports(tree: ast.Module):
-    """Lines that import the ``fractions`` module or a name from it."""
+def _imports_of(tree: ast.Module, package: str):
+    """Lines that import ``package`` or a name from it."""
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Import)
-        and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+        and any(alias.name.split(".")[0] == package for alias in node.names)
         or isinstance(node, ast.ImportFrom) and node.level == 0
-        and node.module.split(".")[0] == "fractions")
+        and node.module.split(".")[0] == package)
 
 
 def test_fraction_import_scan_sees_both_import_forms():
     tree = ast.parse("import os\nfrom fractions import Fraction\n"
                      "import fractions as f\nfrom .poly import fractions\n")
-    assert _fraction_imports(tree) == [2, 3]
+    assert _imports_of(tree, "fractions") == [2, 3]
 
 
 def test_no_module_imports_fractions():
     # forms and points hold Python ints; a rational input is scaled to
     # integers where it is read
-    found = {p.name: _fraction_imports(ast.parse(p.read_text()))
+    found = {p.name: _imports_of(ast.parse(p.read_text()), "fractions")
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_json_import_scan_sees_every_import_form():
+    tree = ast.parse("import os\nfrom json import dumps\n"
+                     "import json.encoder as e\nfrom .config import json\n"
+                     "from json.encoder import c_make_encoder\n")
+    assert _imports_of(tree, "json") == [2, 3, 5]
+
+
+def test_only_config_imports_json():
+    # every document goes through dumps_json and its byte contract
+    found = {p.name: _imports_of(ast.parse(p.read_text()), "json")
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(name for name, lines in found.items() if lines) == \
+        ["config.py"]
 
 
 def _private_reach_ins(tree: ast.Module):

@@ -732,6 +732,50 @@ def test_zero_steps_report(gens):
     assert report.rows[0].log2_deg == 0
 
 
+def _backtracking_itinerary(steps, rng):
+    """A word that takes back its newest letter at about every other step."""
+    word = [(0, 1)]
+    while len(word) < steps:
+        i, s = word[-1]
+        word.append((i, -s) if rng.random() < 0.5
+                    else (rng.randrange(2), rng.choice((1, -1))))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("seed, itinerary", [
+    (1, None), (2, None),
+    (None, _backtracking_itinerary(600, random.Random(3)))])
+def test_classfree_rows_match_the_stepped_walk(gens, seed, itinerary):
+    # the push-tracked walk steps WalkState; the class-free one only a
+    # letter stack
+    free = run_walk(gens, 600, seed=seed, itinerary=itinerary,
+                    track_classes=False)
+    stepped = run_walk(gens, 600, seed=seed, itinerary=itinerary,
+                       track_classes=False, track_pushforward=True)
+    assert stepped.aborted is None
+    assert free.itinerary == stepped.itinerary
+    assert free.final_reduced_len == stepped.final_reduced_len
+    for column in CSV_COLUMNS:
+        assert [getattr(r, column) for r in free.rows] == \
+            [getattr(r, column) for r in stepped.rows], column
+    assert all(type(r) is StepRow for r in free.rows)
+    if itinerary is not None:
+        assert free.final_reduced_len < 100  # the backtracks did cancel
+
+
+def test_middle_length_keeps_its_values():
+    it = random_itinerary(2, 600, random.Random(7))
+    assert [reduced_middle_length(it, lo, hi) for lo, hi in
+            [(0, 600), (600, 0), (17, 431), (250, 251), (300, 300),
+             (599, 13)]] == [256, 256, 180, 1, 0, 246]
+    rng = random.Random(8)
+    for _ in range(50):
+        lo, hi = rng.randrange(601), rng.randrange(601)
+        block = it[min(lo, hi):max(lo, hi)]
+        assert reduced_middle_length(it, lo, hi) == \
+            (_stack_lengths(block) or [0])[-1]
+
+
 def test_drift_estimate_short_classfree_run(gens):
     # crude sanity only; the long-run statistics live in the acceptance suite
     report = run_walk(gens, 2000, seed=2, checkpoint_every=100,
